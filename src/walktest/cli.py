@@ -90,7 +90,7 @@ class _Run:
         self.started = _utcnow()
         self.inputs: dict = {}
         params = {k: v for k, v in vars(args).items()
-                  if k not in ("func", "verbose", "workers")}
+                  if k not in ("func", "verbose")}
         self.parameters = params
         self.seed = params.get("seed")
 
@@ -436,10 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="master seed; all randomness derives from it")
     common.add_argument("--verbose", action="store_true",
                         help="progress notes on the error stream")
-    common.add_argument("--workers", type=int,
-                        default=int(os.environ.get("WALKTEST_WORKERS", "0")),
-                        help="parallelism bound (reserved; runs are serial "
-                             "and independent of this value)")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen-graph", parents=[common],
@@ -548,7 +544,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except WalktestError as ex:
-        diag = {"error": type(ex).__name__, "message": str(ex)}
+        diag = dict(ex.to_json(), error=type(ex).__name__, kind=ex.kind)
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)
         return _EXIT_DOMAIN
 

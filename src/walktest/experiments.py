@@ -301,12 +301,25 @@ def success_sweep(
 ) -> SweepResult:
     """Success rate versus row count for one design on one graph family.
 
-    success: "disjunct" certifies d-disjunctness per prefix, "recovery"
-    plants a random d-set and checks exact decoding, "auto" tries disjunct
-    and degrades to recovery when the certifier is over budget."""
+    success: "disjunct" certifies d-disjunctness of the row prefixes,
+    "recovery" plants a random d-set and checks exact decoding, "auto"
+    tries disjunct and degrades to recovery when the certifier is over
+    budget.  A degrade replays the earlier trials in recovery mode, so the
+    degraded points equal those of a "recovery" sweep with the same seed.
+
+    Grid prefixes are nested and share one column set, so a d-disjunct
+    prefix stays d-disjunct as rows are added.  The disjunct scan certifies
+    prefixes in ascending order and stops at the first disjunct one,
+    crediting it and every larger grid value.  A longer prefix that is never
+    certified therefore cannot exceed the node budget, raise, or trigger a
+    degrade.  The up-front n*C(n-1,d) enumeration check does not depend on
+    m, so it raises or degrades exactly as before."""
     m_grid = sorted(int(m) for m in m_grid)
     if not m_grid or m_grid[0] < 0:
         raise InvalidParameterError("m grid must be nonnegative")
+    dups = sorted({m for m, nxt in zip(m_grid, m_grid[1:]) if m == nxt})
+    if dups:
+        raise InvalidParameterError(f"m grid repeats value(s) {dups}")
     if trials < 30:
         raise InvalidParameterError(
             f"sweeps need at least 30 trials per point, got {trials}")
@@ -317,20 +330,20 @@ def success_sweep(
     params_sample = None
     deterministic = graph_config.get("family") in ("complete", "cycle")
     cache: dict = {}
-    for trial in range(trials):
+
+    def build(trial: int):
+        """Matrix, planted set, and parameters of one trial, plus the
+        graph regenerations it took."""
         gseed = _child_seed(seed, trial, 0)
         mseed = _child_seed(seed, trial, 1)
         dseed = _child_seed(seed, trial, 2)
-        nseed = _child_seed(seed, trial, 3)
         if deterministic and cache:
-            g, params = cache["g"], cache["params"]
+            g, params, r = cache["g"], cache["params"], 0
         else:
             g, r = graph_from_config(graph_config, gseed)
-            regens += r
             params = measured_design_parameters(g, d, eta, constants)
             if deterministic:
                 cache.update(g=g, params=params)
-        params_sample = params
         if t_override is not None:
             t = t_override
         elif design_id in (1, 2):
@@ -342,23 +355,37 @@ def success_sweep(
         rng = trial_rng(dseed, 0)
         planted = tuple(sorted(rng.choice(M.columns, size=min(d, len(M.columns)),
                                           replace=False).tolist()))
-        if mode in ("auto", "disjunct"):
-            try:
-                for m in m_grid:
-                    cert = is_disjunct(M.prefix(m), d, budget=budget)
-                    wins[m] += int(cert.disjunct)
-                continue
-            except SizeExceededError:
-                if mode == "disjunct":
-                    raise
-                mode = "recovery"  # degraded for all remaining trials
-                wins = {m: 0 for m in m_grid}
+        return M, planted, params, r
+
+    def tally_recovery(trial: int, M, planted, params) -> None:
+        nseed = _child_seed(seed, trial, 3)
         y = simulate_tests(M, planted, noise=noise, rng=trial_rng(nseed, 0))
         # noise-inflated designs decode with the tolerance their surplus buys
         tau = max((params.e - 1) // 2, 0) if eta > 0 else 0
         for m, ok in zip(m_grid, _prefix_recovery_success(M, np.asarray(y.bits),
                                                           planted, m_grid, tau)):
             wins[m] += int(ok)
+
+    for trial in range(trials):
+        M, planted, params, r = build(trial)
+        regens += r
+        params_sample = params
+        if mode in ("auto", "disjunct"):
+            try:
+                for i, m in enumerate(m_grid):
+                    if is_disjunct(M.prefix(m), d, budget=budget).disjunct:
+                        for m_up in m_grid[i:]:
+                            wins[m_up] += 1
+                        break
+                continue
+            except SizeExceededError:
+                if mode == "disjunct":
+                    raise
+                mode = "recovery"  # degraded for this and all later trials
+                wins.update(dict.fromkeys(m_grid, 0))
+                for past in range(trial):
+                    tally_recovery(past, *build(past)[:3])
+        tally_recovery(trial, M, planted, params)
     points = [_rate_point(m, wins[m], trials) for m in m_grid]
     result = SweepResult(axis="m", points=points, metadata={
         "graph": dict(graph_config), "design": design_id, "d": d, "eta": eta,

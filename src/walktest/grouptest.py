@@ -4,6 +4,9 @@ A measurement matrix is d-disjunct when no column is covered by the union
 of any d others; (d,e)-disjunct when every column keeps more than e private
 rows against any d others, which lets a threshold decoder absorb up to
 floor((e-1)/2) flipped outcomes.
+
+The certifier holds each column as a Python-int bitset (bit i is row i), so
+a search node costs one ``|`` and one ``(col & ~cover).bit_count()``.
 """
 
 from __future__ import annotations
@@ -204,16 +207,6 @@ def simulate_tests(
 # disjunctness certification
 # ---------------------------------------------------------------------------
 
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-_HAVE_BITCOUNT = hasattr(np, "bitwise_count")
-
-
-def _popcount(a: np.ndarray) -> int:
-    if _HAVE_BITCOUNT:
-        return int(np.bitwise_count(a).sum())
-    return int(_POP8[a].sum())
-
-
 class _Budget:
     __slots__ = ("nodes", "limit")
 
@@ -223,15 +216,26 @@ class _Budget:
 
 
 class _Columns:
-    """Bit-packed column views with pairwise overlap counts."""
+    """Columns as Python-int bitsets (bit i is row i), with weights and
+    pairwise overlap counts."""
 
     def __init__(self, A: np.ndarray):
         self.m, self.nc = A.shape
-        self.packed = np.packbits(A.T, axis=1) if self.m else np.zeros(
-            (self.nc, 0), dtype=np.uint8)
-        self.w = A.sum(axis=0).astype(np.int64)
+        packed = np.packbits(A.T, axis=1, bitorder="little")
+        self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self.w = [b.bit_count() for b in self.bits]
         Af = A.astype(np.float32)
         self.overlap = np.rint(Af.T @ Af).astype(np.int64)
+
+    def by_overlap(self, j0: int) -> tuple[list[int], list[int]]:
+        """Other columns by descending overlap with j0 (stable), and the
+        prefix sums of those overlaps."""
+        ov = self.overlap[j0].copy()
+        ov[j0] = -1
+        order = np.argsort(-ov, kind="stable")
+        order = order[order != j0]
+        prefix = np.concatenate(([0], np.cumsum(ov[order])))
+        return order.tolist(), prefix.tolist()
 
 
 def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
@@ -244,20 +248,15 @@ def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
 
 def _violation_exists(cs: _Columns, j0: int, d_eff: int, e: int,
                       budget: _Budget, progress: int) -> bool:
-    w0 = int(cs.w[j0])
+    w0 = cs.w[j0]
     if w0 <= e:
         return True
-    ov = cs.overlap[j0].copy()
-    ov[j0] = -1
-    order = np.argsort(-ov, kind="stable")
-    order = order[order != j0]
-    vals = ov[order]
-    prefix = np.concatenate(([0], np.cumsum(vals)))
+    order, prefix = cs.by_overlap(j0)
     L = len(order)
-    col0 = cs.packed[j0]
-    packed = cs.packed
+    col0 = cs.bits[j0]
+    bits = cs.bits
 
-    def rec(pos: int, depth: int, cov: np.ndarray, priv: int) -> bool:
+    def rec(pos: int, depth: int, cov: int, priv: int) -> bool:
         budget.nodes += 1
         if budget.nodes > budget.limit:
             raise SizeExceededError(
@@ -275,14 +274,12 @@ def _violation_exists(cs: _Columns, j0: int, d_eff: int, e: int,
             best = prefix[min(k + r, L)] - prefix[k]
             if priv - best > e:
                 break
-            ncov = cov | packed[order[k]]
-            npriv = _popcount(col0 & ~ncov)
-            if rec(k + 1, depth + 1, ncov, npriv):
+            ncov = cov | bits[order[k]]
+            if rec(k + 1, depth + 1, ncov, (col0 & ~ncov).bit_count()):
                 return True
         return False
 
-    cov0 = np.zeros_like(col0)
-    return rec(0, 0, cov0, w0)
+    return rec(0, 0, 0, w0)
 
 
 def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, ...], int]:
@@ -291,38 +288,37 @@ def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, 
     ov = cs.overlap[j0].copy()
     ov[j0] = -1
     top = np.sort(ov)[::-1]
-    top_prefix = np.concatenate(([0], np.cumsum(np.maximum(top, 0))))
+    top_prefix = np.concatenate(([0], np.cumsum(np.maximum(top, 0)))).tolist()
     cand = [k for k in range(cs.nc) if k != j0]
     L = len(cand)
-    col0 = cs.packed[j0]
-    packed = cs.packed
+    col0 = cs.bits[j0]
+    bits = cs.bits
     out: list[tuple[tuple[int, ...], int]] = []
 
-    def rec(pos: int, depth: int, cov: np.ndarray, priv: int,
+    def rec(pos: int, depth: int, cov: int, priv: int,
             chosen: tuple[int, ...]) -> bool:
         r = d_eff - depth
         if priv <= e:
             if L - pos >= r:
                 fill = tuple(cand[pos:pos + r])
-                full = chosen + fill
-                ncov = cov.copy()
+                ncov = cov
                 for k in fill:
-                    ncov |= packed[k]
-                out.append((full, _popcount(col0 & ~ncov)))
+                    ncov |= bits[k]
+                out.append((chosen + fill, (col0 & ~ncov).bit_count()))
                 return True
             return False
         if depth == d_eff:
             return False
-        if priv - int(top_prefix[r]) > e:
+        if priv - top_prefix[r] > e:
             return False
         for k in range(pos, L - r + 1):
-            ncov = cov | packed[cand[k]]
-            npriv = _popcount(col0 & ~ncov)
-            if rec(k + 1, depth + 1, ncov, npriv, chosen + (cand[k],)):
+            ncov = cov | bits[cand[k]]
+            if rec(k + 1, depth + 1, ncov, (col0 & ~ncov).bit_count(),
+                   chosen + (cand[k],)):
                 return True
         return False
 
-    if not rec(0, 0, np.zeros_like(col0), int(cs.w[j0]), ()):
+    if not rec(0, 0, 0, cs.w[j0], ()):
         raise RuntimeError("witness extraction failed after positive decision")
     return out[0]
 
@@ -394,10 +390,11 @@ def disjunct_margin(
         raise SizeExceededError("margin enumeration over budget",
                                 needed=total, limit=int(budget))
     cs = _Columns(M.dense()[:, cols])
+    bits = cs.bits
     best = cs.m + 1
 
-    def rec(j0: int, pos: int, depth: int, cov: np.ndarray, priv: int,
-            order: np.ndarray, prefix: np.ndarray, L: int) -> None:
+    def rec(col0: int, pos: int, depth: int, cov: int, priv: int,
+            order: list[int], prefix: list[int], L: int) -> None:
         nonlocal best
         if depth == d_eff:
             best = min(best, priv)
@@ -407,21 +404,16 @@ def disjunct_margin(
             reach = prefix[min(k + r, L)] - prefix[k]
             if priv - reach >= best:
                 break
-            ncov = cov | cs.packed[order[k]]
-            npriv = _popcount(cs.packed[j0] & ~ncov)
-            rec(j0, k + 1, depth + 1, ncov, npriv, order, prefix, L)
+            ncov = cov | bits[order[k]]
+            rec(col0, k + 1, depth + 1, ncov, (col0 & ~ncov).bit_count(),
+                order, prefix, L)
 
     for j0 in range(nc):
-        ov = cs.overlap[j0].copy()
-        ov[j0] = -1
-        order = np.argsort(-ov, kind="stable")
-        order = order[order != j0]
-        prefix = np.concatenate(([0], np.cumsum(ov[order])))
-        rec(j0, 0, 0, np.zeros_like(cs.packed[j0]), int(cs.w[j0]),
-            order, prefix, len(order))
+        order, prefix = cs.by_overlap(j0)
+        rec(bits[j0], 0, 0, 0, cs.w[j0], order, prefix, len(order))
         if best == 0:
             break
-    return int(best)
+    return best
 
 
 # ---------------------------------------------------------------------------

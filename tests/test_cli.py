@@ -1,6 +1,7 @@
 """Command line surface: pipeline, exit codes, manifests, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -189,6 +190,20 @@ class TestPipeline:
         doc = load_json(out)
         assert doc["disjunct"] is False
         assert doc["witness"]["private"] <= 0 + doc["e"]
+
+    def test_check_disjunct_over_budget_reports_progress(self, graph_file,
+                                                         tmp_path, capsys):
+        mat = tmp_path / "M.json"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "1",
+            "--d", "2", "--m", "12", "--t", "8", "--out", str(mat))
+        code, _, err = run(capsys, "check-disjunct", "--matrix", str(mat),
+                           "--d", "2", "--budget", "100")
+        assert code == 1
+        diag = load_json(err)
+        assert diag["error"] == "SizeExceededError"
+        assert diag["kind"] == "size-exceeded"
+        assert diag["progress"] == {"needed": 64 * math.comb(63, 2),
+                                    "limit": 100, "columns_done": 0}
 
 
 class TestExperimentCommand:

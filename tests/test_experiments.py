@@ -4,13 +4,15 @@ import math
 
 import pytest
 
-from walktest.designs import design_parameters
+from walktest import experiments
+from walktest.designs import build_design, design_parameters
 from walktest.errors import (
     GenerationFailureError,
     InvalidParameterError,
     SizeExceededError,
 )
 from walktest.experiments import (
+    _child_seed,
     fixed_input_experiment,
     graph_from_config,
     mann_kendall_confidence,
@@ -20,7 +22,7 @@ from walktest.experiments import (
     tomography_demo,
     verification_suite,
 )
-from walktest.grouptest import NoiseModel
+from walktest.grouptest import NoiseModel, is_disjunct
 
 ER64 = {"family": "erdos-renyi", "n": 64, "p": 0.3}
 
@@ -122,6 +124,53 @@ class TestSuccessSweep:
             success_sweep(ER64, 1, 2, 0.0, [-1, 5], trials=3, seed=0)
         with pytest.raises(InvalidParameterError):
             success_sweep(ER64, 1, 2, 0.0, [5], trials=0, seed=0)
+        with pytest.raises(InvalidParameterError, match="20"):
+            success_sweep({"family": "complete", "n": 16}, 1, 1, 0.0,
+                          [20, 20], 30, 3, success="recovery")
+
+    def test_degrade_replays_earlier_trials(self, monkeypatch):
+        # the certifier overflows on its 7th call, several trials in
+        calls = []
+
+        def overflow_late(*args, **kwargs):
+            calls.append(1)
+            if len(calls) >= 7:
+                raise SizeExceededError("over budget", limit=0)
+            return is_disjunct(*args, **kwargs)
+
+        cfg = {"family": "erdos-renyi", "n": 24, "p": 0.4}
+        grid = [0, 20, 40]
+        rec = success_sweep(cfg, 1, 2, 0.0, grid, trials=30, seed=6,
+                            success="recovery")
+        monkeypatch.setattr(experiments, "is_disjunct", overflow_late)
+        auto = success_sweep(cfg, 1, 2, 0.0, grid, trials=30, seed=6)
+        assert len(calls) == 7
+        assert auto.metadata["degraded"]
+        assert auto.points == rec.points
+        assert auto.metadata["graph_regens"] == rec.metadata["graph_regens"]
+
+    @pytest.mark.parametrize("cfg, design, d, grid", [
+        ({"family": "complete", "n": 16}, 1, 2, [20, 40, 50, 60, 80]),
+        ({"family": "erdos-renyi", "n": 24, "p": 0.4}, 1, 1,
+         [10, 20, 30, 40, 60]),
+        ({"family": "random-regular", "n": 16, "degree": 5}, 2, 2,
+         [20, 40, 60, 80, 120]),
+    ])
+    def test_disjunct_scan_matches_per_prefix_certification(self, cfg, design,
+                                                             d, grid):
+        for seed in (0, 1, 2):
+            sw = success_sweep(cfg, design, d, 0.0, grid, trials=30,
+                               seed=seed, success="disjunct")
+            wins = dict.fromkeys(grid, 0)
+            for trial in range(30):
+                g, _ = graph_from_config(cfg, _child_seed(seed, trial, 0))
+                t = measured_design_parameters(g, d).walk_length(design)
+                M = build_design(g, design, max(grid),
+                                 _child_seed(seed, trial, 1), t=t)
+                for m in grid:
+                    wins[m] += is_disjunct(M.prefix(m), d).disjunct
+            assert [p.success_rate for p in sw.points] == \
+                [wins[m] / 30 for m in grid]
 
 
 class TestMixingScaling:

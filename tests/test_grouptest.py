@@ -13,6 +13,7 @@ from walktest.errors import (
     InvalidParameterError,
     SizeExceededError,
 )
+from walktest.graphs import complete_graph
 from walktest.grouptest import (
     DefectiveSet,
     NoiseModel,
@@ -137,6 +138,51 @@ class TestDisjunctAgainstOracle:
             is_disjunct(M, 1, e=-1)
         with pytest.raises(InvalidParameterError):
             disjunct_margin(mk(2, [(0,)], stripped=(1,)), 1)
+
+
+class TestCertifierPinned:
+    """Certificates of seeded design matrices at their recorded values: the
+    search's visit order and pruning fix node counts and witnesses."""
+
+    @staticmethod
+    def k64_design1(seed):
+        # t = measured_design_parameters(K64, 2).walk_length(1)
+        return build_design(complete_graph(64), 1, 112, seed, t=27)
+
+    @pytest.mark.parametrize("seed, m, e, want", [
+        (1, 64, 0, (False, 342, (7, (2, 12), 0))),
+        (1, 80, 0, (False, 1686, (53, (0, 33), 0))),
+        (2, 64, 0, (False, 350, (6, (0, 59), 0))),
+        (2, 80, 0, (True, 1608, None)),
+        (2, 80, 1, (False, 298, (6, (0, 59), 1))),
+        (2, 112, 2, (True, 1935, None)),
+    ])
+    def test_k64_design1_prefixes(self, seed, m, e, want):
+        cert = is_disjunct(self.k64_design1(seed).prefix(m), 2, e=e)
+        wit = cert.witness
+        got = (cert.disjunct, cert.nodes,
+               wit and (wit.s0, wit.others, wit.private))
+        assert got == want
+
+    def test_k64_design1_margins(self):
+        M = self.k64_design1(2)
+        assert [disjunct_margin(M.prefix(m), 2) for m in (80, 112)] == [1, 4]
+
+    @pytest.mark.parametrize("m, t, d, want", [
+        (40, 8, 1, (False, 14, (12, (5,), 0))),
+        (40, 8, 2, (False, 15, (1, (0, 34), 0))),
+        (60, 10, 1, (True, 66, None)),
+    ])
+    def test_edge_design(self, m, t, d, want):
+        cert = is_disjunct(build_design(complete_graph(12), 2, m, 5, t=t), d)
+        wit = cert.witness
+        got = (cert.disjunct, cert.nodes,
+               wit and (wit.s0, wit.others, wit.private))
+        assert got == want
+
+    def test_edge_design_margins(self):
+        M = build_design(complete_graph(12), 2, 120, 5, t=12)
+        assert (disjunct_margin(M, 1), disjunct_margin(M, 2)) == (5, 2)
 
 
 class TestSimulate:
