@@ -25,7 +25,14 @@ from .calibration import CALIBRATED, ScaleConstants
 from .errors import GenerationFailureError, InvalidParameterError
 from .graphs import Graph
 from .rng import trial_rng
-from .walks import StartRule, _sink_walk_steps, fixed_walk_batch, random_walk, walk_to_sink
+from .walks import (
+    StartRule,
+    _batch_chunks,
+    _sink_walk_steps,
+    fixed_walk_batch,
+    random_walk,
+    walk_to_sink,
+)
 
 __all__ = [
     "ScaleConstants",
@@ -273,7 +280,7 @@ def vertex_walk_design(
     rule = StartRule.round_robin(designated) if designated else StartRule.uniform()
     drop = np.asarray(designated, dtype=np.int64) if designated else None
     rows: list[tuple[int, ...]] = []
-    for base, take in _row_chunks(m, t + 1):
+    for base, take in _batch_chunks(m, t):
         verts, _ = fixed_walk_batch(g, rule, t, take, seed, lazy=lazy,
                                     index_base=base)
         rows.extend(_unique_rows(verts, drop))
@@ -300,7 +307,7 @@ def edge_walk_design(
     rule = StartRule.uniform() if start is None else StartRule.fixed(start)
     rule.validate(g)
     rows: list[tuple[int, ...]] = []
-    for base, take in _row_chunks(m, t + 1):
+    for base, take in _batch_chunks(m, t):
         _, eids = fixed_walk_batch(g, rule, t, take, seed, lazy=lazy,
                                    index_base=base)
         rows.extend(_unique_rows(eids, None))
@@ -376,15 +383,6 @@ def edge_sink_design(
     return MeasurementMatrix(item_kind="edge", n_items=g.edge_count,
                              rows=tuple(rows), stripped=(), design=design,
                              seed=seed)
-
-
-def _row_chunks(m: int, width: int):
-    chunk = max(1, min(50_000, 4_000_000 // max(width, 1)))
-    done = 0
-    while done < m:
-        take = min(chunk, m - done)
-        yield done, take
-        done += take
 
 
 def _sink_row(g, rule, sink, cap, seed, i, lazy):

@@ -52,6 +52,7 @@ from .mixing import conductance_lower_bound, conductance_mixing_bound, mixing_ti
 from .rng import trial_rng
 from .walks import (
     StartRule,
+    _estimate,
     hit_avoid_probability,
     hit_before_sink_probability,
     hit_probability,
@@ -244,10 +245,9 @@ def measured_design_parameters(
 
 
 def _rate_point(value, wins: int, trials: int) -> SweepPoint:
-    p = wins / trials
-    hw = 1.96 * math.sqrt(p * (1.0 - p) / trials)
-    return SweepPoint(value=float(value), success_rate=p, trials=trials,
-                      half_width=hw)
+    est = _estimate(wins, trials)
+    return SweepPoint(value=float(value), success_rate=est.value,
+                      trials=trials, half_width=est.half_width)
 
 
 def _prefix_recovery_success(

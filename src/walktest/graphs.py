@@ -95,11 +95,8 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edge_list:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        ends = np.array(self.edge_list, dtype=np.int64).ravel()
+        return np.bincount(ends, minlength=self.n).astype(np.int64)
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -386,10 +383,8 @@ def second_eigenvalue(
     deg = g.degrees.astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg)
     N = np.zeros((n, n), dtype=np.float64)
-    for u, v in g.edge_list:
-        w = inv_sqrt[u] * inv_sqrt[v]
-        N[u, v] = w
-        N[v, u] = w
+    u, v = np.array(g.edge_list, dtype=np.int64).reshape(-1, 2).T
+    N[u, v] = N[v, u] = inv_sqrt[u] * inv_sqrt[v]
     v1 = np.sqrt(deg)
     v1 /= np.linalg.norm(v1)
 

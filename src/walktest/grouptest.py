@@ -7,6 +7,13 @@ floor((e-1)/2) flipped outcomes.
 
 The certifier holds each column as a Python-int bitset (bit i is row i), so
 a search node costs one ``|`` and one ``(col & ~cover).bit_count()``.
+
+One branch-and-bound search serves the decision, the margin and the witness.
+The decision stops at the first set that leaves at most e private rows; the
+margin tightens its limit to the least count found.  The lexicographically
+first witness is built slot by slot: each slot takes the smallest later
+column for which the search, run on the columns after it, still finds a
+violation.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -208,16 +216,26 @@ def simulate_tests(
 # ---------------------------------------------------------------------------
 
 class _Budget:
-    __slots__ = ("nodes", "limit")
+    """Node count and node cap of one certification."""
 
-    def __init__(self, limit: int):
+    __slots__ = ("nodes", "limit", "columns_done")
+
+    def __init__(self, limit: float):
         self.nodes = 0
         self.limit = limit
+        self.columns_done = 0
+
+
+def _node_cap(budget: float) -> float:
+    """The node budget as an int, or ``inf`` for no cap."""
+    if math.isnan(budget):
+        raise InvalidParameterError("budget must be a number, got nan")
+    return budget if math.isinf(budget) else int(budget)
 
 
 class _Columns:
     """Columns as Python-int bitsets (bit i is row i), with weights and
-    pairwise overlap counts."""
+    pairwise overlap counts (-1 on the diagonal)."""
 
     def __init__(self, A: np.ndarray):
         self.m, self.nc = A.shape
@@ -226,16 +244,17 @@ class _Columns:
         self.w = [b.bit_count() for b in self.bits]
         Af = A.astype(np.float32)
         self.overlap = np.rint(Af.T @ Af).astype(np.int64)
+        np.fill_diagonal(self.overlap, -1)
 
     def by_overlap(self, j0: int) -> tuple[list[int], list[int]]:
         """Other columns by descending overlap with j0 (stable), and the
-        prefix sums of those overlaps."""
-        ov = self.overlap[j0].copy()
-        ov[j0] = -1
-        order = np.argsort(-ov, kind="stable")
-        order = order[order != j0]
-        prefix = np.concatenate(([0], np.cumsum(ov[order])))
-        return order.tolist(), prefix.tolist()
+        prefix sums of those overlaps.  Sorted per call: a certification often
+        stops after a few columns, and sorting every row of a wide matrix up
+        front costs more than the search."""
+        row = self.overlap[j0]
+        # j0's own entry (-1) sorts last; drop it
+        order = np.argsort(-row, kind="stable")[:-1]
+        return order.tolist(), [0, *np.cumsum(row[order]).tolist()]
 
 
 def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
@@ -246,81 +265,70 @@ def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
     return [c for c in M.columns if c not in excl]
 
 
-def _violation_exists(cs: _Columns, j0: int, d_eff: int, e: int,
-                      budget: _Budget, progress: int) -> bool:
-    w0 = cs.w[j0]
-    if w0 <= e:
-        return True
-    order, prefix = cs.by_overlap(j0)
-    L = len(order)
-    col0 = cs.bits[j0]
-    bits = cs.bits
+def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
+            r: int, cov: int, limit: int, stop: int, budget: _Budget) -> int:
+    """Fewest rows of ``col0`` left uncovered by ``cov`` and an r-set of
+    ``order``, searched below ``limit``; returns the final limit.
 
-    def rec(pos: int, depth: int, cov: int, priv: int) -> bool:
+    Candidates run by descending overlap with col0, so the first one whose
+    ``prefix`` bound cannot beat the limit ends its loop.  Each node counts
+    against ``budget``.  A node that leaves fewer rows becomes the new limit
+    (every partial set extends to a full one that leaves no more), and the
+    search returns once the limit is at most ``stop``."""
+    L = len(order)
+
+    def rec(pos: int, r: int, cov: int, priv: int) -> bool:
+        nonlocal limit
         budget.nodes += 1
         if budget.nodes > budget.limit:
             raise SizeExceededError(
                 "disjunctness search exceeded the node budget",
-                limit=budget.limit, columns_done=progress,
+                limit=budget.limit, columns_done=budget.columns_done,
             )
-        if priv <= e:
-            return True
-        if depth == d_eff:
+        if priv < limit:
+            limit = priv
+            if limit <= stop:
+                return True
+        if r == 0:
             return False
-        r = d_eff - depth
         for k in range(pos, L - r + 1):
-            # candidates sorted by overlap: best remaining coverage only
-            # shrinks with k, so the first hopeless k ends the loop
-            best = prefix[min(k + r, L)] - prefix[k]
-            if priv - best > e:
+            if priv - (prefix[k + r] - prefix[k]) >= limit:
                 break
             ncov = cov | bits[order[k]]
-            if rec(k + 1, depth + 1, ncov, (col0 & ~ncov).bit_count()):
+            if rec(k + 1, r - 1, ncov, (col0 & ~ncov).bit_count()):
                 return True
         return False
 
-    return rec(0, 0, 0, w0)
+    rec(0, r, cov, (col0 & ~cov).bit_count())
+    return limit
 
 
 def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, ...], int]:
     """Lexicographically first violating d-set for column j0 (a violation
-    must exist).  Returns (local ids, private count)."""
-    ov = cs.overlap[j0].copy()
-    ov[j0] = -1
-    top = np.sort(ov)[::-1]
-    top_prefix = np.concatenate(([0], np.cumsum(np.maximum(top, 0)))).tolist()
-    cand = [k for k in range(cs.nc) if k != j0]
-    L = len(cand)
-    col0 = cs.bits[j0]
-    bits = cs.bits
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def rec(pos: int, depth: int, cov: int, priv: int,
-            chosen: tuple[int, ...]) -> bool:
-        r = d_eff - depth
-        if priv <= e:
-            if L - pos >= r:
-                fill = tuple(cand[pos:pos + r])
-                ncov = cov
-                for k in fill:
-                    ncov |= bits[k]
-                out.append((chosen + fill, (col0 & ~ncov).bit_count()))
-                return True
-            return False
-        if depth == d_eff:
-            return False
-        if priv - top_prefix[r] > e:
-            return False
-        for k in range(pos, L - r + 1):
-            ncov = cov | bits[cand[k]]
-            if rec(k + 1, depth + 1, ncov, (col0 & ~ncov).bit_count(),
-                   chosen + (cand[k],)):
-                return True
-        return False
-
-    if not rec(0, 0, 0, cs.w[j0], ()):
-        raise RuntimeError("witness extraction failed after positive decision")
-    return out[0]
+    must exist), filled slot by slot.  Returns (local ids, private count)."""
+    bits, col0 = cs.bits, cs.bits[j0]
+    order, prefix = cs.by_overlap(j0)
+    ov = cs.overlap[j0].tolist()
+    chosen: list[int] = []
+    cov = 0
+    for r in range(d_eff - 1, -1, -1):
+        for c in range(chosen[-1] + 1 if chosen else 0, cs.nc):
+            ncov = cov | bits[c]
+            # r more columns cover at most the r largest overlaps
+            if c == j0 or (col0 & ~ncov).bit_count() - prefix[r] > e:
+                continue
+            if r == 0:
+                break
+            later = [k for k in order if k > c]
+            if len(later) >= r and _search(
+                    bits, col0, later, [0, *accumulate(ov[k] for k in later)],
+                    r, ncov, e + 1, e, _Budget(math.inf)) <= e:
+                break
+        else:
+            raise RuntimeError("witness extraction failed after positive decision")
+        chosen.append(c)
+        cov = ncov
+    return tuple(chosen), (col0 & ~cov).bit_count()
 
 
 def is_disjunct(
@@ -333,13 +341,15 @@ def is_disjunct(
     """Exhaustively certify (d,e)-disjunctness over the non-stripped columns.
 
     The worst-case enumeration count n*C(n-1,d) must fit the budget, which
-    also caps search nodes.  On violation the witness is the
-    lexicographically first (s0, others) pair.  When fewer than d other
+    also caps search nodes (every partial set visited counts, so nodes can
+    exceed n*C(n-1,d)); ``inf`` means no cap.  On violation the witness is
+    the lexicographically first (s0, others) pair.  When fewer than d other
     columns exist the check uses all of them (d_effective)."""
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
     if e < 0:
         raise InvalidParameterError(f"e must be >= 0, got {e}")
+    cap = _node_cap(budget)
     cols = _columns_for(M, exclude_columns)
     nc = len(cols)
     if nc == 0:
@@ -349,24 +359,25 @@ def is_disjunct(
         return DisjunctCertificate(disjunct=True, d=d, e=e, d_effective=0,
                                    columns=tuple(cols), witness=None, nodes=0)
     total = nc * math.comb(nc - 1, d_eff)
-    if total > budget:
+    if total > cap:
         raise SizeExceededError(
             "disjunctness enumeration over budget",
-            needed=total, limit=int(budget), columns_done=0,
+            needed=total, limit=cap, columns_done=0,
         )
     cs = _Columns(M.dense()[:, cols])
-    counter = _Budget(int(budget))
+    counter = _Budget(cap)
+    witness = None
     for j0 in range(nc):
-        if _violation_exists(cs, j0, d_eff, e, counter, j0):
+        counter.columns_done = j0
+        if cs.w[j0] <= e or _search(cs.bits, cs.bits[j0], *cs.by_overlap(j0),
+                                    d_eff, 0, e + 1, e, counter) <= e:
             local, priv = _lex_witness(cs, j0, d_eff, e)
             witness = DisjunctWitness(
                 s0=cols[j0], others=tuple(cols[k] for k in local), private=priv)
-            return DisjunctCertificate(disjunct=False, d=d, e=e,
-                                       d_effective=d_eff, columns=tuple(cols),
-                                       witness=witness, nodes=counter.nodes)
-    return DisjunctCertificate(disjunct=True, d=d, e=e, d_effective=d_eff,
-                               columns=tuple(cols), witness=None,
-                               nodes=counter.nodes)
+            break
+    return DisjunctCertificate(disjunct=witness is None, d=d, e=e,
+                               d_effective=d_eff, columns=tuple(cols),
+                               witness=witness, nodes=counter.nodes)
 
 
 def disjunct_margin(
@@ -377,40 +388,26 @@ def disjunct_margin(
 ) -> int:
     """Smallest private count over all (column, d-set) choices.
 
-    The matrix is (d,e)-disjunct exactly for e < margin."""
+    The matrix is (d,e)-disjunct exactly for e < margin.  The budget caps
+    the enumeration count n*C(n-1,d); ``inf`` means no cap."""
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
+    cap = _node_cap(budget)
     cols = _columns_for(M, exclude_columns)
     nc = len(cols)
     if nc < 2:
         raise InvalidParameterError("margin needs at least two columns")
     d_eff = min(d, nc - 1)
     total = nc * math.comb(nc - 1, d_eff)
-    if total > budget:
+    if total > cap:
         raise SizeExceededError("margin enumeration over budget",
-                                needed=total, limit=int(budget))
+                                needed=total, limit=cap)
     cs = _Columns(M.dense()[:, cols])
-    bits = cs.bits
     best = cs.m + 1
-
-    def rec(col0: int, pos: int, depth: int, cov: int, priv: int,
-            order: list[int], prefix: list[int], L: int) -> None:
-        nonlocal best
-        if depth == d_eff:
-            best = min(best, priv)
-            return
-        r = d_eff - depth
-        for k in range(pos, L - r + 1):
-            reach = prefix[min(k + r, L)] - prefix[k]
-            if priv - reach >= best:
-                break
-            ncov = cov | bits[order[k]]
-            rec(col0, k + 1, depth + 1, ncov, (col0 & ~ncov).bit_count(),
-                order, prefix, L)
-
+    counter = _Budget(math.inf)
     for j0 in range(nc):
-        order, prefix = cs.by_overlap(j0)
-        rec(bits[j0], 0, 0, 0, cs.w[j0], order, prefix, len(order))
+        best = _search(cs.bits, cs.bits[j0], *cs.by_overlap(j0), d_eff, 0,
+                       best, 0, counter)
         if best == 0:
             break
     return best

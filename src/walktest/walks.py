@@ -537,6 +537,8 @@ def visit_count_tail_check(
     """Check P(more than k visits to v) <= P(visit v)/4 with Monte Carlo
     slack.  ``k`` is the caller's multiple of the mixing time."""
     _check_items(g, "vertex", [v])
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
     rule = _as_start_rule(start)
     tail = 0
     any_visit = 0
@@ -577,6 +579,8 @@ def early_visit_check(
         raise InvalidParameterError("v must not be a designated start")
     if k < 0:
         raise InvalidParameterError("k must be nonnegative")
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
     rule = (StartRule.round_robin(designated) if designated
             else StartRule.uniform())
     min_deg = int(g.degrees.min())
@@ -613,6 +617,8 @@ def influence_check(
     counted); slack is 3 sigma on both estimates."""
     if not (0 <= i < j):
         raise InvalidParameterError("need 0 <= i < j")
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
     if t_mix is None:
         t_mix = mixing_time(g, lazy=lazy).steps
     if j - i < t_mix:

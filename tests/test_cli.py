@@ -102,6 +102,18 @@ class TestWalkStats:
         assert code == 1
         assert "JSON" in load_json(err)["message"]
 
+    @pytest.mark.parametrize("quantity, params", [
+        ("visits", '{"v": 3, "steps": 10, "k": 2}'),
+        ("early", '{"v": 3, "k": 2}'),
+    ])
+    def test_zero_trials_is_invalid(self, graph_file, capsys, quantity,
+                                    params):
+        code, _, err = run(capsys, "walk-stats", "--graph", str(graph_file),
+                           "--quantity", quantity, "--params", params,
+                           "--trials", "0")
+        assert code == 1
+        assert load_json(err)["kind"] == "invalid-parameter"
+
     def test_usage_error_exit_2(self, graph_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["walk-stats", "--graph", str(graph_file),
@@ -204,6 +216,22 @@ class TestPipeline:
         assert diag["kind"] == "size-exceeded"
         assert diag["progress"] == {"needed": 64 * math.comb(63, 2),
                                     "limit": 100, "columns_done": 0}
+
+
+    def test_check_disjunct_infinite_budget(self, graph_file, tmp_path,
+                                            capsys):
+        mat = tmp_path / "M.json"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "1",
+            "--d", "2", "--m", "12", "--t", "8", "--out", str(mat))
+        docs = []
+        for budget in ("inf", "1e8"):
+            code, out, _ = run(capsys, "check-disjunct", "--matrix", str(mat),
+                               "--d", "2", "--budget", budget)
+            assert code == 0
+            doc = load_json(out)
+            doc.pop("manifest")
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
 
 class TestExperimentCommand:

@@ -130,6 +130,28 @@ class TestDisjunctAgainstOracle:
         with pytest.raises(SizeExceededError):
             is_disjunct(M, 3, budget=1_000)
 
+    def test_search_overflow_reports_progress(self):
+        # n*C(n-1,d) = 5 fits the budget, but the search visits 9 nodes
+        M = mk(5, [(0,), (0, 1, 2, 3), (1, 4), (1, 2)])
+        with pytest.raises(SizeExceededError, match="search") as exc:
+            is_disjunct(M, 4, budget=5)
+        assert exc.value.progress == {"limit": 5, "columns_done": 1}
+        cert = is_disjunct(M, 4, budget=9)
+        assert (cert.disjunct, cert.nodes) == (False, 9)
+        assert (cert.witness.s0, cert.witness.others) == (1, (0, 2, 3, 4))
+
+    def test_infinite_budget_means_no_cap(self):
+        M = mk(30, [(i,) for i in range(30)])
+        assert is_disjunct(M, 3, budget=math.inf) == is_disjunct(M, 3)
+        assert disjunct_margin(M, 3, budget=math.inf) == 1
+
+    def test_nan_budget_rejected(self):
+        M = mk(3, [(0,), (1,), (2,)])
+        with pytest.raises(InvalidParameterError, match="budget"):
+            is_disjunct(M, 1, budget=math.nan)
+        with pytest.raises(InvalidParameterError, match="budget"):
+            disjunct_margin(M, 1, budget=math.nan)
+
     def test_parameter_validation(self):
         M = mk(3, [(0,), (1,), (2,)])
         with pytest.raises(InvalidParameterError):

@@ -203,6 +203,14 @@ class TestBoundChecks:
         with pytest.raises(InvalidParameterError):
             early_visit_check(k16, 5, k=2, trials=10, seed=0, designated=[5])
 
+    def test_zero_trials_rejected(self, k16):
+        with pytest.raises(InvalidParameterError, match="trial"):
+            visit_count_tail_check(k16, 0, steps=9, k=9, trials=0, seed=3)
+        with pytest.raises(InvalidParameterError, match="trial"):
+            early_visit_check(k16, 5, k=3, trials=0, seed=8)
+        with pytest.raises(InvalidParameterError, match="trial"):
+            influence_check(k16, 3, 6, trials=0, seed=12, t_mix=3)
+
     def test_influence_gap_below_mixing_rejected(self, k16):
         with pytest.raises(InvalidParameterError):
             influence_check(k16, 0, 1, trials=100, seed=0, t_mix=3)
