@@ -1,0 +1,143 @@
+"""Behaviour lock: sha256 digests of seeded outputs.
+
+Each case rebuilds one seeded output (a matrix file, an outcome vector, or
+the CSV rows of an experiment) and compares its digest with the value pinned
+here.  A refactor that keeps these digests keeps the library's behaviour;
+a change that moves one must say why and re-pin it.
+
+To print the current digests, run ``python tests/test_golden.py``.
+"""
+
+import csv
+import hashlib
+import io
+import json
+
+import pytest
+
+from walktest.designs import (
+    edge_sink_design,
+    edge_walk_design,
+    matrix_from_json,
+    matrix_to_json,
+    vertex_sink_design,
+    vertex_walk_design,
+)
+from walktest.experiments import success_sweep, tomography_demo, verification_suite
+from walktest.graphs import complete_graph, erdos_renyi_graph
+from walktest.grouptest import NoiseModel, simulate_tests
+from walktest.rng import trial_rng
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _matrix_text(M) -> str:
+    """The bytes ``write_matrix`` puts in a file, after a JSON round trip."""
+    text = json.dumps(matrix_to_json(M), sort_keys=True) + "\n"
+    back = json.dumps(matrix_to_json(matrix_from_json(json.loads(text))),
+                      sort_keys=True) + "\n"
+    assert back == text
+    return text
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _graph():
+    return erdos_renyi_graph(64, 0.3, 42)
+
+
+def _matrices():
+    g = _graph()
+    return {
+        "design1-designated": vertex_walk_design(g, [0, 3], 40, 30, 5),
+        "design1-lazy": vertex_walk_design(g, [], 30, 20, 6, lazy=True),
+        "design1-prefix": vertex_walk_design(g, [1], 60, 24, 4).prefix(25),
+        "design2": edge_walk_design(g, 30, 25, 7),
+        "design2-lazy-start": edge_walk_design(g, 20, 25, 8, start=3, lazy=True),
+        "design2-prefix": edge_walk_design(g, 50, 25, 9).prefix(20),
+        "design3": vertex_sink_design(g, [2], 7, 15, 1),
+        "design3-lazy": vertex_sink_design(g, [], 11, 10, 2, lazy=True),
+        "design4": edge_sink_design(g, 7, 15, 1),
+        "design4-lazy-start": edge_sink_design(g, 11, 10, 3, start=5, lazy=True),
+    }
+
+
+def _outcomes():
+    M = vertex_walk_design(_graph(), [0, 3], 40, 30, 5)
+    noises = {
+        "noiseless": NoiseModel.noiseless(),
+        "flip": NoiseModel.flip(0.1),
+        "dilution": NoiseModel.dilution(0.3),
+        "adversarial": NoiseModel.adversarial([1, 4, 9, 33]),
+    }
+    return {name: simulate_tests(M, (10, 20), noise=noise,
+                                 rng=trial_rng(11, i)).to01()
+            for i, (name, noise) in enumerate(noises.items())}
+
+
+def _experiments():
+    g = _graph()
+    disjunct = success_sweep({"family": "complete", "n": 24}, 1, 2, 0.0,
+                             (16, 32, 48, 64, 96), 30, 3, success="disjunct")
+    recovery = success_sweep({"family": "erdos-renyi", "n": 48, "p": 0.3}, 2, 2,
+                             0.0, (40, 120, 240, 400), 30, 4, success="recovery")
+    verify = verification_suite(complete_graph(16), 2, 100, 5)
+    tomo = tomography_demo(g, 0, (3, 50), 0.05, 6, m=150)  # with false alarms
+    return {"sweep-disjunct": disjunct.csv_rows(),
+            "sweep-recovery": recovery.csv_rows(),
+            "verification-suite": verify.csv_rows(),
+            "tomography-demo": tomo.csv_rows()}
+
+
+def _digests() -> dict:
+    out = {f"matrix/{k}": _sha(_matrix_text(M)) for k, M in _matrices().items()}
+    out.update({f"outcome/{k}": _sha(b) for k, b in _outcomes().items()})
+    out.update({f"csv/{k}": _sha(_csv_text(r)) for k, r in _experiments().items()})
+    return out
+
+
+PINNED = {
+    "csv/sweep-disjunct": "66a5061149b5fd4f0d155a065c40343226b07c6664af99d9297cc78d7abafedd",
+    "csv/sweep-recovery": "804f07afe4edd6751e97f86db609bf30fbaea980854c763bbb0e844666a04318",
+    "csv/tomography-demo": "ba2f4a4861dbbf8e0e5b23d99847b76591627382b6194cee14e71ff8dc55a4c8",
+    "csv/verification-suite": "fd282b57a9e10fc30265ac857ea13c44e3567b7f86adffa5da7b6615a731d4ba",
+    "matrix/design1-designated": "2bd5c50c0e1bb72779fff8020e65451ce2a7f7282fa1a29a400fc89ca8076e26",
+    "matrix/design1-lazy": "80eaec207d514d897bd9315dbf089f1aec835986a70e9d95a1c308820a395f26",
+    "matrix/design1-prefix": "d9d5df0449fe66024c020a9aad52a569c25d704387ed6c2391319da7943bd8cc",
+    "matrix/design2": "0120352e55fdcfd0dbe61888ebdc35b01fea61f2b4c8b84b57c64cd793021af6",
+    "matrix/design2-lazy-start": "27ae647ea8bfc62d8ccf51b4abd55254892c59d3054e0d0d708ca24550043adf",
+    "matrix/design2-prefix": "95f4925843d5516a27e7233c1ab5ce4383256da825044c1b1e5e7f0bf442a88f",
+    "matrix/design3": "758c1fc805b23b4c783c8346d9b144e88b6b7e6ef3b0ba325f59060792d9f909",
+    "matrix/design3-lazy": "2b24f079b9df9a3d11d469d177cbe3182a7a3e8722a29e4bb1bc2d797ba5dc87",
+    "matrix/design4": "9e2f95525fc5e4e19477229e1fcc62ebd9a7a1c44ed6e8b2326fff6b4668f006",
+    "matrix/design4-lazy-start": "7fbb7abd2f96cc05c0ab54f6a8714cb0deb6fa27de18f668267c7f6b3dbd5716",
+    "outcome/adversarial": "16cd0c99b3043405b9a00659022786a3565eb30f44b2e11932665854d4581dbc",
+    "outcome/dilution": "1f8cacfd8f2996092d7213b410740a6a1986d53fdb2aa20ffbf0a36919f1b427",
+    "outcome/flip": "4f169626fc1e7a668e92704b50b09c04cd7d7eafe57f0b9b692656fc6ea0f8ae",
+    "outcome/noiseless": "af575e54e99d876889560daaf57b3051e5edeedd4bca582b41a8db0d3527df77",
+}
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return _digests()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_digest_pinned(digests, name):
+    assert digests[name] == PINNED[name]
+
+
+def test_every_output_pinned(digests):
+    assert sorted(digests) == sorted(PINNED)
+
+
+if __name__ == "__main__":
+    for key, value in sorted(_digests().items()):
+        print(f'    "{key}": "{value}",')
