@@ -89,8 +89,9 @@ class _Run:
         self.subcommand = subcommand
         self.started = _utcnow()
         self.inputs: dict = {}
-        params = {k: v for k, v in vars(args).items()
-                  if k not in ("func", "verbose")}
+        # strict JSON has no Infinity or NaN: such floats are kept as "inf"
+        params = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in vars(args).items() if k not in ("func", "verbose")}
         self.parameters = params
         self.seed = params.get("seed")
 

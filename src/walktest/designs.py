@@ -9,15 +9,21 @@ in isolation and dropping a row never disturbs the others.
   id 3: walk to a sink, row = visited vertices, starts and sink stripped
   id 4: walk to a sink, row = traversed edges, nothing stripped
 
+A matrix stores one read-only boolean (m, n_items) array and nothing derived
+from it: the builders mark each walk's items straight into its row, stripped
+columns stay all false, a row prefix is a view, and the file format converts
+the array to and from row lists in one vectorised pass.
+
 The size formulas take explicit multipliers (ScaleConstants); shipped
 defaults were frozen by scripts/calibrate.py and live in calibration.py.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -172,73 +178,109 @@ def design_parameters(
 class MeasurementMatrix:
     """Pooled test rows over vertex or edge items.
 
-    ``rows`` hold sorted item ids with stripped ids already removed;
-    ``stripped`` lists removed columns (designated starts, sink).  The
+    ``pools`` is the only storage: a read-only boolean (m, n_items) array
+    whose row i marks the items in test i's pool.  ``stripped`` lists the
+    removed columns (designated starts, sink); they are all false.  The
     ``design`` dict fully determines per-row reconstruction from ``seed``.
     """
 
     item_kind: str  # "vertex" | "edge"
-    n_items: int
-    rows: tuple[tuple[int, ...], ...]
+    pools: np.ndarray
     stripped: tuple[int, ...]
     design: dict
     seed: int
 
+    def __post_init__(self):
+        self.pools.flags.writeable = False
+
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return self.pools.shape[0]
+
+    @property
+    def n_items(self) -> int:
+        return self.pools.shape[1]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted item ids per row, rebuilt from ``pools`` on every call."""
+        return tuple(map(tuple, _row_lists(self.pools)))
 
     @property
     def columns(self) -> tuple[int, ...]:
         """Non-stripped item ids, ascending."""
-        cached = self.__dict__.get("_columns")
-        if cached is None:
-            out = set(range(self.n_items)).difference(self.stripped)
-            cached = tuple(sorted(out))
-            self.__dict__["_columns"] = cached
-        return cached
+        return tuple(sorted(set(range(self.n_items)).difference(self.stripped)))
 
     def dense(self) -> np.ndarray:
-        """Boolean (m, n_items) view; stripped columns are all false."""
-        cached = self.__dict__.get("_dense")
-        if cached is None:
-            a = np.zeros((self.m, self.n_items), dtype=bool)
-            if self.rows:
-                lens = np.fromiter((len(r) for r in self.rows), dtype=np.int64,
-                                   count=self.m)
-                cols = np.fromiter((x for r in self.rows for x in r),
-                                   dtype=np.int64, count=int(lens.sum()))
-                a[np.repeat(np.arange(self.m), lens), cols] = True
-            a.flags.writeable = False
-            cached = a
-            self.__dict__["_dense"] = cached
-        return cached
+        """The stored boolean (m, n_items) array; stripped columns are false."""
+        return self.pools
 
     def prefix(self, m: int) -> "MeasurementMatrix":
-        """First m rows as a matrix (same seed: rows are bit-identical)."""
+        """First m rows as a view of this array (rows are bit-identical)."""
         if not 0 <= m <= self.m:
             raise InvalidParameterError(f"prefix length {m} out of range")
-        design = dict(self.design)
-        design["m"] = m
-        return MeasurementMatrix(item_kind=self.item_kind, n_items=self.n_items,
-                                 rows=self.rows[:m], stripped=self.stripped,
-                                 design=design, seed=self.seed)
+        return replace(self, pools=self.pools[:m], design={**self.design, "m": m})
 
 
-def _unique_rows(arr: np.ndarray, drop: np.ndarray | None) -> list[tuple[int, ...]]:
-    """Sorted deduplicated ids per row; negatives (lazy stays) dropped."""
-    sv = np.sort(arr, axis=1)
-    keep = np.ones(sv.shape, dtype=bool)
-    keep[:, 1:] = sv[:, 1:] != sv[:, :-1]
-    keep &= sv >= 0
-    if drop is not None and drop.size:
-        keep &= ~np.isin(sv, drop)
-    return [tuple(sv[i, keep[i]].tolist()) for i in range(sv.shape[0])]
+def _row_lists(pools: np.ndarray) -> list[list[int]]:
+    """Item ids of every row, ascending, from one ``flatnonzero`` pass."""
+    rows, cols = np.divmod(np.flatnonzero(pools), max(pools.shape[1], 1))
+    ends = np.cumsum(np.bincount(rows, minlength=pools.shape[0])).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
 
-def _start_to_json(rule: StartRule) -> dict:
-    return {"kind": rule.kind, "designated": list(rule.designated),
-            "vertex": rule.vertex}
+def _matrix(design_id: int, pools: np.ndarray, stripped: tuple[int, ...],
+            rule: StartRule, seed: int, lazy: bool, t=None, cap=None,
+            sink=None) -> MeasurementMatrix:
+    """Clear the stripped columns and record how the rows were built."""
+    pools[:, list(stripped)] = False
+    start = {"kind": rule.kind, "designated": list(rule.designated),
+             "vertex": rule.vertex}
+    design = {"id": design_id, "m": pools.shape[0], "t": t, "cap": cap,
+              "sink": sink, "start": start, "lazy": lazy}
+    return MeasurementMatrix(item_kind="vertex" if design_id in (1, 3) else "edge",
+                             pools=pools, stripped=stripped, design=design,
+                             seed=seed)
+
+
+def _walk_pools(g: Graph, rule: StartRule, m: int, t: int, seed: int,
+                lazy: bool, edges: bool) -> np.ndarray:
+    """Mark the vertices (or edges) of each fixed-length walk in its row."""
+    if m < 0 or t < 0:
+        raise InvalidParameterError("m and t must be nonnegative")
+    pools = np.zeros((m, g.edge_count if edges else g.n), dtype=bool)
+    for base, take in _batch_chunks(m, t):
+        verts, eids = fixed_walk_batch(g, rule, t, take, seed, lazy=lazy,
+                                       index_base=base)
+        items = eids if edges else verts
+        keep = items >= 0  # eid -1 marks a lazy stay
+        rows = np.repeat(np.arange(base, base + take), keep.sum(axis=1))
+        pools[rows, items[keep]] = True
+    return pools
+
+
+def _sink_pools(g: Graph, rule: StartRule, sink: int, cap: int, m: int,
+                seed: int, lazy: bool, edges: bool) -> np.ndarray:
+    """Mark the vertices (or edges) of each walk to ``sink`` in its row."""
+    if not 0 <= sink < g.n:
+        raise InvalidParameterError(f"sink {sink} out of range")
+    if m < 0:
+        raise InvalidParameterError("m must be nonnegative")
+    pools = np.zeros((m, g.edge_count if edges else g.n), dtype=bool)
+    for i in range(m):
+        rng = trial_rng(seed, i)
+        for _ in range(MAX_WALK_ATTEMPTS):
+            verts, eids, term = _sink_walk_steps(g, rule.resolve(i, rng, g.n),
+                                                 sink, cap, rng, lazy=lazy)
+            if term == "sink-reached":
+                break
+        else:
+            raise GenerationFailureError(
+                f"row {i}: {MAX_WALK_ATTEMPTS} walks hit the {cap}-step cap "
+                f"before reaching the sink")
+        pools[i, eids if edges else verts] = True
+    return pools
 
 
 def _start_from_json(obj: dict) -> StartRule:
@@ -275,20 +317,9 @@ def vertex_walk_design(
     Starts round-robin over ``designated`` (uniform when empty); designated
     columns are stripped."""
     designated = _check_designated(g, designated)
-    if m < 0 or t < 0:
-        raise InvalidParameterError("m and t must be nonnegative")
     rule = StartRule.round_robin(designated) if designated else StartRule.uniform()
-    drop = np.asarray(designated, dtype=np.int64) if designated else None
-    rows: list[tuple[int, ...]] = []
-    for base, take in _batch_chunks(m, t):
-        verts, _ = fixed_walk_batch(g, rule, t, take, seed, lazy=lazy,
-                                    index_base=base)
-        rows.extend(_unique_rows(verts, drop))
-    design = {"id": 1, "m": m, "t": t, "cap": None, "sink": None,
-              "start": _start_to_json(rule), "lazy": lazy}
-    return MeasurementMatrix(item_kind="vertex", n_items=g.n, rows=tuple(rows),
-                             stripped=tuple(sorted(designated)), design=design,
-                             seed=seed)
+    pools = _walk_pools(g, rule, m, t, seed, lazy, edges=False)
+    return _matrix(1, pools, tuple(sorted(designated)), rule, seed, lazy, t=t)
 
 
 def edge_walk_design(
@@ -302,20 +333,10 @@ def edge_walk_design(
     """Design 2: m fixed-length walks, rows are traversed edge sets.
 
     ``start``: fixed origin vertex, or None for uniform starts."""
-    if m < 0 or t < 0:
-        raise InvalidParameterError("m and t must be nonnegative")
     rule = StartRule.uniform() if start is None else StartRule.fixed(start)
     rule.validate(g)
-    rows: list[tuple[int, ...]] = []
-    for base, take in _batch_chunks(m, t):
-        _, eids = fixed_walk_batch(g, rule, t, take, seed, lazy=lazy,
-                                   index_base=base)
-        rows.extend(_unique_rows(eids, None))
-    design = {"id": 2, "m": m, "t": t, "cap": None, "sink": None,
-              "start": _start_to_json(rule), "lazy": lazy}
-    return MeasurementMatrix(item_kind="edge", n_items=g.edge_count,
-                             rows=tuple(rows), stripped=(), design=design,
-                             seed=seed)
+    pools = _walk_pools(g, rule, m, t, seed, lazy, edges=True)
+    return _matrix(2, pools, (), rule, seed, lazy, t=t)
 
 
 def vertex_sink_design(
@@ -332,25 +353,13 @@ def vertex_sink_design(
     Designated and sink columns are stripped.  A row whose walk hits the
     step cap is regenerated from the same stream, up to MAX_WALK_ATTEMPTS."""
     designated = _check_designated(g, designated)
-    if not 0 <= sink < g.n:
-        raise InvalidParameterError(f"sink {sink} out of range")
     if sink in designated:
         raise InvalidParameterError("sink cannot be designated")
-    if m < 0:
-        raise InvalidParameterError("m must be nonnegative")
-    if cap is None:
-        cap = g.n ** 3
+    cap = g.n ** 3 if cap is None else cap
     rule = StartRule.round_robin(designated) if designated else StartRule.uniform()
-    stripped = tuple(sorted((*designated, sink)))
-    strip_set = set(stripped)
-    rows = []
-    for i in range(m):
-        verts, _, _ = _sink_row(g, rule, sink, cap, seed, i, lazy)
-        rows.append(tuple(sorted(set(verts) - strip_set)))
-    design = {"id": 3, "m": m, "t": None, "cap": cap, "sink": sink,
-              "start": _start_to_json(rule), "lazy": lazy}
-    return MeasurementMatrix(item_kind="vertex", n_items=g.n, rows=tuple(rows),
-                             stripped=stripped, design=design, seed=seed)
+    pools = _sink_pools(g, rule, sink, cap, m, seed, lazy, edges=False)
+    return _matrix(3, pools, tuple(sorted((*designated, sink))), rule, seed,
+                   lazy, cap=cap, sink=sink)
 
 
 def edge_sink_design(
@@ -366,37 +375,11 @@ def edge_sink_design(
 
     No columns are stripped; callers can pass sink-incident edge ids to the
     disjunctness checker's exclude list to evaluate both readings."""
-    if not 0 <= sink < g.n:
-        raise InvalidParameterError(f"sink {sink} out of range")
-    if m < 0:
-        raise InvalidParameterError("m must be nonnegative")
-    if cap is None:
-        cap = g.n ** 3
+    cap = g.n ** 3 if cap is None else cap
     rule = StartRule.uniform() if start is None else StartRule.fixed(start)
     rule.validate(g)
-    rows = []
-    for i in range(m):
-        _, eids, _ = _sink_row(g, rule, sink, cap, seed, i, lazy)
-        rows.append(tuple(sorted(set(e for e in eids if e >= 0))))
-    design = {"id": 4, "m": m, "t": None, "cap": cap, "sink": sink,
-              "start": _start_to_json(rule), "lazy": lazy}
-    return MeasurementMatrix(item_kind="edge", n_items=g.edge_count,
-                             rows=tuple(rows), stripped=(), design=design,
-                             seed=seed)
-
-
-def _sink_row(g, rule, sink, cap, seed, i, lazy):
-    """One sink-terminated walk for row i, retrying capped walks in-stream."""
-    rng = trial_rng(seed, i)
-    for _ in range(MAX_WALK_ATTEMPTS):
-        v0 = rule.resolve(i, rng, g.n)
-        verts, eids, term = _sink_walk_steps(g, v0, sink, cap, rng, lazy=lazy)
-        if term == "sink-reached":
-            return verts, eids, term
-    raise GenerationFailureError(
-        f"row {i}: {MAX_WALK_ATTEMPTS} walks hit the {cap}-step cap "
-        f"before reaching the sink"
-    )
+    pools = _sink_pools(g, rule, sink, cap, m, seed, lazy, edges=True)
+    return _matrix(4, pools, (), rule, seed, lazy, cap=cap, sink=sink)
 
 
 def build_design(
@@ -412,21 +395,17 @@ def build_design(
     lazy: bool = False,
 ) -> MeasurementMatrix:
     """Uniform entry point used by the CLI; dispatches on design id 1-4."""
+    if design_id in (1, 2) and t is None:
+        raise InvalidParameterError(f"design {design_id} needs a walk length t")
+    if design_id in (3, 4) and sink is None:
+        raise InvalidParameterError(f"design {design_id} needs a sink vertex")
     if design_id == 1:
-        if t is None:
-            raise InvalidParameterError("design 1 needs a walk length t")
         return vertex_walk_design(g, designated, m, t, seed, lazy=lazy)
     if design_id == 2:
-        if t is None:
-            raise InvalidParameterError("design 2 needs a walk length t")
         return edge_walk_design(g, m, t, seed, start=start, lazy=lazy)
     if design_id == 3:
-        if sink is None:
-            raise InvalidParameterError("design 3 needs a sink vertex")
         return vertex_sink_design(g, designated, sink, m, seed, cap=cap, lazy=lazy)
     if design_id == 4:
-        if sink is None:
-            raise InvalidParameterError("design 4 needs a sink vertex")
         return edge_sink_design(g, sink, m, seed, cap=cap, start=start, lazy=lazy)
     raise InvalidParameterError(f"unknown design id {design_id}")
 
@@ -450,18 +429,15 @@ def verify_rows(g: Graph, M: MeasurementMatrix) -> bool:
         rng = trial_rng(M.seed, i)
         if did in (1, 2):
             w = random_walk(g, rule, M.design["t"], rng, lazy=lazy, index=i)
-            items = set(w.vertices) if did == 1 else set(w.edges)
         else:
-            cap = M.design["cap"]
-            w = None
             for _ in range(MAX_WALK_ATTEMPTS):
-                w = walk_to_sink(g, rule, M.design["sink"], rng, cap=cap,
-                                 lazy=lazy, index=i)
+                w = walk_to_sink(g, rule, M.design["sink"], rng,
+                                 cap=M.design["cap"], lazy=lazy, index=i)
                 if w.terminated_by == "sink-reached":
                     break
-            if w is None or w.terminated_by != "sink-reached":
+            else:
                 return False
-            items = set(w.vertices) if did == 3 else set(w.edges)
+        items = set(w.vertices) if did in (1, 3) else set(w.edges)
         if tuple(sorted(items - strip)) != row:
             return False
     return True
@@ -477,37 +453,57 @@ def matrix_to_json(M: MeasurementMatrix) -> dict:
         "item_kind": M.item_kind,
         "n_items": M.n_items,
         "stripped": list(M.stripped),
-        "rows": [list(r) for r in M.rows],
+        "rows": _row_lists(M.pools),
         "design": M.design,
         "seed": M.seed,
     }
 
 
 def matrix_from_json(obj: dict) -> MeasurementMatrix:
+    """Check a matrix file's object and scatter its rows into one array."""
+    if not isinstance(obj, dict):
+        raise InvalidParameterError("matrix JSON must be an object")
     for key in ("item_kind", "n_items", "stripped", "rows", "design", "seed"):
         if key not in obj:
             raise InvalidParameterError(f"matrix JSON missing key {key!r}")
-    kind = obj["item_kind"]
+    kind, n_items, stripped, rows = (obj[k] for k in ("item_kind", "n_items",
+                                                      "stripped", "rows"))
     if kind not in ("vertex", "edge"):
         raise InvalidParameterError(f"bad item_kind {kind!r}")
-    n_items = int(obj["n_items"])
-    stripped = tuple(sorted(int(x) for x in obj["stripped"]))
-    rows = tuple(tuple(sorted(int(x) for x in r)) for r in obj["rows"])
-    strip_set = set(stripped)
-    for idx, row in enumerate(rows):
-        for x in row:
-            if not 0 <= x < n_items:
-                raise InvalidParameterError(f"row {idx}: item {x} out of range")
-            if x in strip_set:
-                raise InvalidParameterError(f"row {idx}: stripped item {x} present")
-        if len(set(row)) != len(row):
-            raise InvalidParameterError(f"row {idx}: duplicate items")
+    for key in ("n_items", "seed"):
+        if type(obj[key]) is not int:
+            raise InvalidParameterError(f"{key} must be an integer, got {obj[key]!r}")
+    if n_items < 0:
+        raise InvalidParameterError(f"n_items must be >= 0, got {n_items}")
+    if not isinstance(obj["design"], dict):
+        raise InvalidParameterError("design must be a JSON object")
+    if not isinstance(stripped, list) or set(map(type, stripped)) - {int}:
+        raise InvalidParameterError("stripped must be a list of integers")
     for x in stripped:
         if not 0 <= x < n_items:
             raise InvalidParameterError(f"stripped item {x} out of range")
-    return MeasurementMatrix(item_kind=kind, n_items=n_items, rows=rows,
-                             stripped=stripped, design=dict(obj["design"]),
-                             seed=int(obj["seed"]))
+    if not isinstance(rows, list) or set(map(type, rows)) - {list}:
+        raise InvalidParameterError("rows must be a list of lists")
+    flat = list(itertools.chain.from_iterable(rows))
+    if (set(map(type, flat)) - {int}
+            or flat and not 0 <= min(flat) <= max(flat) < n_items):
+        idx, x = next((i, x) for i, r in enumerate(rows) for x in r
+                      if type(x) is not int or not 0 <= x < n_items)
+        what = "out of range" if type(x) is int else "is not an integer"
+        raise InvalidParameterError(f"row {idx}: item {x!r} {what}")
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    pools = np.zeros((len(rows), n_items), dtype=bool)
+    pools[np.repeat(np.arange(len(rows)), lens),
+          np.array(flat, dtype=np.int64)] = True
+    dup = np.flatnonzero(np.count_nonzero(pools, axis=1) != lens)
+    if dup.size:
+        raise InvalidParameterError(f"row {dup[0]}: duplicate items")
+    for idx in np.flatnonzero(pools[:, stripped].any(axis=1))[:1]:
+        x = next(x for x in sorted(stripped) if pools[idx, x])
+        raise InvalidParameterError(f"row {idx}: stripped item {x} present")
+    return MeasurementMatrix(item_kind=kind, pools=pools,
+                             stripped=tuple(sorted(stripped)),
+                             design=dict(obj["design"]), seed=obj["seed"])
 
 
 def write_matrix(path, M: MeasurementMatrix) -> None:
@@ -518,4 +514,8 @@ def write_matrix(path, M: MeasurementMatrix) -> None:
 
 def read_matrix(path) -> MeasurementMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"bad matrix JSON: {exc}") from None
+    return matrix_from_json(obj)

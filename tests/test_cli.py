@@ -19,6 +19,10 @@ def load_json(text):
     return json.loads(text)
 
 
+def reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
 @pytest.fixture
 def graph_file(tmp_path, capsys):
     path = tmp_path / "g.json"
@@ -228,10 +232,25 @@ class TestPipeline:
             code, out, _ = run(capsys, "check-disjunct", "--matrix", str(mat),
                                "--d", "2", "--budget", budget)
             assert code == 0
-            doc = load_json(out)
+            doc = json.loads(out, parse_constant=reject_constant)
+            assert float(doc["manifest"]["parameters"]["budget"]) == float(budget)
             doc.pop("manifest")
             docs.append(doc)
         assert docs[0] == docs[1]
+
+    def test_malformed_matrix_reports_kind(self, graph_file, tmp_path, capsys):
+        mat = tmp_path / "M.json"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "1",
+            "--d", "2", "--m", "12", "--t", "8", "--out", str(mat))
+        doc = load_json(mat.read_text())
+        doc["rows"][0] = ["x"]
+        mat.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "simulate", "--matrix", str(mat),
+                           "--defectives", "3", "--out", str(tmp_path / "y.json"))
+        assert code == 1
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert "row 0" in diag["message"]
 
 
 class TestExperimentCommand:

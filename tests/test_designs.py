@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walktest.designs import (
-    MeasurementMatrix,
     ScaleConstants,
     build_design,
     design_parameters,
@@ -141,13 +140,37 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             vertex_walk_design(er64, [1, 1], m=3, t=5, seed=0)
 
-    def test_dense_matches_rows(self, er64):
-        M = vertex_walk_design(er64, [4], m=12, t=18, seed=3)
-        D = M.dense()
-        assert D.shape == (12, 64)
-        assert not D[:, 4].any()
-        for i, row in enumerate(M.rows):
-            assert set(np.flatnonzero(D[i]).tolist()) == set(row)
+    def test_dense_matches_rows(self, er64, tmp_path):
+        for did, kw in ((1, dict(t=18, designated=[4])),
+                        (2, dict(t=18, lazy=True)),
+                        (3, dict(sink=5, designated=[4])),
+                        (4, dict(sink=5, lazy=True))):
+            M = build_design(er64, did, 12, 3, **kw)
+            write_matrix(tmp_path / "M.json", M)
+            R = read_matrix(tmp_path / "M.json")
+            assert np.array_equal(R.dense(), M.dense())
+            for N in (M, R):
+                D = N.dense()
+                assert D.dtype == bool
+                assert D.shape == (12, 64 if did in (1, 3) else er64.edge_count)
+                assert not D[:, list(N.stripped)].any()
+                for i, row in enumerate(N.rows):
+                    assert set(np.flatnonzero(D[i]).tolist()) == set(row)
+            assert verify_rows(er64, R)
+
+    def test_dense_is_read_only(self, er64):
+        D = vertex_walk_design(er64, [4], m=12, t=18, seed=3).dense()
+        assert not D.flags.writeable
+        with pytest.raises(ValueError):
+            D[0, 0] = True
+
+    def test_prefix_views_parent_array(self, er64):
+        M = edge_walk_design(er64, m=30, t=20, seed=2)
+        P = M.prefix(12)
+        assert np.array_equal(P.dense(), M.dense()[:12])
+        assert np.shares_memory(P.dense(), M.dense())
+        assert not P.dense().flags.writeable
+        assert (P.m, P.design["m"], M.design["m"]) == (12, 12, 30)
 
     def test_columns_property(self, er64):
         M = vertex_walk_design(er64, [0, 5], m=4, t=6, seed=0)
@@ -187,11 +210,9 @@ class TestReplay:
 
     def test_verify_rows_rejects_tamper(self, er64):
         M = build_design(er64, 2, 10, 77, t=15)
-        rows = list(M.rows)
-        rows[4] = tuple(rows[4][:-1])  # drop one item
-        bad = MeasurementMatrix(item_kind=M.item_kind, n_items=M.n_items,
-                                rows=tuple(rows), stripped=M.stripped,
-                                design=M.design, seed=M.seed)
+        obj = matrix_to_json(M)
+        obj["rows"][4] = obj["rows"][4][:-1]  # drop one item
+        bad = matrix_from_json(obj)
         assert not verify_rows(er64, bad)
 
     def test_verify_rows_lazy(self, c6):
@@ -213,12 +234,26 @@ class TestFileFormat:
         assert set(obj) == {"item_kind", "n_items", "stripped", "rows",
                             "design", "seed"}
 
+    def test_unparsable_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"rows": [')
+        with pytest.raises(InvalidParameterError, match="bad matrix JSON"):
+            read_matrix(path)
+
     @pytest.mark.parametrize("mutate", [
         lambda o: o.pop("seed"),
         lambda o: o.__setitem__("item_kind", "face"),
         lambda o: o["rows"][0].append(10**6),      # out of range
         lambda o: o["rows"][0].append(o["rows"][0][0]),  # duplicate
         lambda o: o.__setitem__("stripped", [o["rows"][0][0]]),  # stripped id in row
+        lambda o: o.update(n_items=-1, rows=[[]] * len(o["rows"])),  # negative size
+        lambda o: o.__setitem__("n_items", 64.5),
+        lambda o: o["rows"].__setitem__(0, [1.7]),  # not truncated to item 1
+        lambda o: o["rows"].__setitem__(0, ["x"]),  # string item
+        lambda o: o["rows"].__setitem__(0, 7),      # row is not a list
+        lambda o: o.__setitem__("rows", 5),         # rows is not a list
+        lambda o: o.__setitem__("design", "x"),     # design is not an object
+        lambda o: o.__setitem__("stripped", ["0"]),
     ])
     def test_schema_violations(self, er64, mutate):
         obj = matrix_to_json(build_design(er64, 1, 4, 0, t=8))

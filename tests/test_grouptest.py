@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from walktest.designs import MeasurementMatrix, build_design
+from walktest.designs import build_design, matrix_from_json
 from walktest.errors import (
     InfeasibleError,
     InvalidParameterError,
@@ -39,11 +39,11 @@ scipy_stats = pytest.importorskip("scipy.stats")
 
 def mk(n_items, rows, stripped=(), design=None):
     """Hand-built matrix for oracle comparisons."""
-    return MeasurementMatrix(
-        item_kind="vertex", n_items=n_items,
-        rows=tuple(tuple(sorted(set(r))) for r in rows),
-        stripped=tuple(sorted(stripped)),
-        design=design if design is not None else {"id": 0}, seed=0)
+    return matrix_from_json({
+        "item_kind": "vertex", "n_items": n_items,
+        "rows": [sorted(set(int(x) for x in r)) for r in rows],
+        "stripped": [int(x) for x in stripped],
+        "design": design if design is not None else {"id": 0}, "seed": 0})
 
 
 def brute_disjunct(M, d, e):
