@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Compare two walktest checkouts on the perfbench workloads.
+
+    python3 scripts/bench.py --parent DIR --change DIR --label NAME
+        [--workload W ...] [--pairs 10] [--seed 101] [--seconds 25] [--trace 0|1]
+
+Each pair runs ``perfbench/run.py`` once in each checkout with the same seed;
+pair k uses seed ``--seed + k`` and the side that runs first alternates
+between pairs.  Every run uses its own checkout's benchmark code.  The
+summary goes to ``BENCH_<label>.json`` in the change checkout: for each
+workload and metric, each side's median and quartiles over the pairs, the
+change/parent ratio of the medians and the number of pairs the change won
+(by the metric's direction in BENCHMARK.json; ties count for neither).
+``--trace 0`` fills the file's ``end_to_end`` section, ``--trace 1`` its
+``per_layer`` section; runs with another label, section or workload already
+in the file are kept, so several invocations build one file.  The file also
+records the CPU count, the numpy and Python versions and every run's
+seed, outcome and metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+WORKLOADS = ("tomography", "verify", "sweep-certify", "cli-pipeline")
+SECTIONS = {0: "end_to_end", 1: "per_layer"}
+SHOWN = ("wall_s", "op_p50_ms", "op_tail_ms", "setup_s", "peak_rss_mb",
+         "rng.trial_rng.calls", "rng.trial_rng.us_per_call")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=20 * seconds + 600)
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(f"bench: {checkout} {workload} seed {seed} printed no result\n"
+                         f"{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarise(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
+    metrics = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs]
+        both = [(a, b) for a, b in both if a is not None and b is not None]
+        if not both:
+            continue
+        lower = lower_is_better.get(name, True)
+        parent = quartiles([a for a, _ in both])
+        change = quartiles([b for _, b in both])
+        metrics[name] = {
+            "parent": parent, "change": change,
+            "change_over_parent": (change["median"] / parent["median"]
+                                   if parent["median"] else None),
+            "parent_iqr_frac": ((parent["q3"] - parent["q1"]) / parent["median"]
+                                if parent["median"] else None),
+            "change_better_pairs": sum((b < a) if lower else (b > a) for a, b in both),
+            "pairs": len(both),
+        }
+    return metrics
+
+
+def directions(checkout: Path) -> dict[str, bool]:
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] == "lower"
+            for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--workload", action="append", choices=WORKLOADS)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=101)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    lower = directions(sides["change"])
+    out = sides["change"] / f"BENCH_{args.label}.json"
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc.update(label=args.label, machine={
+        "cpu_count": os.cpu_count(), "numpy": np.__version__,
+        "python": platform.python_version(), "machine": platform.machine()})
+    section = doc.setdefault(SECTIONS[args.trace], {})
+    for workload in args.workload or WORKLOADS:
+        pairs = []
+        for k in range(args.pairs):
+            seed = args.seed + k
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {side: run_once(sides[side], workload, seed, args.seconds, args.trace)
+                    for side in order}
+            pair["first"] = order[0]
+            pairs.append(pair)
+            shown = {side: {m: round(v, 4) for m, v in pair[side]["metrics"].items()
+                            if m in SHOWN and v is not None} for side in order}
+            print(f"{workload} seed {seed}: {json.dumps(shown)}", flush=True)
+        section[workload] = {
+            "seconds": args.seconds, "seeds": [p["parent"]["seed"] for p in pairs],
+            "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
+            "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
+            "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
+            "metrics": summarise(pairs, lower),
+            "runs": pairs,
+        }
+        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .designs import build_design, read_matrix, write_matrix
-from .errors import InvalidParameterError, WalktestError
+from .errors import InvalidParameterError, WalktestError, read_json
 from .experiments import (
     fixed_input_experiment,
     graph_from_config,
@@ -298,8 +298,7 @@ def _cmd_decode(args) -> int:
     run = _Run("decode", args)
     M = read_matrix(args.matrix)
     run.read_input(args.matrix)
-    with open(args.outcomes, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.outcomes, "outcomes")
     run.read_input(args.outcomes)
     y = outcomes_from_json(doc)
     kind = doc.get("item_kind")
@@ -354,8 +353,9 @@ def _write_csv(path: str, rows: list[list]) -> None:
 
 def _cmd_experiment(args) -> int:
     run = _Run("experiment", args)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(args.config, "config")
+    if not isinstance(cfg, dict):
+        raise InvalidParameterError("experiment config must be a JSON object")
     run.read_input(args.config)
     if "graph_file" in cfg:
         run.read_input(cfg["graph_file"])

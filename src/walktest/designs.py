@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .calibration import CALIBRATED, ScaleConstants
-from .errors import GenerationFailureError, InvalidParameterError
+from .errors import GenerationFailureError, InvalidParameterError, read_json
 from .graphs import Graph
 from .rng import trial_rng
 from .walks import (
@@ -513,9 +513,4 @@ def write_matrix(path, M: MeasurementMatrix) -> None:
 
 
 def read_matrix(path) -> MeasurementMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"bad matrix JSON: {exc}") from None
-    return matrix_from_json(obj)
+    return matrix_from_json(read_json(path, "matrix"))

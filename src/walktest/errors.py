@@ -1,10 +1,14 @@
 """Exception hierarchy shared by all modules.
 
 Every error raised by the library derives from WalktestError so the CLI can
-map domain failures to exit code 1 with a JSON diagnostic.
+map domain failures to exit code 1 with a JSON diagnostic.  ``read_json``
+reads the library's JSON input files and reports one that does not parse
+as an InvalidParameterError.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class WalktestError(Exception):
@@ -66,3 +70,12 @@ class InfeasibleError(WalktestError):
     """No parameter value satisfies the requested constraints."""
 
     kind = "infeasible"
+
+
+def read_json(path, what: str):
+    """Parse the JSON file at ``path``; unparsable text is an invalid parameter."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidParameterError(f"bad {what} JSON: {exc}") from None

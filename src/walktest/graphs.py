@@ -130,6 +130,11 @@ class Graph:
         return flat, ptr, eid
 
     @cached_property
+    def mixing_reports(self) -> dict:
+        """``mixing.mixing_time`` results by (delta, lazy, max_steps)."""
+        return {}
+
+    @cached_property
     def connected(self) -> bool:
         if self.n == 1:
             return True

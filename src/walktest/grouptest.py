@@ -27,7 +27,7 @@ import numpy as np
 
 from .calibration import ScaleConstants
 from .designs import MeasurementMatrix, design_parameters
-from .errors import InfeasibleError, InvalidParameterError, SizeExceededError
+from .errors import InfeasibleError, InvalidParameterError, SizeExceededError, read_json
 
 __all__ = [
     "DefectiveSet",
@@ -620,6 +620,8 @@ def outcomes_to_json(y: OutcomeVector) -> dict:
 
 
 def outcomes_from_json(obj: dict) -> OutcomeVector:
+    if not isinstance(obj, dict):
+        raise InvalidParameterError("outcomes JSON must be an object")
     if "bits" not in obj or not isinstance(obj["bits"], str):
         raise InvalidParameterError('outcomes JSON needs a "bits" string')
     s = obj["bits"]
@@ -637,5 +639,4 @@ def write_outcomes(path, y: OutcomeVector) -> None:
 
 
 def read_outcomes(path) -> OutcomeVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        return outcomes_from_json(json.load(fh))
+    return outcomes_from_json(read_json(path, "outcomes"))

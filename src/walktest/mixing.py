@@ -78,6 +78,8 @@ def mixing_time(
     Scans t = 1, 2, ...; the first t meeting the bound becomes a candidate
     and is confirmed only after every step through 2t also meets it; a
     failure inside the window restarts the search at the failure point.
+    The report is cached on the (immutable) graph per (delta, lazy,
+    max_steps); a ``delta`` of None is resolved to its default first.
     """
     if not g.connected:
         raise NonMixingGraphError("graph is disconnected")
@@ -93,6 +95,13 @@ def mixing_time(
         delta = default_delta(g)
     if not (0.0 < delta < 1.0):
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
+    key = (float(delta), bool(lazy), max_steps)
+    if key not in g.mixing_reports:
+        g.mixing_reports[key] = _dense_mixing_time(g, key[0], lazy, max_steps)
+    return g.mixing_reports[key]
+
+
+def _dense_mixing_time(g: Graph, delta: float, lazy: bool, max_steps: int) -> MixingReport:
     mu = stationary_distribution(g, lazy=lazy).probs
     P = transition_matrix(g, lazy=lazy)
     A = P.copy()  # A = P^t
@@ -104,7 +113,7 @@ def mixing_time(
             if candidate is None:
                 candidate = t
             elif t >= 2 * candidate:
-                return MixingReport(steps=candidate, delta=float(delta),
+                return MixingReport(steps=candidate, delta=delta,
                                     verified_horizon=2 * candidate)
         else:
             candidate = None

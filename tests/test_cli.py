@@ -253,7 +253,39 @@ class TestPipeline:
         assert "row 0" in diag["message"]
 
 
+    @pytest.mark.parametrize("content", ["", '{"bits": "1', "7"],
+                             ids=["empty", "truncated", "number"])
+    def test_malformed_outcomes_reports_kind(self, graph_file, tmp_path,
+                                             capsys, content):
+        mat = tmp_path / "M.json"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "1",
+            "--d", "2", "--m", "12", "--t", "8", "--out", str(mat))
+        outc = tmp_path / "y.json"
+        outc.write_text(content)
+        code, _, err = run(capsys, "decode", "--matrix", str(mat),
+                           "--outcomes", str(outc), "--d", "2")
+        assert code == 1
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert "outcomes JSON" in diag["message"]
+
+
 class TestExperimentCommand:
+    @pytest.mark.parametrize("content, message", [
+        ('{"graph": ', "bad config JSON"),
+        ("[1, 2]", "must be a JSON object"),
+    ], ids=["truncated", "list"])
+    def test_malformed_config_reports_kind(self, tmp_path, capsys, content,
+                                           message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, _, err = run(capsys, "experiment", "--kind", "sweep",
+                           "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert message in diag["message"]
+
     def test_sweep_writes_csv_and_manifest(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -426,3 +426,17 @@ class TestOutcomeIO:
         with pytest.raises(InvalidParameterError):
             outcomes_from_json({})
         assert outcomes_to_json(outcomes_from_json({"bits": ""}))["bits"] == ""
+
+    @pytest.mark.parametrize("doc", [7, "bits", ["bits"], None],
+                             ids=["number", "string", "list", "null"])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(InvalidParameterError, match="must be an object"):
+            outcomes_from_json(doc)
+
+    @pytest.mark.parametrize("content", [b"", b'{"bits": "10', b"\xff\xfe"],
+                             ids=["empty", "truncated", "not-utf8"])
+    def test_unparsable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "y.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidParameterError, match="bad outcomes JSON"):
+            read_outcomes(path)

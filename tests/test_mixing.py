@@ -15,6 +15,7 @@ from walktest.graphs import (
     cycle_graph,
     stationary_distribution,
 )
+from walktest import mixing
 from walktest.mixing import (
     MixingReport,
     conductance_lower_bound,
@@ -110,6 +111,26 @@ class TestMixingTime:
         loose = mixing_time(er64, delta=1e-2).steps
         tight = mixing_time(er64, delta=1e-6).steps
         assert tight >= loose
+
+    def test_report_cached_per_graph_and_parameters(self, monkeypatch):
+        builds = []
+
+        def counting(g, lazy=False):
+            builds.append(lazy)
+            return transition_matrix(g, lazy=lazy)
+
+        monkeypatch.setattr(mixing, "transition_matrix", counting)
+        g = complete_graph(12)
+        first = mixing_time(g)
+        assert mixing_time(g) == first and mixing_time(g, delta=first.delta) == first
+        assert builds == [False]
+        lazy = mixing_time(g, lazy=True)
+        loose = mixing_time(g, delta=0.25)
+        assert builds == [False, True, False]
+        assert lazy.steps > first.steps and loose.delta == 0.25
+        # an equal graph built separately has its own, equal report
+        assert mixing_time(complete_graph(12)) == first
+        assert len(builds) == 4
 
 
 class TestConductanceBound:
