@@ -1,8 +1,8 @@
 """Behaviour lock: sha256 digests of seeded outputs.
 
-Each case rebuilds one seeded output (a matrix file, an outcome vector, or
-the CSV rows of an experiment) and compares its digest with the value pinned
-here.  A refactor that keeps these digests keeps the library's behaviour;
+Each case rebuilds one seeded output (a matrix file, an outcome vector, the
+CSV rows of an experiment, the derived structure of a graph mix, or a
+``gen-graph`` file) and compares its digest with the value pinned here.  A refactor that keeps these digests keeps the library's behaviour;
 a change that moves one must say why and re-pin it.
 
 To print the current digests, run ``python tests/test_golden.py``.
@@ -12,8 +12,13 @@ import csv
 import hashlib
 import io
 import json
+import os
+import tempfile
 
+import numpy as np
 import pytest
+
+from walktest.cli import main as cli_main
 
 from walktest.designs import (
     edge_sink_design,
@@ -24,8 +29,15 @@ from walktest.designs import (
     vertex_walk_design,
 )
 from walktest.experiments import success_sweep, tomography_demo, verification_suite
-from walktest.graphs import complete_graph, erdos_renyi_graph
+from walktest.errors import WalktestError
+from walktest.graphs import (
+    complete_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    random_regular_graph,
+)
 from walktest.grouptest import NoiseModel, simulate_tests
+from walktest.mixing import transition_matrix
 from walktest.rng import trial_rng
 
 
@@ -95,10 +107,57 @@ def _experiments():
             "tomography-demo": tomo.csv_rows()}
 
 
+def _graph_mix():
+    """Complete graphs, cycles, G(n, p) down to p = 0.05 (some disconnected,
+    some with isolated vertices) and RR(n, k) with small k (some bipartite)."""
+    graphs = [complete_graph(n) for n in (3, 4, 5, 8, 16, 33, 64)]
+    graphs += [cycle_graph(n) for n in (3, 4, 7, 16)]
+    graphs += [erdos_renyi_graph(n, p, s) for n, p, s in (
+        (8, 0.3, 1), (12, 0.05, 3), (16, 0.1, 4), (24, 0.05, 5), (40, 0.08, 6),
+        (64, 0.3, 2010), (128, 0.2, 2010), (256, 0.05, 7))]
+    graphs += [random_regular_graph(n, k, s) for n, k, s in (
+        (8, 1, 1), (10, 2, 2), (12, 2, 3), (16, 3, 4), (20, 2, 8), (64, 8, 2010))]
+    return graphs
+
+
+def _graph_mix_digest() -> str:
+    """One sha256 over the CSR arrays, degrees, connectivity, bipartiteness
+    and lazy and plain transition matrices of every graph in the mix."""
+    h = hashlib.sha256()
+    for g in _graph_mix():
+        h.update(f"{g.n}:{g.edge_count}:{g.connected}:{g.bipartite};".encode())
+        for arr in (*g.csr, g.degrees):
+            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+        for lazy in (False, True):
+            try:
+                h.update(transition_matrix(g, lazy=lazy).tobytes())
+            except WalktestError as exc:
+                h.update(exc.kind.encode())
+    return h.hexdigest()
+
+
+def _gen_graph_files() -> dict:
+    """The bytes ``walktest gen-graph`` writes in each output format."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("json", "text"):
+            path = os.path.join(tmp, f"g.{fmt}")
+            code = cli_main(["gen-graph", "--family", "erdos-renyi", "--n", "64",
+                             "--p", "0.3", "--seed", "2010", "--format", fmt,
+                             "--out", path])
+            assert code == 0
+            with open(path, "rb") as fh:
+                out[fmt] = fh.read()
+    return out
+
+
 def _digests() -> dict:
     out = {f"matrix/{k}": _sha(_matrix_text(M)) for k, M in _matrices().items()}
     out.update({f"outcome/{k}": _sha(b) for k, b in _outcomes().items()})
     out.update({f"csv/{k}": _sha(_csv_text(r)) for k, r in _experiments().items()})
+    out["graph/mix"] = _graph_mix_digest()
+    out.update({f"gen-graph/{k}": hashlib.sha256(b).hexdigest()
+                for k, b in _gen_graph_files().items()})
     return out
 
 
@@ -107,6 +166,9 @@ PINNED = {
     "csv/sweep-recovery": "804f07afe4edd6751e97f86db609bf30fbaea980854c763bbb0e844666a04318",
     "csv/tomography-demo": "ba2f4a4861dbbf8e0e5b23d99847b76591627382b6194cee14e71ff8dc55a4c8",
     "csv/verification-suite": "fd282b57a9e10fc30265ac857ea13c44e3567b7f86adffa5da7b6615a731d4ba",
+    "gen-graph/json": "60a1511c58f3ca99bef15f9fa5bba72e2125ad0ce6ff2e58a6a839e5e3bebfbd",
+    "gen-graph/text": "508d080a0fad850dba3e68312fee327cf68902bd75191b94d30298159c3c4bd2",
+    "graph/mix": "70e60eeca3a48b52c5a81544e9edc5a8b9d14353f2b5ad26e6ab32c089aafd6a",
     "matrix/design1-designated": "2bd5c50c0e1bb72779fff8020e65451ce2a7f7282fa1a29a400fc89ca8076e26",
     "matrix/design1-lazy": "80eaec207d514d897bd9315dbf089f1aec835986a70e9d95a1c308820a395f26",
     "matrix/design1-prefix": "d9d5df0449fe66024c020a9aad52a569c25d704387ed6c2391319da7943bd8cc",
