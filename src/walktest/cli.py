@@ -351,11 +351,38 @@ def _write_csv(path: str, rows: list[list]) -> None:
         csv.writer(fh).writerows(rows)
 
 
+# Keys each experiment kind reads unconditionally; "graph" may instead be a
+# "graph_file" for the kinds that accept one.
+_CONFIG_KEYS = {
+    "sweep": ("graph", "design", "d", "m_grid", "trials"),
+    "mixing": ("family", "n_grid"),
+    "fixed-input": ("graph", "design", "d", "m_grid", "trials"),
+    "verify": ("graph", "d", "trials"),
+    "tomo": ("graph", "source"),
+}
+
+
+def _check_config(cfg, kind: str) -> None:
+    """Reject a config that lacks a key its kind reads, before any output."""
+    if not isinstance(cfg, dict):
+        raise InvalidParameterError("experiment config must be a JSON object")
+    for key in _CONFIG_KEYS[kind]:
+        if key not in cfg and not (key == "graph" and kind in ("verify", "tomo")
+                                   and "graph_file" in cfg):
+            raise InvalidParameterError(f'{kind} config needs key "{key}"')
+    nspec = cfg.get("noise")
+    if nspec:
+        if not isinstance(nspec, dict) or "kind" not in nspec or "q" not in nspec:
+            raise InvalidParameterError('"noise" needs keys "kind" and "q"')
+        if nspec["kind"] not in ("flip", "dilution"):
+            raise InvalidParameterError(
+                f'noise kind must be "flip" or "dilution", got {nspec["kind"]!r}')
+
+
 def _cmd_experiment(args) -> int:
     run = _Run("experiment", args)
     cfg = read_json(args.config, "config")
-    if not isinstance(cfg, dict):
-        raise InvalidParameterError("experiment config must be a JSON object")
+    _check_config(cfg, args.kind)
     run.read_input(args.config)
     if "graph_file" in cfg:
         run.read_input(cfg["graph_file"])
@@ -402,7 +429,7 @@ def _cmd_experiment(args) -> int:
         extra = dict(res.metadata, passed=res.passed, graph_regens=regens)
         for line in res.lines:
             _note(args, f"{line.name}: {line.status}")
-    elif kind == "tomo":
+    else:  # tomo
         g, regens = _experiment_graph(cfg, seed)
         res = tomography_demo(
             g, int(cfg["source"]), cfg.get("congested", []),
@@ -412,8 +439,6 @@ def _cmd_experiment(args) -> int:
         extra = dict(res.metadata, exact=res.exact, probes=res.probes,
                      walk_length=res.walk_length, tau=res.tau, eta=res.eta,
                      identified=list(res.identified), graph_regens=regens)
-    else:
-        raise InvalidParameterError(f"unknown experiment kind {kind!r}")
     manifest = run.manifest()
     manifest["config"] = cfg
     manifest["results"] = extra

@@ -21,14 +21,13 @@ defaults were frozen by scripts/calibrate.py and live in calibration.py.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .calibration import CALIBRATED, ScaleConstants
-from .errors import GenerationFailureError, InvalidParameterError, read_json
+from .errors import GenerationFailureError, InvalidParameterError, read_json, write_json
 from .graphs import Graph
 from .rng import trial_rng
 from .walks import (
@@ -507,9 +506,7 @@ def matrix_from_json(obj: dict) -> MeasurementMatrix:
 
 
 def write_matrix(path, M: MeasurementMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(M), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, matrix_to_json(M))
 
 
 def read_matrix(path) -> MeasurementMatrix:

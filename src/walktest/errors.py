@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all modules.
 
 Every error raised by the library derives from WalktestError so the CLI can
-map domain failures to exit code 1 with a JSON diagnostic.  ``read_json``
-reads the library's JSON input files and reports one that does not parse
-as an InvalidParameterError.
+map domain failures to exit code 1 with a JSON diagnostic.  ``write_json``
+writes the library's JSON files (matrices, graphs, outcomes) and
+``read_json`` reads them back, reporting one that does not parse as an
+InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ class InfeasibleError(WalktestError):
     """No parameter value satisfies the requested constraints."""
 
     kind = "infeasible"
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` to ``path`` as sorted-key JSON and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def read_json(path, what: str):

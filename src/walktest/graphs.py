@@ -5,13 +5,20 @@ second eigenvalue of the walk operator, plus graph file I/O.
 Vertices are 0..n-1.  Edges are stored canonically as (u, v) with u < v in
 lexicographic order; the edge id is the position in that order, giving a
 fixed bijection onto 0..|E|-1 used everywhere an "edge item" appears.
+
+``Graph.csr`` is the one adjacency form: sorted neighbour rows with the edge
+id of every entry, built in numpy from ``edge_list``.  Degrees, connectivity,
+bipartiteness, edge-id lookup, the per-vertex rows of the scalar walk
+engines (``Graph.moves``) and every dense operator are read from it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +30,7 @@ from .errors import (
     NonMixingGraphError,
     NumericFailureError,
     SizeExceededError,
+    write_json,
 )
 from .rng import master_rng
 
@@ -94,40 +102,33 @@ class Graph:
         return len(self.edge_list)
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        ends = np.array(self.edge_list, dtype=np.int64).ravel()
-        return np.bincount(ends, minlength=self.n).astype(np.int64)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Canonical (u,v) with u<v -> edge id."""
-        return {uv: i for i, uv in enumerate(self.edge_list)}
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edge_list:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nbrs)
-
-    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(adj_flat, adj_ptr, eid_flat): flat neighbor lists for fast walks.
+        """(flat, ptr, eid): the neighbours of u are flat[ptr[u]:ptr[u+1]] in
+        increasing order, and eid[k] is the edge id of the step to flat[k]."""
+        m = self.edge_count
+        ends = np.fromiter(chain.from_iterable(self.edge_list), dtype=np.int64,
+                           count=2 * m).reshape(m, 2)
+        src, dst = ends.T.ravel(), ends[:, ::-1].T.ravel()  # both directions
+        order = np.lexsort((dst, src))
+        ptr = np.searchsorted(src[order], np.arange(self.n + 1)).astype(np.int64)
+        return dst[order], ptr, np.tile(np.arange(m, dtype=np.int64), 2)[order]
 
-        eid_flat[k] is the edge id of the step adj_ptr[u] + k from u, so a
-        walk step resolves its edge id with no dict lookup.
-        """
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
-        ptr[1:] = np.cumsum([len(a) for a in self.adjacency])
-        flat = np.empty(max(ptr[-1], 1), dtype=np.int64)
-        eid = np.empty_like(flat)
-        for u, nbrs in enumerate(self.adjacency):
-            for k, v in enumerate(nbrs):
-                flat[ptr[u] + k] = v
-                key = (u, v) if u < v else (v, u)
-                eid[ptr[u] + k] = self.edge_index[key]
-        return flat, ptr, eid
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.csr[1])
+
+    @cached_property
+    def moves(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per-vertex (neighbours, edge ids) rows of the CSR as Python ints,
+        for scalar loops."""
+        flat, ptr, eid = self.csr
+        nbrs, eids, bounds = flat.tolist(), eid.tolist(), ptr.tolist()
+        return tuple((tuple(nbrs[a:b]), tuple(eids[a:b]))
+                     for a, b in zip(bounds, bounds[1:]))
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(nbrs for nbrs, _ in self.moves)
 
     @cached_property
     def mixing_reports(self) -> dict:
@@ -135,46 +136,43 @@ class Graph:
         return {}
 
     @cached_property
-    def connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        adj = self.adjacency
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return bool(seen.all())
-
-    @cached_property
-    def bipartite(self) -> bool:
-        color = np.full(self.n, -1, dtype=np.int8)
-        adj = self.adjacency
+    def _bfs(self) -> tuple[int, bool]:
+        """(component count, whether no edge joins two vertices of equal BFS
+        level); the second is bipartiteness."""
+        flat, ptr, _ = self.csr
+        nbrs, bounds = flat.tolist(), ptr.tolist()
+        level = [-1] * self.n
+        components = 0
         for s in range(self.n):
-            if color[s] >= 0:
+            if level[s] >= 0:
                 continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if color[v] < 0:
-                        color[v] = 1 - color[u]
-                        stack.append(v)
-                    elif color[v] == color[u]:
-                        return False
-        return True
+            components += 1
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for v in nbrs[bounds[u]:bounds[u + 1]]:
+                    if level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+        level = np.array(level)
+        rows = np.repeat(np.arange(self.n), self.degrees)
+        return components, bool((level[rows] != level[flat]).all())
+
+    @property
+    def connected(self) -> bool:
+        return self._bfs[0] == 1
+
+    @property
+    def bipartite(self) -> bool:
+        return self._bfs[1]
 
     def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.edge_index[key]
-        except KeyError:
-            raise InvalidParameterError(f"({u},{v}) is not an edge") from None
+        if 0 <= u < self.n and 0 <= v < self.n:
+            nbrs, eids = self.moves[u]
+            k = bisect_left(nbrs, v)
+            if k < len(nbrs) and nbrs[k] == v:
+                return eids[k]
+        raise InvalidParameterError(f"({u},{v}) is not an edge")
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +246,9 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
         raise InvalidParameterError(f"need n >= 2, got {n}")
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError(f"edge probability must be in (0, 1], got {p}")
-    rng = master_rng(seed)
-    draws = rng.random(n * (n - 1) // 2)
-    edges = []
-    k = 0
-    for u in range(n - 1):
-        row = draws[k : k + (n - 1 - u)]
-        for j in np.flatnonzero(row < p):
-            edges.append((u, u + 1 + int(j)))
-        k += n - 1 - u
-    return Graph(n=n, edge_list=tuple(edges))
+    hits = np.flatnonzero(master_rng(seed).random(n * (n - 1) // 2) < p)
+    us, vs = np.triu_indices(n, 1)  # the pairs in lexicographic order
+    return Graph(n=n, edge_list=tuple(zip(us[hits].tolist(), vs[hits].tolist())))
 
 
 def random_regular_graph(n: int, degree: int, seed: int, restarts: int = 1000) -> Graph:
@@ -388,8 +379,9 @@ def second_eigenvalue(
     deg = g.degrees.astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg)
     N = np.zeros((n, n), dtype=np.float64)
-    u, v = np.array(g.edge_list, dtype=np.int64).reshape(-1, 2).T
-    N[u, v] = N[v, u] = inv_sqrt[u] * inv_sqrt[v]
+    flat = g.csr[0]
+    rows = np.repeat(np.arange(n), g.degrees)
+    N[rows, flat] = inv_sqrt[rows] * inv_sqrt[flat]
     v1 = np.sqrt(deg)
     v1 /= np.linalg.norm(v1)
 
@@ -437,9 +429,7 @@ def graph_from_json(doc: dict) -> Graph:
 
 
 def write_graph(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(g), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, graph_to_json(g))
 
 
 def read_graph(path: str) -> Graph:

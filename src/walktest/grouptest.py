@@ -18,7 +18,6 @@ violation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -27,7 +26,13 @@ import numpy as np
 
 from .calibration import ScaleConstants
 from .designs import MeasurementMatrix, design_parameters
-from .errors import InfeasibleError, InvalidParameterError, SizeExceededError, read_json
+from .errors import (
+    InfeasibleError,
+    InvalidParameterError,
+    SizeExceededError,
+    read_json,
+    write_json,
+)
 
 __all__ = [
     "DefectiveSet",
@@ -633,9 +638,7 @@ def outcomes_from_json(obj: dict) -> OutcomeVector:
 
 
 def write_outcomes(path, y: OutcomeVector) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(outcomes_to_json(y), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, outcomes_to_json(y))
 
 
 def read_outcomes(path) -> OutcomeVector:

@@ -52,9 +52,8 @@ def transition_matrix(g: Graph, lazy: bool = False) -> np.ndarray:
         raise DegenerateGraphError("walk undefined with isolated vertices")
     P = np.zeros((g.n, g.n), dtype=np.float64)
     inv_deg = 1.0 / g.degrees.astype(np.float64)
-    u, v = np.array(g.edge_list, dtype=np.int64).reshape(-1, 2).T
-    P[u, v] = inv_deg[u]
-    P[v, u] = inv_deg[v]
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    P[rows, g.csr[0]] = inv_deg[rows]
     if lazy:
         P *= 0.5
         P[np.diag_indices(g.n)] += 0.5

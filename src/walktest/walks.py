@@ -10,6 +10,10 @@ Randomness contract (bit-reproducible):
 
 A single walk replayed with the same stream is bit-identical to the batch
 row, and dropping rows never perturbs other rows.
+
+The batch engine steps through the numpy arrays of ``Graph.csr``; the scalar
+engines (``random_walk``, ``_sink_walk_steps``) read ``Graph.moves``, the
+same rows as per-vertex (neighbours, edge ids) tuples of Python ints.
 """
 
 from __future__ import annotations
@@ -239,7 +243,7 @@ def random_walk(
         raise InvalidParameterError("steps must be nonnegative")
     v = rule.resolve(index, rng, g.n)
     u_block = rng.random(steps)
-    nbrs_eids = _py_adj(g)
+    nbrs_eids = g.moves
     verts = [v]
     eids: list[int] = []
     for j in range(steps):
@@ -259,20 +263,6 @@ def random_walk(
     return Walk(vertices=tuple(verts), edges=tuple(eids), terminated_by="length-reached")
 
 
-def _py_adj(g: Graph):
-    """Per-vertex (neighbors, edge ids) as plain tuples for scalar loops."""
-    cached = g.__dict__.get("_py_adj")
-    if cached is None:
-        flat, ptr, eidf = g.csr
-        cached = tuple(
-            (tuple(int(x) for x in flat[ptr[v]:ptr[v + 1]]),
-             tuple(int(x) for x in eidf[ptr[v]:ptr[v + 1]]))
-            for v in range(g.n)
-        )
-        g.__dict__["_py_adj"] = cached
-    return cached
-
-
 def _sink_walk_steps(
     g: Graph,
     v0: int,
@@ -286,7 +276,7 @@ def _sink_walk_steps(
     eids: list[int] = []
     if v0 == sink:
         return verts, eids, "sink-reached"
-    nbrs_eids = _py_adj(g)
+    nbrs_eids = g.moves
     v = v0
     buf = rng.random(64)
     k = 0

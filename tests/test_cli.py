@@ -286,6 +286,30 @@ class TestExperimentCommand:
         assert diag["kind"] == "invalid-parameter"
         assert message in diag["message"]
 
+    @pytest.mark.parametrize("kind, config, key", [
+        ("sweep", {}, '"graph"'),
+        ("mixing", {}, '"family"'),
+        ("fixed-input", {}, '"graph"'),
+        ("verify", {}, '"graph"'),
+        ("tomo", {}, '"graph"'),
+        ("verify", {"graph_file": "g.json", "trials": 10}, '"d"'),
+        ("mixing", {"family": "complete", "n_grid": [8],
+                    "noise": {"kind": "flip"}}, '"q"'),
+    ], ids=["sweep", "mixing", "fixed-input", "verify", "tomo",
+            "verify-graph-file", "noise-without-q"])
+    def test_missing_config_key_is_reported_before_output(
+            self, tmp_path, capsys, kind, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        outdir = tmp_path / "out"
+        code, _, err = run(capsys, "experiment", "--kind", kind,
+                           "--config", str(cfg), "--out", str(outdir))
+        assert code == 1
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert key in diag["message"]
+        assert not outdir.exists()
+
     def test_sweep_writes_csv_and_manifest(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walktest.errors import InvalidParameterError, NonMixingGraphError
@@ -111,7 +111,6 @@ class TestGenerators:
 class TestGraphValue:
     def test_edge_index_bijection(self, er64):
         for eid, (u, v) in enumerate(er64.edge_list):
-            assert er64.edge_index[(u, v)] == eid
             assert er64.edge_id(u, v) == eid
             assert er64.edge_id(v, u) == eid
 
@@ -122,6 +121,14 @@ class TestGraphValue:
         for u in range(er64.n):
             for v in er64.adjacency[u]:
                 assert u in er64.adjacency[v]
+
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (4, 0), (0, 4), (2, 2),
+                                      (0, 2)])
+    def test_edge_id_rejects_non_edges(self, u, v):
+        # C4: -1 would alias vertex 3, which is adjacent to 0
+        g = cycle_graph(4)
+        with pytest.raises(InvalidParameterError):
+            g.edge_id(u, v)
 
     def test_isolated_vertex_flagged(self):
         g = Graph.from_edges(3, [(0, 1)])
@@ -138,12 +145,60 @@ class TestGraphValue:
             Graph.from_edges(3, [(1, 1)])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(3, 9), st.data())
-def test_graph_invariants_random(n, data):
+def reference_structure(n, edge_list):
+    # independent oracle from the edge list alone: a dict of edge ids, sorted
+    # neighbour rows, and a DFS that counts components and 2-colours them
+    ids = {uv: i for i, uv in enumerate(edge_list)}
+    nbrs = [[] for _ in range(n)]
+    for u, v in edge_list:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    flat, ptr, eid = [], [0], []
+    for u in range(n):
+        for v in sorted(nbrs[u]):
+            flat.append(v)
+            eid.append(ids[min(u, v), max(u, v)])
+        ptr.append(len(flat))
+    colour = [-1] * n
+    components, bipartite = 0, True
+    for s in range(n):
+        if colour[s] >= 0:
+            continue
+        components += 1
+        colour[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in nbrs[u]:
+                if colour[v] < 0:
+                    colour[v] = 1 - colour[u]
+                    stack.append(v)
+                elif colour[v] == colour[u]:
+                    bipartite = False
+    return {"ids": ids, "csr": (flat, ptr, eid),
+            "degrees": [len(x) for x in nbrs],
+            "connected": components == 1, "bipartite": bipartite}
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(1, 9))
     all_pairs = list(itertools.combinations(range(n), 2))
-    sub = data.draw(st.lists(st.sampled_from(all_pairs), unique=True,
-                             min_size=1, max_size=len(all_pairs)))
+    if not all_pairs:
+        return n, []
+    return n, draw(st.lists(st.sampled_from(all_pairs), unique=True,
+                            max_size=len(all_pairs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_sets())
+@example((1, []))
+@example((5, []))
+@example((6, [(0, 1), (1, 2)]))  # isolated vertices
+@example((9, [(0, 1), (1, 2), (2, 3), (0, 3), (5, 6), (6, 7)]))  # bipartite parts
+@example((7, [(0, 1), (1, 2), (0, 2), (4, 5)]))  # a triangle and an edge
+def test_graph_invariants_random(case):
+    n, sub = case
     g = Graph.from_edges(n, sub)
     assert int(g.degrees.sum()) == 2 * g.edge_count
     assert g.edge_list == tuple(sorted(tuple(sorted(e)) for e in sub))
@@ -152,6 +207,17 @@ def test_graph_invariants_random(n, data):
     for u in range(n):
         nbrs = adj_flat[adj_ptr[u]:adj_ptr[u + 1]]
         assert sorted(nbrs.tolist()) == sorted(g.adjacency[u])
+    ref = reference_structure(n, g.edge_list)
+    assert [a.tolist() for a in g.csr] == list(ref["csr"])
+    assert g.degrees.tolist() == ref["degrees"]
+    assert g.connected == ref["connected"]
+    assert g.bipartite == ref["bipartite"]
+    for u, v in itertools.permutations(range(n), 2):
+        if (min(u, v), max(u, v)) in ref["ids"]:
+            assert g.edge_id(u, v) == ref["ids"][min(u, v), max(u, v)]
+        else:
+            with pytest.raises(InvalidParameterError):
+                g.edge_id(u, v)
 
 
 class TestStationary:
