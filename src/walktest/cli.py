@@ -351,8 +351,7 @@ def _write_csv(path: str, rows: list[list]) -> None:
         csv.writer(fh).writerows(rows)
 
 
-# Keys each experiment kind reads unconditionally; "graph" may instead be a
-# "graph_file" for the kinds that accept one.
+# Keys each experiment kind reads unconditionally.
 _CONFIG_KEYS = {
     "sweep": ("graph", "design", "d", "m_grid", "trials"),
     "mixing": ("family", "n_grid"),
@@ -366,9 +365,11 @@ def _check_config(cfg, kind: str) -> None:
     """Reject a config that lacks a key its kind reads, before any output."""
     if not isinstance(cfg, dict):
         raise InvalidParameterError("experiment config must be a JSON object")
-    for key in _CONFIG_KEYS[kind]:
-        if key not in cfg and not (key == "graph" and kind in ("verify", "tomo")
-                                   and "graph_file" in cfg):
+    keys = _CONFIG_KEYS[kind]
+    if kind in ("verify", "tomo") and "graph_file" in cfg:
+        keys = keys[1:]  # the file stands in for "graph"
+    for key in keys:
+        if key not in cfg:
             raise InvalidParameterError(f'{kind} config needs key "{key}"')
     nspec = cfg.get("noise")
     if nspec:
