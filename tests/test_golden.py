@@ -1,9 +1,10 @@
 """Behaviour lock: sha256 digests of seeded outputs.
 
 Each case rebuilds one seeded output (a matrix file, an outcome vector, the
-CSV rows of an experiment, the derived structure of a graph mix, or a
-``gen-graph`` file) and compares its digest with the value pinned here.  A refactor that keeps these digests keeps the library's behaviour;
-a change that moves one must say why and re-pin it.
+CSV rows of an experiment, a mix of sink-walk estimates, the derived
+structure of a graph mix, or a ``gen-graph`` file) and compares its digest
+with the value pinned here.  A refactor that keeps these digests keeps the
+library's behaviour; a change that moves one must say why and re-pin it.
 
 To print the current digests, run ``python tests/test_golden.py``.
 """
@@ -39,6 +40,7 @@ from walktest.graphs import (
 from walktest.grouptest import NoiseModel, simulate_tests
 from walktest.mixing import transition_matrix
 from walktest.rng import trial_rng
+from walktest.walks import StartRule, hit_before_sink_probability
 
 
 def _sha(text: str) -> str:
@@ -77,7 +79,47 @@ def _matrices():
         "design3-lazy": vertex_sink_design(g, [], 11, 10, 2, lazy=True),
         "design4": edge_sink_design(g, 7, 15, 1),
         "design4-lazy-start": edge_sink_design(g, 11, 10, 3, start=5, lazy=True),
+        # enough rows, and a cap low enough, that many rows are rebuilt
+        "design3-retries": vertex_sink_design(g, [0, 3], 7, 240, 12, cap=40),
+        "design4-retries": edge_sink_design(g, 11, 200, 13, cap=60, lazy=True),
     }
+
+
+# (kind, lazy, start, trials, cap) of each sink estimate; the caps below
+# 64 leave some walks capped, and the cycle's long walks meet every cap.
+_SINK_CASES = [
+    ("vertex", False, None, 1, None),
+    ("vertex", False, None, 500, None),
+    ("vertex", True, None, 129, 20),
+    ("vertex", False, 0, 64, 5),
+    ("vertex", True, 0, 65, 64),
+    ("vertex", False, StartRule.round_robin([0, 3]), 200, 65),
+    ("vertex", True, StartRule.designated_uniform([1, 4, 9]), 17, 100),
+    ("vertex", False, StartRule.designated_uniform([1, 4, 9]), 300, 0),
+    ("edge", False, None, 7, None),
+    ("edge", True, None, 400, 40),
+    ("edge", False, 0, 16, 1),
+    ("edge", True, 5, 128, 128),
+    ("edge", False, StartRule.round_robin([0, 3]), 33, 63),
+    ("edge", True, StartRule.designated_uniform([1, 4, 9]), 250, None),
+]
+
+
+def _sink_estimates() -> str:
+    """value, trials, half_width and cap_exceeded of sink-walk estimates on
+    G(64, 0.3) and an 11-cycle, as JSON (floats in repr form)."""
+    g, ring = _graph(), cycle_graph(11)
+    out = []
+    for i, (kind, lazy, start, trials, cap) in enumerate(_SINK_CASES):
+        item, avoid = (3, (5,)) if kind == "vertex" else (54, (16, 113))
+        for graph, sink in ((g, 7), (ring, 8)):
+            if graph is ring:
+                item, avoid = (2, (6,)) if kind == "vertex" else (2, (9,))
+            est = hit_before_sink_probability(graph, item, avoid, sink, kind,
+                                              trials, 100 + i, start=start,
+                                              cap=cap, lazy=lazy)
+            out.append([est.value, est.trials, est.half_width, est.cap_exceeded])
+    return json.dumps(out)
 
 
 def _outcomes():
@@ -156,6 +198,7 @@ def _digests() -> dict:
     out.update({f"outcome/{k}": _sha(b) for k, b in _outcomes().items()})
     out.update({f"csv/{k}": _sha(_csv_text(r)) for k, r in _experiments().items()})
     out["graph/mix"] = _graph_mix_digest()
+    out["estimate/sink-mix"] = _sha(_sink_estimates())
     out.update({f"gen-graph/{k}": hashlib.sha256(b).hexdigest()
                 for k, b in _gen_graph_files().items()})
     return out
@@ -166,6 +209,7 @@ PINNED = {
     "csv/sweep-recovery": "804f07afe4edd6751e97f86db609bf30fbaea980854c763bbb0e844666a04318",
     "csv/tomography-demo": "ba2f4a4861dbbf8e0e5b23d99847b76591627382b6194cee14e71ff8dc55a4c8",
     "csv/verification-suite": "fd282b57a9e10fc30265ac857ea13c44e3567b7f86adffa5da7b6615a731d4ba",
+    "estimate/sink-mix": "82aa528a838674c1090c76abe7c71d9813bab641138e84a3b2aa2d7d3cc2c0c9",
     "gen-graph/json": "60a1511c58f3ca99bef15f9fa5bba72e2125ad0ce6ff2e58a6a839e5e3bebfbd",
     "gen-graph/text": "508d080a0fad850dba3e68312fee327cf68902bd75191b94d30298159c3c4bd2",
     "graph/mix": "70e60eeca3a48b52c5a81544e9edc5a8b9d14353f2b5ad26e6ab32c089aafd6a",
@@ -177,8 +221,10 @@ PINNED = {
     "matrix/design2-prefix": "95f4925843d5516a27e7233c1ab5ce4383256da825044c1b1e5e7f0bf442a88f",
     "matrix/design3": "758c1fc805b23b4c783c8346d9b144e88b6b7e6ef3b0ba325f59060792d9f909",
     "matrix/design3-lazy": "2b24f079b9df9a3d11d469d177cbe3182a7a3e8722a29e4bb1bc2d797ba5dc87",
+    "matrix/design3-retries": "3f3a31b098f4b03ff5bdbbd5112ce1bdd78fa0551b40fb27843d2a006de1c162",
     "matrix/design4": "9e2f95525fc5e4e19477229e1fcc62ebd9a7a1c44ed6e8b2326fff6b4668f006",
     "matrix/design4-lazy-start": "7fbb7abd2f96cc05c0ab54f6a8714cb0deb6fa27de18f668267c7f6b3dbd5716",
+    "matrix/design4-retries": "8d3cddb05cf6380551f7f61c16321a9b32e6eb0669a2676ffb53edc38e8bd8f3",
     "outcome/adversarial": "16cd0c99b3043405b9a00659022786a3565eb30f44b2e11932665854d4581dbc",
     "outcome/dilution": "1f8cacfd8f2996092d7213b410740a6a1986d53fdb2aa20ffbf0a36919f1b427",
     "outcome/flip": "4f169626fc1e7a668e92704b50b09c04cd7d7eafe57f0b9b692656fc6ea0f8ae",
