@@ -25,6 +25,7 @@ from . import __version__
 from .designs import build_design, read_matrix, write_matrix
 from .errors import InvalidParameterError, WalktestError, read_json
 from .experiments import (
+    check_graph_config,
     fixed_input_experiment,
     graph_from_config,
     measured_design_parameters,
@@ -371,6 +372,8 @@ def _check_config(cfg, kind: str) -> None:
     for key in keys:
         if key not in cfg:
             raise InvalidParameterError(f'{kind} config needs key "{key}"')
+    if "graph" in keys:
+        check_graph_config(cfg["graph"])
     nspec = cfg.get("noise")
     if nspec:
         if not isinstance(nspec, dict) or "kind" not in nspec or "q" not in nspec:

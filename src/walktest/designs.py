@@ -33,9 +33,11 @@ from .rng import trial_rng
 from .walks import (
     StartRule,
     _batch_chunks,
+    _sink_chunks,
     _sink_walk_steps,
     fixed_walk_batch,
     random_walk,
+    sink_walk_batch,
     walk_to_sink,
 )
 
@@ -267,18 +269,25 @@ def _sink_pools(g: Graph, rule: StartRule, sink: int, cap: int, m: int,
     if m < 0:
         raise InvalidParameterError("m must be nonnegative")
     pools = np.zeros((m, g.edge_count if edges else g.n), dtype=bool)
-    for i in range(m):
-        rng = trial_rng(seed, i)
-        for _ in range(MAX_WALK_ATTEMPTS):
-            verts, eids, term = _sink_walk_steps(g, rule.resolve(i, rng, g.n),
-                                                 sink, cap, rng, lazy=lazy)
-            if term == "sink-reached":
-                break
-        else:
-            raise GenerationFailureError(
-                f"row {i}: {MAX_WALK_ATTEMPTS} walks hit the {cap}-step cap "
-                f"before reaching the sink")
-        pools[i, eids if edges else verts] = True
+    for base, take in _sink_chunks(g, m, edges):
+        visited, capped, rngs = sink_walk_batch(g, rule, sink, cap, take, seed,
+                                                lazy=lazy, edges=edges,
+                                                index_base=base)
+        pools[base:base + take] = visited
+        # the batch made each row's first walk; capped rows retry on its stream
+        for r in np.flatnonzero(capped).tolist():
+            i, rng = base + r, rngs[r]
+            for _ in range(MAX_WALK_ATTEMPTS - 1):
+                verts, eids, term = _sink_walk_steps(g, rule.resolve(i, rng, g.n),
+                                                     sink, cap, rng, lazy=lazy)
+                if term == "sink-reached":
+                    break
+            else:
+                raise GenerationFailureError(
+                    f"row {i}: {MAX_WALK_ATTEMPTS} walks hit the {cap}-step cap "
+                    f"before reaching the sink")
+            pools[i] = False
+            pools[i, eids if edges else verts] = True
     return pools
 
 
@@ -417,9 +426,10 @@ def build_design(
 def verify_rows(g: Graph, M: MeasurementMatrix) -> bool:
     """Rebuild every row through the scalar walk path and compare.
 
-    The builders use the vectorized batch engine; this uses the single-walk
-    functions, so agreement cross-checks the two implementations as well as
-    the stored rows."""
+    The builders use the batch engines (``fixed_walk_batch`` for designs 1
+    and 2, ``sink_walk_batch`` for designs 3 and 4); this uses the
+    single-walk functions, so agreement cross-checks the two implementations
+    as well as the stored rows."""
     rule = _start_from_json(M.design["start"])
     strip = set(M.stripped)
     lazy = bool(M.design.get("lazy", False))

@@ -70,6 +70,7 @@ __all__ = [
     "CheckLine",
     "VerificationReport",
     "TomographyReport",
+    "check_graph_config",
     "graph_from_config",
     "measured_design_parameters",
     "success_sweep",
@@ -206,17 +207,33 @@ def _child_seed(seed: int, *key: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
+# The key each random family's config needs besides "family" and "n".
+_FAMILY_KEY = {"erdos-renyi": "p", "random-regular": "degree"}
+
+
+def check_graph_config(cfg) -> None:
+    """Raise InvalidParameterError unless ``cfg`` is a graph config object
+    of a known family that has the key its family reads."""
+    if not isinstance(cfg, dict):
+        raise InvalidParameterError("graph config must be a JSON object")
+    family = cfg.get("family")
+    if family not in ("complete", "cycle", *_FAMILY_KEY):
+        raise InvalidParameterError(f"unknown graph family {family!r}")
+    key = _FAMILY_KEY.get(family)
+    if key is not None and key not in cfg:
+        raise InvalidParameterError(f'{family} graph config needs key "{key}"')
+
+
 def graph_from_config(cfg: dict, seed: int, attempts: int = 50) -> tuple[Graph, int]:
     """Build a graph from a config dict, regenerating random families until
     connected and non-bipartite.  Returns (graph, regeneration count)."""
+    check_graph_config(cfg)
     family = cfg.get("family")
     n = int(cfg.get("n", 0))
     if family == "complete":
         return complete_graph(n), 0
     if family == "cycle":
         return cycle_graph(n), 0
-    if family not in ("erdos-renyi", "random-regular"):
-        raise InvalidParameterError(f"unknown graph family {family!r}")
     for attempt in range(attempts):
         gseed = _child_seed(seed, attempt)
         if family == "erdos-renyi":

@@ -11,9 +11,21 @@ Randomness contract (bit-reproducible):
 A single walk replayed with the same stream is bit-identical to the batch
 row, and dropping rows never perturbs other rows.
 
-The batch engine steps through the numpy arrays of ``Graph.csr``; the scalar
-engines (``random_walk``, ``_sink_walk_steps``) read ``Graph.moves``, the
-same rows as per-vertex (neighbours, edge ids) tuples of Python ints.
+Two batch engines step rows in lockstep through the numpy arrays of
+``Graph.csr``.  ``fixed_walk_batch`` draws each row's one block and steps
+every row together.  ``sink_walk_batch`` serves the sink estimator and
+designs 3 and 4: per 64-step block, each active row draws its next
+``random(64)`` block, all of them take up to 64 steps together (a row that
+reaches the sink keeps stepping to the block's end), and then the steps
+after each row's first arrival are dropped and the rows still walking are
+kept.  At each block boundary, the first included, fewer than
+``_LOCKSTEP_MIN_ROWS`` active rows finish one by one through
+``_sink_walk_steps`` on their own streams; that threshold is the measured
+point where a lockstep step over few rows costs more than their scalar
+steps.  The scalar engines (``random_walk``, ``_sink_walk_steps``) are the
+oracles of the batch engines and the replay path of ``verify_rows``; they
+read ``Graph.moves``, the same rows as per-vertex (neighbours, edge ids)
+tuples of Python ints.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ __all__ = [
 ]
 
 _CHUNK_ELEMS = 4_000_000  # cap on trials*steps array size per batch chunk
+_LOCKSTEP_MIN_ROWS = 8  # fewer active sink walks than this finish one by one
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +343,93 @@ def walk_to_sink(
     return Walk(vertices=tuple(verts), edges=tuple(eids), terminated_by=term)
 
 
+def sink_walk_batch(
+    g: Graph,
+    rule: StartRule,
+    sink: int,
+    cap: int,
+    trials: int,
+    seed: int,
+    lazy: bool = False,
+    edges: bool = False,
+    index_base: int = 0,
+) -> tuple[np.ndarray, np.ndarray, list[np.random.Generator]]:
+    """Visited items of ``trials`` walks to ``sink``, stepped in lockstep.
+
+    Returns (visited (trials, n or |E|) bool, capped (trials,) bool, rngs):
+    row i marks the vertices (or traversed edges) of the walk driven by
+    ``rngs[i] = trial_rng(seed, index_base + i)``, up to and including its
+    first arrival at ``sink``; ``capped`` marks walks stopped by ``cap``.
+    Rows, cap flags and the final state of every Generator equal what
+    ``_sink_walk_steps`` gives on that row's stream.
+    """
+    _require_walkable(g)
+    rule.validate(g)
+    if not 0 <= sink < g.n:
+        raise InvalidParameterError(f"sink {sink} out of range")
+    if cap < 0 or trials < 0:
+        raise InvalidParameterError("cap and trials must be nonnegative")
+    flat, ptr, eidf = g.csr
+    degf = g.degrees.astype(np.float64)
+    visited = np.zeros((trials, g.edge_count if edges else g.n), dtype=bool)
+    capped = np.zeros(trials, dtype=bool)
+    rngs = [trial_rng(seed, index_base + i) for i in range(trials)]
+    cur = np.array([rule.resolve(index_base + i, rng, g.n)
+                    for i, rng in enumerate(rngs)], dtype=np.int64).reshape(trials)
+    if not edges:
+        visited[np.arange(trials), cur] = True
+    rows = np.flatnonzero(cur != sink)  # the active walks
+    cur = cur[rows]
+    done = 0  # steps taken by every active walk
+    while rows.size:
+        if rows.size < _LOCKSTEP_MIN_ROWS:
+            for r, v in zip(rows.tolist(), cur.tolist()):
+                verts, eids, term = _sink_walk_steps(g, v, sink, cap - done,
+                                                     rngs[r], lazy=lazy)
+                visited[r, eids if edges else verts] = True
+                capped[r] = term == "cap-exceeded"
+            break
+        U = np.empty((rows.size, 64))
+        for r, row in zip(rows.tolist(), U):
+            rngs[r].random(out=row)
+        s = min(64, cap - done)
+        if s == 0:  # cap 0: each walk drew its first block and stopped
+            capped[rows] = True
+            break
+        if lazy:
+            stay = U < 0.5
+            U = np.where(stay, 0.0, 2.0 * U - 1.0)
+        P = np.empty((s, rows.size), dtype=np.int64)  # CSR slot of each step
+        V = np.empty((s, rows.size), dtype=np.int64)  # vertex after each step
+        for j in range(s):
+            # a double u < 1 times a degree d rounds to below d, so the
+            # scalar engine's clamp to d - 1 never binds here
+            pos = P[j]
+            np.multiply(U[:, j], degf[cur], out=pos, casting="unsafe")
+            pos += ptr[cur]
+            nxt = flat.take(pos, out=V[j])
+            if lazy:
+                np.copyto(nxt, cur, where=stay[:, j])
+            cur = nxt
+        done += s
+        hit = V == sink
+        arrived = hit.any(axis=0)
+        # each walk's steps up to its first arrival; the rest are discarded
+        keep = np.arange(s)[:, None] <= np.where(arrived, hit.argmax(axis=0), s)
+        if edges:
+            items = eidf[P]
+            if lazy:
+                keep &= ~stay[:, :s].T
+        else:
+            items = V
+        visited[np.broadcast_to(rows, keep.shape)[keep], items[keep]] = True
+        rows, cur = rows[~arrived], cur[~arrived]
+        if done >= cap:
+            capped[rows] = True
+            break
+    return visited, capped, rngs
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -366,6 +466,12 @@ def _batch_chunks(trials: int, steps: int):
         take = min(chunk, trials - done)
         yield done, take
         done += take
+
+
+def _sink_chunks(g: Graph, trials: int, edges: bool):
+    """Row chunks of :func:`sink_walk_batch`: a row holds its visited items
+    plus about 2k elements of draw blocks, positions and Generator."""
+    return _batch_chunks(trials, (g.edge_count if edges else g.n) + 2048)
 
 
 def hit_probability(
@@ -456,23 +562,22 @@ def hit_before_sink_probability(
         raise InvalidParameterError(f"sink {sink} out of range")
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
-    _require_walkable(g)
     rule = _as_start_rule(start)
-    rule.validate(g)
     if cap is None:
         cap = g.n ** 3
+    edges = kind == "edge"
+    avoid = sorted(avoid_set)
     hits = 0
     capped = 0
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        v0 = rule.resolve(i, rng, g.n)
-        verts, eids, term = _sink_walk_steps(g, v0, sink, cap, rng, lazy=lazy)
-        if term == "cap-exceeded":
-            capped += 1
-            continue
-        trace = verts if kind == "vertex" else eids
-        if item in trace and not avoid_set.intersection(trace):
-            hits += 1
+    for base, take in _sink_chunks(g, trials, edges):
+        visited, cap_rows, _ = sink_walk_batch(g, rule, sink, cap, take, seed,
+                                               lazy=lazy, edges=edges,
+                                               index_base=base)
+        good = visited[:, item] & ~cap_rows
+        if avoid:
+            good &= ~visited[:, avoid].any(axis=1)
+        hits += int(good.sum())
+        capped += int(cap_rows.sum())
     return _estimate(hits, trials, cap_exceeded=capped)
 
 

@@ -295,8 +295,13 @@ class TestExperimentCommand:
         ("verify", {"graph_file": "g.json", "trials": 10}, '"d"'),
         ("mixing", {"family": "complete", "n_grid": [8],
                     "noise": {"kind": "flip"}}, '"q"'),
+        ("verify", {"graph": {"family": "erdos-renyi", "n": 16}, "d": 2,
+                    "trials": 10}, '"p"'),
+        ("sweep", {"graph": {"family": "random-regular", "n": 16}, "design": 1,
+                   "d": 2, "m_grid": [8], "trials": 30}, '"degree"'),
     ], ids=["sweep", "mixing", "fixed-input", "verify", "tomo",
-            "verify-graph-file", "noise-without-q"])
+            "verify-graph-file", "noise-without-q", "erdos-renyi-without-p",
+            "random-regular-without-degree"])
     def test_missing_config_key_is_reported_before_output(
             self, tmp_path, capsys, kind, config, key):
         cfg = tmp_path / "cfg.json"

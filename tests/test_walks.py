@@ -1,12 +1,15 @@
 """Walk engines: batch/scalar agreement, closed forms, estimator coupling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walktest.errors import InvalidParameterError
 from walktest.graphs import complete_graph, cycle_graph, erdos_renyi_graph
+from walktest import walks
 from walktest.rng import trial_rng
 from walktest.walks import (
     StartRule,
@@ -18,6 +21,7 @@ from walktest.walks import (
     hit_probability,
     influence_check,
     random_walk,
+    sink_walk_batch,
     validate_walk,
     visit_count_tail_check,
     walk_to_sink,
@@ -134,6 +138,60 @@ class TestSinkWalks:
     def test_bad_sink(self, k16):
         with pytest.raises(InvalidParameterError):
             walk_to_sink(k16, 0, 16, trial_rng(0, 0))
+
+
+# K6 (short walks, many starts at the sink), a 7-cycle (long walks that meet
+# every cap) and a sparse G(20, 0.3)
+_SINK_GRAPHS = (complete_graph(6), cycle_graph(7), erdos_renyi_graph(20, 0.3, 5))
+_K = walks._LOCKSTEP_MIN_ROWS
+
+
+def _start_rule(kind, vertex):
+    if kind == "uniform":
+        return StartRule.uniform()
+    if kind == "fixed":
+        return StartRule.fixed(vertex)
+    designated = (vertex, 0, 3)
+    if kind == "round-robin":
+        return StartRule.round_robin(designated)
+    return StartRule.designated_uniform(designated)
+
+
+class TestSinkWalkBatch:
+    """The lockstep engine against a per-row ``walk_to_sink`` replay."""
+
+    @given(graph=st.sampled_from(range(len(_SINK_GRAPHS))),
+           start=st.sampled_from(["uniform", "fixed", "round-robin",
+                                  "designated-uniform"]),
+           vertex=st.integers(0, 5), sink=st.integers(0, 5),
+           cap=st.sampled_from([0, 1, 63, 64, 65, 128]),
+           trials=st.sampled_from([1, _K - 1, _K, _K + 1, 4 * _K]),
+           index_base=st.sampled_from([0, 61, 1000]),
+           lazy=st.booleans(), edges=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), lockstep_only=st.booleans())
+    @example(graph=0, start="fixed", vertex=2, sink=2, cap=64, trials=_K + 1,
+             index_base=0, lazy=False, edges=False, seed=0, lockstep_only=True)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_scalar_replay(self, graph, start, vertex, sink, cap,
+                                      trials, index_base, lazy, edges, seed,
+                                      lockstep_only):
+        g = _SINK_GRAPHS[graph]
+        rule = _start_rule(start, vertex)
+        # a threshold of 1 steps every walk in lockstep, down to the last
+        with mock.patch.object(walks, "_LOCKSTEP_MIN_ROWS",
+                               1 if lockstep_only else _K):
+            visited, capped, rngs = sink_walk_batch(
+                g, rule, sink, cap, trials, seed, lazy=lazy, edges=edges,
+                index_base=index_base)
+        assert visited.shape == (trials, g.edge_count if edges else g.n)
+        for i in range(trials):
+            rng = trial_rng(seed, index_base + i)
+            w = walk_to_sink(g, rule, sink, rng, cap=cap, lazy=lazy,
+                             index=index_base + i)
+            items = w.edges if edges else w.vertices
+            assert np.flatnonzero(visited[i]).tolist() == sorted(set(items))
+            assert capped[i] == (w.terminated_by == "cap-exceeded")
+            assert rngs[i].bit_generator.state == rng.bit_generator.state
 
 
 class TestEstimators:
