@@ -375,7 +375,7 @@ def sink_walk_batch(
     capped = np.zeros(trials, dtype=bool)
     rngs = [trial_rng(seed, index_base + i) for i in range(trials)]
     cur = np.array([rule.resolve(index_base + i, rng, g.n)
-                    for i, rng in enumerate(rngs)], dtype=np.int64).reshape(trials)
+                    for i, rng in enumerate(rngs)], dtype=np.int64)
     if not edges:
         visited[np.arange(trials), cur] = True
     rows = np.flatnonzero(cur != sink)  # the active walks

@@ -49,6 +49,14 @@ class TestGraphFromConfig:
         with pytest.raises(InvalidParameterError):
             graph_from_config({"family": "torus", "n": 9}, 0)
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"family": "erdos-renyi", "n": 16}, '"p"'),
+        ({"family": "random-regular", "n": 16}, '"degree"'),
+    ])
+    def test_missing_family_key_named(self, cfg, key):
+        with pytest.raises(InvalidParameterError, match=key):
+            graph_from_config(cfg, 0)
+
     def test_regeneration_exhaustion(self):
         cfg = {"family": "erdos-renyi", "n": 24, "p": 0.01}
         with pytest.raises(GenerationFailureError):
