@@ -1,7 +1,8 @@
 """Behaviour lock: sha256 digests of seeded outputs.
 
 Each case rebuilds one seeded output (a matrix file, an outcome vector, the
-CSV rows of an experiment, a mix of sink-walk estimates, the derived
+CSV rows of an experiment, a mix of sink-walk or fixed-length-walk
+estimates, the derived
 structure of a graph mix, or a ``gen-graph`` file) and compares its digest
 with the value pinned here.  A refactor that keeps these digests keeps the
 library's behaviour; a change that moves one must say why and re-pin it.
@@ -10,6 +11,7 @@ To print the current digests, run ``python tests/test_golden.py``.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -40,7 +42,16 @@ from walktest.graphs import (
 from walktest.grouptest import NoiseModel, simulate_tests
 from walktest.mixing import transition_matrix
 from walktest.rng import trial_rng
-from walktest.walks import StartRule, hit_before_sink_probability
+from walktest.walks import (
+    StartRule,
+    early_visit_check,
+    fixed_walk_batch,
+    hit_avoid_probability,
+    hit_before_sink_probability,
+    hit_probability,
+    influence_check,
+    visit_count_tail_check,
+)
 
 
 def _sha(text: str) -> str:
@@ -122,6 +133,85 @@ def _sink_estimates() -> str:
     return json.dumps(out)
 
 
+_ONE = StartRule.designated_uniform([9])  # a one-vertex draw consumes nothing
+_DES = StartRule.designated_uniform([1, 4, 9])
+_RR = StartRule.round_robin([0, 3, 9])
+
+# (report, kind, lazy, start, trials, steps) of each fixed-length estimate:
+# trial counts on both sides of 64 and steps from 0 to 129.  An "early"
+# case's start is its designated list; "influence" starts are uniform.
+_FIXED_CASES = [
+    ("hit", "vertex", False, None, 63, 64),
+    ("hit", "vertex", False, None, 64, 64),
+    ("hit", "edge", True, None, 65, 65),
+    ("hit", "vertex", False, 5, 200, 0),
+    ("hit", "edge", False, _ONE, 200, 1),
+    ("hit", "vertex", True, _DES, 1000, 31),
+    ("hit", "edge", False, _RR, 130, 128),
+    ("hit", "vertex", True, _ONE, 64, 129),
+    ("avoid", "vertex", False, None, 200, 63),
+    ("avoid", "edge", True, 5, 64, 64),
+    ("avoid", "vertex", True, _ONE, 65, 65),
+    ("avoid", "edge", False, _DES, 63, 1),
+    ("avoid", "vertex", False, _RR, 200, 96),
+    ("avoid", "edge", True, _DES, 300, 0),
+    ("tail", "vertex", False, None, 200, 64),
+    ("tail", "vertex", True, _DES, 65, 65),
+    ("tail", "vertex", False, _RR, 64, 0),
+    ("tail", "vertex", True, 5, 2000, 20),
+    ("early", "vertex", False, (), 200, 64),
+    ("early", "vertex", True, (0, 9), 65, 65),
+    ("early", "vertex", False, (0, 9), 64, 1),
+    ("influence", "vertex", False, None, 200, 64),
+    ("influence", "vertex", True, None, 64, 65),
+    ("influence", "vertex", False, None, 63, 5),
+]
+
+# (start, lazy, steps, trials, seed, index_base) of raw fixed_walk_batch
+# rows, with runs that start mid-block and one that ends at index 2**32
+_FIXED_BATCHES = [
+    (None, False, 64, 65, 7, 61),
+    (_DES, True, 65, 130, 2**40 + 3, 1000),
+    (_ONE, False, 1, 64, 0, 2**32 - 64),
+    (5, True, 0, 70, 9, 2**32 - 70),
+    (None, True, 17, 64, 2**32 - 1, 2**32 - 65),
+]
+
+
+def _fixed_estimates() -> str:
+    """Reports of fixed-length-walk estimators on G(64, 0.3), and digests
+    of raw batch rows, as JSON (floats in repr form)."""
+    g = _graph()
+    out = []
+    for i, (report, kind, lazy, start, trials, steps) in enumerate(_FIXED_CASES):
+        item, avoid = (3, (7,)) if kind == "vertex" else (17, (1, 98))
+        seed = 300 + i
+        if report == "hit":
+            rep = hit_probability(g, item, kind, steps, trials, seed,
+                                  start=start, lazy=lazy)
+        elif report == "avoid":
+            rep = hit_avoid_probability(g, item, avoid, kind, steps, trials,
+                                        seed, start=start, lazy=lazy)
+        elif report == "tail":
+            rep = visit_count_tail_check(g, item, steps, 1, trials, seed,
+                                         start=start, lazy=lazy)
+        elif report == "early":
+            rep = early_visit_check(g, item, steps + 1, trials, seed,
+                                    designated=start, lazy=lazy)
+        else:
+            rep = influence_check(g, 0, steps, trials, seed, t_mix=2,
+                                  lazy=lazy, min_count=1)
+        out.append(dataclasses.asdict(rep))
+    for start, lazy, steps, trials, seed, base in _FIXED_BATCHES:
+        rule = start if isinstance(start, StartRule) else (
+            StartRule.uniform() if start is None else StartRule.fixed(start))
+        verts, eids = fixed_walk_batch(g, rule, steps, trials, seed, lazy=lazy,
+                                       index_base=base)
+        out.append([hashlib.sha256(verts.tobytes()).hexdigest(),
+                    hashlib.sha256(eids.tobytes()).hexdigest()])
+    return json.dumps(out)
+
+
 def _outcomes():
     M = vertex_walk_design(_graph(), [0, 3], 40, 30, 5)
     noises = {
@@ -199,6 +289,7 @@ def _digests() -> dict:
     out.update({f"csv/{k}": _sha(_csv_text(r)) for k, r in _experiments().items()})
     out["graph/mix"] = _graph_mix_digest()
     out["estimate/sink-mix"] = _sha(_sink_estimates())
+    out["estimate/fixed-mix"] = _sha(_fixed_estimates())
     out.update({f"gen-graph/{k}": hashlib.sha256(b).hexdigest()
                 for k, b in _gen_graph_files().items()})
     return out
@@ -209,6 +300,7 @@ PINNED = {
     "csv/sweep-recovery": "804f07afe4edd6751e97f86db609bf30fbaea980854c763bbb0e844666a04318",
     "csv/tomography-demo": "ba2f4a4861dbbf8e0e5b23d99847b76591627382b6194cee14e71ff8dc55a4c8",
     "csv/verification-suite": "fd282b57a9e10fc30265ac857ea13c44e3567b7f86adffa5da7b6615a731d4ba",
+    "estimate/fixed-mix": "c23624d396f0f40e0ece0693f251afdab5d8c4733a89e7a8a3da2f0801767938",
     "estimate/sink-mix": "82aa528a838674c1090c76abe7c71d9813bab641138e84a3b2aa2d7d3cc2c0c9",
     "gen-graph/json": "60a1511c58f3ca99bef15f9fa5bba72e2125ad0ce6ff2e58a6a839e5e3bebfbd",
     "gen-graph/text": "508d080a0fad850dba3e68312fee327cf68902bd75191b94d30298159c3c4bd2",
