@@ -24,6 +24,18 @@ that path, and the first row of each further block about 1.5 times.
 only when asked.  A negative seed or index, an index of 2**32 or more (a
 multi-word spawn key) and any non-integer input take the SeedSequence path
 itself, so they give the same streams and raise the same errors as before.
+
+Short fixed-length walks need no Generator per row.  ``_block_outputs``
+returns the raw outputs 1..k of a run of rows in one numpy pass: after
+seeding, PCG64's state after j steps is a closed-form jump from the row's
+seed words (O'Neill, HMC-CS-2014-0905), so each output is two 128-bit
+products, a sum and the XSL-RR output function over uint64 arrays.
+``_block_draws`` turns them into what each row's ``integers(width)`` and
+``random(steps)`` give, with numpy's algorithms (Lemire's bounded draw,
+Lemire, ACM TOMACS 2019), and replays through ``trial_rng`` the rare rows
+Lemire might reject.  Their domain (``_in_block_domain``) is the cached
+path's: a seed of 0 or more and indices below 2**32.  ``trial_rng`` stays
+the oracle: tests compare every column with that row's stream.
 """
 
 from __future__ import annotations
@@ -50,6 +62,27 @@ _BLOCK = 64
 _B = [_INIT_B * pow(_MULT_B, j, 2**32) & _MASK32 for j in range(9)]
 _OUT_XOR = np.array(_B[:8], dtype=np.uint32)
 _OUT_MUL = np.array(_B[1:], dtype=np.uint32)
+# PCG64's LCG multiplier a (numpy's pcg64.h) and the jump table of
+# _block_outputs: output j (1-based) of a freshly seeded PCG64 with
+# initstate X and increment inc comes from the state
+# a**(j+1) * X + c(j+2) * inc mod 2**128, where c(j) = sum(a**t, t < j).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MAX_OUTPUTS = 256
+
+
+def _jump_table(count: int) -> tuple[np.ndarray, ...]:
+    """(hi, lo) words of a**(j+1) and c(j+2) for j = 1..count, as uint64."""
+    mod = 1 << 128
+    power, total = _PCG_MULT**2 % mod, (1 + _PCG_MULT + _PCG_MULT**2) % mod
+    rows = []
+    for _ in range(count):
+        rows.append((power >> 64, power & 2**64 - 1, total >> 64, total & 2**64 - 1))
+        power = power * _PCG_MULT % mod
+        total = (total + power) % mod
+    return tuple(np.array(col, dtype=np.uint64) for col in zip(*rows))
+
+
+_JUMPS = _jump_table(_MAX_OUTPUTS)
 
 
 def master_rng(seed: int) -> np.random.Generator:
@@ -99,6 +132,75 @@ def _block_state(seed: int, block: int) -> np.ndarray:
     state = out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     state.flags.writeable = False
     return state
+
+
+def _in_block_domain(seed, base: int, rows: int) -> bool:
+    """Whether rows base .. base+rows-1 of ``seed`` are in the stream cache's
+    domain, where :func:`_block_outputs` may replace ``trial_rng``."""
+    return (isinstance(seed, (int, np.integer)) and isinstance(base, (int, np.integer))
+            and seed >= 0 and base >= 0 and base + rows <= _MASK32 + 1)
+
+
+def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products of uint64 arrays, from 32-bit limbs."""
+    x0, x1, y0, y1 = x & _MASK32, x >> 32, y & _MASK32, y >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _block_outputs(seed: int, base: int, rows: int, k: int) -> np.ndarray:
+    """Raw outputs 1..k, (k, rows) uint64, of the streams
+    ``trial_rng(seed, base + r)``: column r is what that stream's
+    ``bit_generator.random_raw(k)`` gives.
+
+    PCG64 seeding leaves row r in the state ``a**2 * X + (a + 1) * inc``, so
+    output j is the XSL-RR of the jump ``a**(j+1) * X + c(j+2) * inc``: two
+    128-bit products and a sum, in uint64 words that wrap mod 2**64.  Only
+    the carry word of the low-word products needs 32-bit limbs.  Needs
+    :func:`_in_block_domain` and ``k <= _MAX_OUTPUTS``.
+    """
+    first = base // _BLOCK
+    words = np.concatenate([_block_state(int(seed), b) for b in
+                            range(first, (base + rows - 1) // _BLOCK + 1)])
+    xh, xl, sh, sl = words[base - first * _BLOCK:][:rows].T.copy()
+    ih, il = sh << 1 | sl >> 63, sl << 1 | 1  # inc = initseq << 1 | 1
+    ah, al, ch, cl = (col[:k, None] for col in _JUMPS)
+    lo_x = al * xl
+    lo = lo_x + cl * il
+    hi = (ah * xl + al * xh + _mulhi64(al, xl) + ch * il + cl * ih
+          + _mulhi64(cl, il) + (lo < lo_x))
+    xor = hi ^ lo
+    rot = hi >> 58
+    return xor >> rot | xor << (64 - rot)  # numpy shifts by 64 give 0
+
+
+def _block_draws(seed: int, base: int, width: int, U: np.ndarray) -> np.ndarray:
+    """What ``integers(width)`` and then ``random(steps)`` give on the streams
+    ``trial_rng(seed, base + r)``: returns the integers, (rows,) int64, and
+    fills ``U`` (steps, rows) with the doubles.
+
+    ``integers(1)`` draws nothing.  Otherwise numpy draws with Lemire's
+    method on the low word of output 1, taking the high word of
+    ``m = low32(o1) * width``.  ``random()`` is ``(o >> 11) * 2**-53`` of
+    each later output.  A row whose low word of ``m`` is below ``width``
+    might be rejected and redrawn from the output's high word (a chance
+    below width / 2**32), so it replays through ``trial_rng``.  Needs
+    :func:`_in_block_domain` and ``width < 2**32``.
+    """
+    steps, rows = U.shape
+    raw = _block_outputs(seed, base, rows, steps + (width > 1))
+    if width == 1:
+        np.multiply(raw >> 11, 2.0**-53, out=U)
+        return np.zeros(rows, dtype=np.int64)
+    m = (raw[0] & _MASK32) * np.uint64(width)
+    picks = (m >> 32).astype(np.int64)
+    np.multiply(raw[1:] >> 11, 2.0**-53, out=U)
+    for r in np.flatnonzero((m & _MASK32) < width).tolist():
+        rng = trial_rng(seed, base + r)
+        picks[r] = rng.integers(width)
+        U[:, r] = rng.random(steps)
+    return picks
 
 
 class _RowSeedSequence(ISpawnableSeedSequence):

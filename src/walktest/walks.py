@@ -13,7 +13,16 @@ row, and dropping rows never perturbs other rows.
 
 Two batch engines step rows in lockstep through the numpy arrays of
 ``Graph.csr``.  ``fixed_walk_batch`` draws each row's one block and steps
-every row together.  ``sink_walk_batch`` serves the sink estimator and
+every row together.  For ``_BLOCK_MIN_ROWS`` (64, one stream-cache block)
+rows or more of walks of at most ``_BLOCK_MAX_STEPS`` (64) steps, with a
+seed of 0 or more and indices below 2**32, it takes each row's start draw
+and ``random(steps)`` block from ``rng._block_draws``, in slabs of
+``_SLAB_DRAWS`` raw outputs, instead of building a Generator per row; that
+helper computes the rows' PCG64 outputs in numpy and replays the rare rows
+numpy's bounded draw might reject through ``trial_rng``.  The step bound is
+a measured crossover (see ``CHANGES.md``); every other call builds per-row
+Generators, and that path is the block path's oracle.
+``sink_walk_batch`` serves the sink estimator and
 designs 3 and 4: per 64-step block, each active row draws its next
 ``random(64)`` block, all of them take up to 64 steps together (a row that
 reaches the sink keeps stepping to the block's end), and then the steps
@@ -37,7 +46,7 @@ import numpy as np
 from .errors import DegenerateGraphError, InvalidParameterError
 from .graphs import Graph, degree_uniformity
 from .mixing import mixing_time
-from .rng import trial_rng
+from .rng import _BLOCK, _block_draws, _in_block_domain, trial_rng
 
 __all__ = [
     "StartRule",
@@ -59,6 +68,9 @@ __all__ = [
 
 _CHUNK_ELEMS = 4_000_000  # cap on trials*steps array size per batch chunk
 _LOCKSTEP_MIN_ROWS = 8  # fewer active sink walks than this finish one by one
+_BLOCK_MIN_ROWS = _BLOCK  # fixed_walk_batch draws from block streams from here
+_BLOCK_MAX_STEPS = 64  # ... for walks of at most this many steps
+_SLAB_DRAWS = 1 << 13  # raw outputs per block-stream slab (64 KB arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +186,20 @@ def validate_walk(g: Graph, walk: Walk, lazy: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _steps_from_uniform(u, deg):
-    """Neighbor index from uniform draw(s); clamp guards the u ~ 1.0 edge."""
-    idx = (u * deg).astype(np.int64) if isinstance(u, np.ndarray) else int(u * deg)
-    if isinstance(idx, np.ndarray):
-        return np.minimum(idx, deg - 1)
-    return min(idx, deg - 1)
-
-
 def _require_walkable(g: Graph) -> None:
     if g.n == 0 or (g.degrees == 0).any():
         raise DegenerateGraphError("walk undefined: graph has an isolated vertex")
+
+
+def _block_starts(rule: StartRule, base: int, picks: np.ndarray) -> np.ndarray:
+    """Starts of rows base .. from each row's ``integers`` draw ``picks``
+    (0 where the rule draws nothing), as ``StartRule.resolve`` gives them."""
+    if rule.kind == "uniform":
+        return picks
+    des = np.array(rule.designated or (rule.vertex,))
+    if rule.kind == "round-robin":
+        return des[np.arange(base, base + picks.size) % des.size]
+    return des[picks]  # designated-uniform, or fixed with every pick 0
 
 
 def fixed_walk_batch(
@@ -199,40 +214,52 @@ def fixed_walk_batch(
     """All positions/edge ids for ``trials`` fixed-length walks in lockstep.
 
     Returns (verts (trials, steps+1) int32, eids (trials, steps) int32);
-    eid -1 marks a lazy stay.  Row i uses trial_rng(seed, index_base + i).
+    eid -1 marks a lazy stay.  Row i uses trial_rng(seed, index_base + i),
+    through block streams for many short walks (see the module docstring).
     """
     _require_walkable(g)
     rule.validate(g)
     if steps < 0 or trials < 0:
         raise InvalidParameterError("steps and trials must be nonnegative")
     flat, ptr, eidf = g.csr
-    deg = g.degrees
-    U = np.empty((trials, steps), dtype=np.float64)
-    starts = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        rng = trial_rng(seed, index_base + i)
-        starts[i] = rule.resolve(index_base + i, rng, g.n)
-        if steps:
-            U[i] = rng.random(steps)
+    degf = g.degrees.astype(np.float64)
+    if (trials >= _BLOCK_MIN_ROWS and steps <= _BLOCK_MAX_STEPS
+            and _in_block_domain(seed, index_base, trials)):
+        U = np.empty((steps, trials), dtype=np.float64)  # U[j]: step j's draws
+        width = {"uniform": g.n,
+                 "designated-uniform": len(rule.designated)}.get(rule.kind, 1)
+        slab = _SLAB_DRAWS // (steps + 1)
+        picks = np.concatenate([
+            _block_draws(seed, index_base + r, width, U[:, r:r + slab])
+            for r in range(0, trials, slab)])
+        starts = _block_starts(rule, index_base, picks)
+    else:
+        U = np.empty((trials, steps), dtype=np.float64)
+        starts = np.empty(trials, dtype=np.int64)
+        for i in range(trials):
+            rng = trial_rng(seed, index_base + i)
+            starts[i] = rule.resolve(index_base + i, rng, g.n)
+            if steps:
+                rng.random(out=U[i])
+        U = U.T
     verts = np.empty((trials, steps + 1), dtype=np.int32)
-    eids = np.full((trials, steps), -1, dtype=np.int32)
+    eids = np.empty((trials, steps), dtype=np.int32)
+    pos = np.empty(trials, dtype=np.int64)
     cur = starts
     verts[:, 0] = cur
     for j in range(steps):
-        u = U[:, j]
-        d = deg[cur]
+        u = U[j]
         if lazy:
-            move = u >= 0.5
-            idx = _steps_from_uniform(np.where(move, 2.0 * u - 1.0, 0.0), d)
-        else:
-            move = None
-            idx = _steps_from_uniform(u, d)
-        pos = ptr[cur] + idx
+            stay = u < 0.5
+            u = np.where(stay, 0.0, 2.0 * u - 1.0)
+        # the CSR slot of each row's step; no clamp, see sink_walk_batch
+        np.multiply(u, degf[cur], out=pos, casting="unsafe")
+        pos += ptr[cur]
         nxt = flat[pos]
         eid = eidf[pos]
         if lazy:
-            nxt = np.where(move, nxt, cur)
-            eid = np.where(move, eid, -1)
+            np.copyto(nxt, cur, where=stay)
+            eid[stay] = -1
         verts[:, j + 1] = nxt
         eids[:, j] = eid
         cur = nxt

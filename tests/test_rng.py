@@ -1,13 +1,22 @@
-"""Per-row streams: trial_rng against numpy's SeedSequence, its reference."""
+"""Per-row streams: trial_rng against numpy's SeedSequence, its reference,
+and the block streams of short walks against trial_rng."""
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walktest.rng import spawn_rngs, trial_rng
+from walktest import walks
+from walktest.rng import (
+    _block_draws,
+    _block_outputs,
+    _in_block_domain,
+    spawn_rngs,
+    trial_rng,
+)
 
 
 def reference(seed, index):
@@ -100,3 +109,82 @@ def test_spawn_rngs_equals_seed_sequence_children(seed, n, start):
     got = spawn_rngs(seed, n, start)
     assert [g.bit_generator.state for g in got] == \
         [np.random.default_rng(c).bit_generator.state for c in children]
+
+
+# --- block streams: _block_outputs and _block_draws against trial_rng rows --
+
+_EDGE = 2**32
+
+
+def _runs():
+    """(seed, base, rows) of runs in the block domain: block edges at 63, 64
+    and 65 rows, bases mid-block, and runs that end at index 2**32."""
+    return st.tuples(
+        st.one_of(st.integers(0, 2**16), st.integers(0, 2**90)),
+        st.one_of(st.integers(0, 1000), st.integers(_EDGE - 200, _EDGE - 1)),
+        st.sampled_from([1, 2, 63, 64, 65, 129]),
+    ).map(lambda t: (t[0], min(t[1], _EDGE - t[2]), t[2]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=_runs(), k=st.integers(1, 70))
+@example(run=(0, 0, 64), k=65)
+@example(run=(2**40 + 3, _EDGE - 65, 65), k=1)
+def test_block_outputs_match_random_raw(run, k):
+    seed, base, rows = run
+    assert _in_block_domain(seed, base, rows)
+    got = _block_outputs(seed, base, rows, k)
+    assert got.shape == (k, rows) and got.dtype == np.uint64
+    for r in range(rows):
+        raw = trial_rng(seed, base + r).bit_generator.random_raw(k)
+        assert got[:, r].tolist() == raw.tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=_runs(), steps=st.integers(0, 65),
+       width=st.one_of(st.integers(1, 64), st.integers(1, 2**31 - 1)))
+@example(run=(5, 61, 65), steps=3, width=3 * 2**29)  # a quarter of rows rejected
+@example(run=(7, 0, 64), steps=0, width=2**31 - 1)
+def test_block_draws_match_integers_then_random(run, steps, width):
+    """Picks are numpy's Lemire draw (none for width 1) and U its
+    ``random(steps)``; rows that Lemire might reject replay."""
+    seed, base, rows = run
+    U = np.empty((steps, rows))
+    picks = _block_draws(seed, base, width, U)
+    assert picks.dtype == np.int64
+    for r in range(rows):
+        rng = trial_rng(seed, base + r)
+        assert picks[r] == rng.integers(width)
+        assert U[:, r].tolist() == rng.random(steps).tolist()
+
+
+def test_rejected_starts_occur_and_replay():
+    # width 3 * 2**29 rejects low words below 2**30: a quarter of all rows
+    seed, base, rows, width = 11, 70, 256, 3 * 2**29
+    low = _block_outputs(seed, base, rows, 1)[0] & 0xFFFFFFFF
+    leftover = low * np.uint64(width) & 0xFFFFFFFF
+    rejected = leftover < (2**32 - width) % width
+    assert 20 < rejected.sum() < rows
+    picks = _block_draws(seed, base, width, np.empty((4, rows)))
+    want = [trial_rng(seed, base + r).integers(width) for r in range(rows)]
+    assert picks.tolist() == want
+
+
+@pytest.mark.parametrize("seed, base, rows", [
+    (-1, 0, 64), (0, -1, 64), (0, _EDGE - 63, 64), (0, _EDGE, 64),
+    (1.5, 0, 64), (0, 2.0, 64), (np.int64(-3), 0, 64),
+])
+def test_outside_block_domain(seed, base, rows):
+    assert not _in_block_domain(seed, base, rows)
+
+
+def test_outside_block_domain_takes_per_row_path(k16):
+    rule = walks.StartRule.uniform()
+    with mock.patch.object(walks, "_block_draws", side_effect=AssertionError):
+        verts, _ = walks.fixed_walk_batch(k16, rule, 5, 64, 3,
+                                          index_base=_EDGE - 10)
+        with pytest.raises(ValueError):  # SeedSequence rejects the seed
+            walks.fixed_walk_batch(k16, rule, 5, 64, -1)
+    for i in (0, 9, 10, 63):  # rows 10.. have two-word spawn keys
+        w = walks.random_walk(k16, rule, 5, trial_rng(3, _EDGE - 10 + i))
+        assert verts[i].tolist() == list(w.vertices)

@@ -75,10 +75,15 @@ class TestEngineAgreement:
             assert list(w.edges) == [e for e in eids[i].tolist() if e != -1]
 
     def test_chunking_invariant(self, k16):
-        # estimates must not depend on internal batch chunk boundaries
+        # estimates must not depend on batch boundaries: batches starting
+        # mid-block at 200 and 333 give the rows of one 500-trial call
         a = hit_probability(k16, 3, "vertex", 10, 500, 7)
-        b = hit_probability(k16, 3, "vertex", 10, 500, 7)
-        assert a == b
+        hits = 0
+        for base, take in ((0, 200), (200, 133), (333, 167)):
+            verts, _ = fixed_walk_batch(k16, StartRule.uniform(), 10, take, 7,
+                                        index_base=base)
+            hits += int((verts == 3).any(axis=1).sum())
+        assert a.value == hits / 500
 
 
 class TestWalkShapes:
@@ -155,6 +160,48 @@ def _start_rule(kind, vertex):
     if kind == "round-robin":
         return StartRule.round_robin(designated)
     return StartRule.designated_uniform(designated)
+
+
+_FIXED_GRAPHS = (erdos_renyi_graph(64, 0.3, 42), cycle_graph(7), complete_graph(5))
+_S = walks._BLOCK_MAX_STEPS
+
+
+class TestFixedWalkBatch:
+    """Block-stream draws against the per-row path and a scalar replay."""
+
+    @given(graph=st.sampled_from(range(len(_FIXED_GRAPHS))),
+           start=st.sampled_from(["uniform", "fixed", "round-robin",
+                                  "designated-uniform", "one-designated"]),
+           vertex=st.integers(0, 4),
+           steps=st.sampled_from([0, 1, 2, _S - 1, _S, _S + 1]),
+           trials=st.sampled_from([1, 63, 64, 65, 130]),
+           index_base=st.sampled_from([0, 61, 1000, 2**32 - 130]),
+           lazy=st.booleans(), seed=st.integers(0, 2**40))
+    @settings(max_examples=120, deadline=None)
+    def test_block_rows_match_per_row_path(self, graph, start, vertex, steps,
+                                           trials, index_base, lazy, seed):
+        g = _FIXED_GRAPHS[graph]
+        rule = (StartRule.designated_uniform([vertex]) if start == "one-designated"
+                else _start_rule(start, vertex))
+        block = mock.patch.object(walks, "_block_draws",
+                                  wraps=walks._block_draws)
+        # a floor of 1 takes the block path for every short call, a floor
+        # above the trials never
+        with mock.patch.object(walks, "_BLOCK_MIN_ROWS", 1), block as spy:
+            verts, eids = fixed_walk_batch(g, rule, steps, trials, seed,
+                                           lazy=lazy, index_base=index_base)
+        assert spy.called == (steps <= _S)
+        with mock.patch.object(walks, "_BLOCK_MIN_ROWS", trials + 1), block as spy:
+            want = fixed_walk_batch(g, rule, steps, trials, seed, lazy=lazy,
+                                    index_base=index_base)
+        assert not spy.called
+        assert verts.dtype == eids.dtype == np.int32
+        assert np.array_equal(verts, want[0]) and np.array_equal(eids, want[1])
+        for i in range(trials):
+            w = random_walk(g, rule, steps, trial_rng(seed, index_base + i),
+                            lazy=lazy, index=index_base + i)
+            assert verts[i].tolist() == list(w.vertices)
+            assert [e for e in eids[i].tolist() if e != -1] == list(w.edges)
 
 
 class TestSinkWalkBatch:
