@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Compare two walktest checkouts on the perfbench workloads.
+"""Compare two walktest checkouts on the perfbench workloads or on Tier-1.
 
     python3 scripts/bench.py --parent DIR --change DIR --label NAME
         [--workload W ...] [--pairs 10] [--seed 101] [--seconds 25] [--trace 0|1]
+    python3 scripts/bench.py --parent DIR --change DIR --label NAME --tier1
+        [--pairs 1]
 
 Each pair runs ``perfbench/run.py`` once in each checkout with the same seed;
 pair k uses seed ``--seed + k`` and the side that runs first alternates
@@ -16,6 +18,14 @@ change/parent ratio of the medians and the number of pairs the change won
 in the file are kept, so several invocations build one file.  The file also
 records the CPU count, the numpy and Python versions and every run's
 seed, outcome and metrics.
+
+``--tier1`` instead runs the Tier-1 command (``python -m pytest -q
+--continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) once per
+pair in each checkout, alternating which goes first.  It fills the file's
+``tier1`` section with each side's seconds per acceptance check (the
+``[acceptance] <name>: ... <s>s of <budget>s budget`` lines), the suite's
+wall time, the unit-suite time (the wall time less the acceptance checks)
+and the pass, fail and skip counts.
 """
 
 from __future__ import annotations
@@ -24,9 +34,11 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +62,54 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+# pytest -q may print progress dots before a check's line
+ACCEPTANCE = re.compile(r"\[acceptance\] (\S+): (\w+) \(.*; ([0-9.]+)s of [0-9.]+s budget\)$")
+COUNT = re.compile(r"(\d+) (passed|failed|skipped|errors?)\b")
+
+
+def run_tier1(checkout: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True,
+                          text=True, timeout=3600)
+    wall = time.perf_counter() - t0
+    checks, counts = {}, {}
+    for line in proc.stdout.splitlines():
+        hit = ACCEPTANCE.search(line.strip())
+        if hit:
+            checks[hit[1]] = {"status": hit[2], "s": float(hit[3])}
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    for n, kind in COUNT.findall(summary):
+        counts[kind.rstrip("s") if kind.startswith("error") else kind] = int(n)
+    return {"wall_s": wall, "unit_s": wall - sum(c["s"] for c in checks.values()),
+            "checks": checks, "counts": counts, "summary": summary}
+
+
+def tier1_section(runs: list[dict]) -> dict:
+    """Median seconds per side of each acceptance check, the wall time and
+    the unit suite, with the change/parent ratio."""
+    def row(values: dict) -> dict:
+        med = {side: statistics.median(v) for side, v in values.items()}
+        return {**med, "change_over_parent": (med["change"] / med["parent"]
+                                              if med["parent"] else None)}
+    names = sorted(set().union(*(r[side]["checks"] for r in runs
+                                 for side in ("parent", "change"))))
+    per_check = {}
+    for name in names:
+        values = {side: [r[side]["checks"][name]["s"] for r in runs
+                         if name in r[side]["checks"]] for side in ("parent", "change")}
+        if all(values.values()):
+            per_check[name] = row(values)
+    return {"checks": per_check,
+            **{key: row({side: [r[side][key] for r in runs]
+                         for side in ("parent", "change")})
+               for key in ("wall_s", "unit_s")},
+            "runs": runs}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -97,6 +157,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--tier1", action="store_true",
+                    help="time the Tier-1 suite instead of the workloads")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -107,6 +169,20 @@ def main(argv=None) -> int:
     doc.update(label=args.label, machine={
         "cpu_count": os.cpu_count(), "numpy": np.__version__,
         "python": platform.python_version(), "machine": platform.machine()})
+    if args.tier1:
+        runs = []
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            run = {side: run_tier1(sides[side]) for side in order}
+            run["first"] = order[0]
+            runs.append(run)
+            print(f"tier1 pair {k}: " + json.dumps(
+                {side: {"wall_s": round(run[side]["wall_s"], 1),
+                        "summary": run[side]["summary"]} for side in order}), flush=True)
+        doc["tier1"] = tier1_section(runs)
+        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {out}")
+        return 0
     section = doc.setdefault(SECTIONS[args.trace], {})
     for workload in args.workload or WORKLOADS:
         pairs = []
