@@ -31,9 +31,9 @@ seeding, PCG64's state after j steps is a closed-form jump from the row's
 seed words (O'Neill, HMC-CS-2014-0905), so each output is two 128-bit
 products, a sum and the XSL-RR output function over uint64 arrays.
 ``_block_draws`` turns them into what each row's ``integers(width)`` and
-``random(steps)`` give, with numpy's algorithms (Lemire's bounded draw,
-Lemire, ACM TOMACS 2019), and replays through ``trial_rng`` the rare rows
-Lemire might reject.  Their domain (``_in_block_domain``) is the cached
+``random(steps)`` give, with numpy's algorithms (for ``integers``, Lemire's
+bounded draw, ACM TOMACS 2019), and replays through ``trial_rng`` the rare
+rows that draw might reject.  Their domain (``_in_block_domain``) is the cached
 path's: a seed of 0 or more and indices below 2**32.  ``trial_rng`` stays
 the oracle: tests compare every column with that row's stream.
 """
@@ -113,15 +113,14 @@ def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array(c[:-1] * 2, dtype=np.uint32), np.array(c[1:] * 2, dtype=np.uint32))
 
 
-@functools.lru_cache(maxsize=64)
-def _block_state(seed: int, block: int) -> np.ndarray:
-    """PCG64 seed words, (64, 4) uint64, for indices block*64 .. block*64+63.
+def _index_state(seed: int, first: int, count: int) -> np.ndarray:
+    """PCG64 seed words, (count, 4) uint64, for indices first .. first+count-1.
 
     SeedSequence's ``hashmix`` and ``mix`` of the index word and
     ``generate_state(4, uint64)``, on uint32 arrays that wrap as its C does.
     """
     pool_l, xor, mul = _seed_pool(seed)
-    idx = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint32)
+    idx = np.arange(first, first + count, dtype=np.uint32)
     v = (idx[:, None] ^ xor) * mul
     v ^= v >> 16
     out = pool_l - _MIX_MULT_R * v
@@ -129,7 +128,13 @@ def _block_state(seed: int, block: int) -> np.ndarray:
     out ^= _OUT_XOR
     out *= _OUT_MUL
     out ^= out >> 16
-    state = out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _block_state(seed: int, block: int) -> np.ndarray:
+    """The seed words of indices block*64 .. block*64+63, cached for trial_rng."""
+    state = _index_state(seed, block * _BLOCK, _BLOCK)
     state.flags.writeable = False
     return state
 
@@ -142,11 +147,12 @@ def _in_block_domain(seed, base: int, rows: int) -> bool:
 
 
 def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """High words of the 128-bit products of uint64 arrays, from 32-bit limbs."""
+    """High words of the 128-bit products of uint64 arrays, from 32-bit limbs
+    (Hacker's Delight 8-2; no partial sum passes 2**64 - 1)."""
     x0, x1, y0, y1 = x & _MASK32, x >> 32, y & _MASK32, y >> 32
-    p01, p10 = x0 * y1, x1 * y0
-    mid = (x0 * y0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    t = x1 * y0 + (x0 * y0 >> 32)
+    w = (t & _MASK32) + x0 * y1
+    return x1 * y1 + (t >> 32) + (w >> 32)
 
 
 def _block_outputs(seed: int, base: int, rows: int, k: int) -> np.ndarray:
@@ -160,10 +166,7 @@ def _block_outputs(seed: int, base: int, rows: int, k: int) -> np.ndarray:
     the carry word of the low-word products needs 32-bit limbs.  Needs
     :func:`_in_block_domain` and ``k <= _MAX_OUTPUTS``.
     """
-    first = base // _BLOCK
-    words = np.concatenate([_block_state(int(seed), b) for b in
-                            range(first, (base + rows - 1) // _BLOCK + 1)])
-    xh, xl, sh, sl = words[base - first * _BLOCK:][:rows].T.copy()
+    xh, xl, sh, sl = _index_state(int(seed), base, rows).T.copy()
     ih, il = sh << 1 | sl >> 63, sl << 1 | 1  # inc = initseq << 1 | 1
     ah, al, ch, cl = (col[:k, None] for col in _JUMPS)
     lo_x = al * xl

@@ -14,6 +14,7 @@ from walktest.rng import (
     _block_draws,
     _block_outputs,
     _in_block_domain,
+    _mulhi64,
     spawn_rngs,
     trial_rng,
 )
@@ -188,3 +189,12 @@ def test_outside_block_domain_takes_per_row_path(k16):
     for i in (0, 9, 10, 63):  # rows 10.. have two-word spawn keys
         w = walks.random_walk(k16, rule, 5, trial_rng(3, _EDGE - 10 + i))
         assert verts[i].tolist() == list(w.vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+       y=st.integers(0, 2**64 - 1))
+@example(x=[2**64 - 1, 2**32 - 1, 2**32, 0], y=2**64 - 1)
+def test_mulhi64_matches_python_ints(x, y):
+    got = _mulhi64(np.array(x, dtype=np.uint64), np.uint64(y))
+    assert got.tolist() == [a * y >> 64 for a in x]
