@@ -22,10 +22,11 @@ seed, outcome and metrics.
 ``--tier1`` instead runs the Tier-1 command (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) once per
 pair in each checkout, alternating which goes first.  It fills the file's
-``tier1`` section with each side's seconds per acceptance check (the
-``[acceptance] <name>: ... <s>s of <budget>s budget`` lines), the suite's
-wall time, the unit-suite time (the wall time less the acceptance checks)
-and the pass, fail and skip counts.
+``tier1`` section with each side's median and quartiles of the seconds of
+each acceptance check (the ``[acceptance] <name>: ... <s>s of <budget>s
+budget`` lines), of the suite's wall time and of the unit-suite time (the
+wall time less the acceptance checks), and each run's pass, fail and skip
+counts.
 """
 
 from __future__ import annotations
@@ -91,12 +92,13 @@ def run_tier1(checkout: Path) -> dict:
 
 
 def tier1_section(runs: list[dict]) -> dict:
-    """Median seconds per side of each acceptance check, the wall time and
-    the unit suite, with the change/parent ratio."""
+    """Each side's median and quartiles of the seconds of each acceptance
+    check, the wall time and the unit suite, with the change/parent ratio
+    of the medians."""
     def row(values: dict) -> dict:
-        med = {side: statistics.median(v) for side, v in values.items()}
-        return {**med, "change_over_parent": (med["change"] / med["parent"]
-                                              if med["parent"] else None)}
+        out = {side: quartiles(v) for side, v in values.items()}
+        parent, change = out["parent"]["median"], out["change"]["median"]
+        return {**out, "change_over_parent": change / parent if parent else None}
     names = sorted(set().union(*(r[side]["checks"] for r in runs
                                  for side in ("parent", "change"))))
     per_check = {}

@@ -14,7 +14,7 @@ row, and dropping rows never perturbs other rows.
 Two batch engines step rows in lockstep through the numpy arrays of
 ``Graph.csr``.  ``fixed_walk_batch`` draws each row's one block and steps
 every row together.  For ``_BLOCK_MIN_ROWS`` (64, one stream-cache block)
-rows or more of walks of at most ``_BLOCK_MAX_STEPS`` (64) steps, with a
+rows or more of walks of at most ``_BLOCK_MAX_STEPS`` (128) steps, with a
 seed of 0 or more and indices below 2**32, it takes each row's start draw
 and ``random(steps)`` block from ``rng._block_draws``, in slabs of
 ``_SLAB_DRAWS`` raw outputs, instead of building a Generator per row; that
@@ -69,7 +69,7 @@ __all__ = [
 _CHUNK_ELEMS = 4_000_000  # cap on trials*steps array size per batch chunk
 _LOCKSTEP_MIN_ROWS = 8  # fewer active sink walks than this finish one by one
 _BLOCK_MIN_ROWS = _BLOCK  # fixed_walk_batch draws from block streams from here
-_BLOCK_MAX_STEPS = 64  # ... for walks of at most this many steps
+_BLOCK_MAX_STEPS = 128  # ... for walks of at most this many steps
 _SLAB_DRAWS = 1 << 13  # raw outputs per block-stream slab (64 KB arrays)
 
 
