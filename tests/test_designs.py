@@ -261,6 +261,23 @@ class TestFileFormat:
         with pytest.raises(InvalidParameterError):
             matrix_from_json(obj)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0], [1, 2], [3, True]], "row 2: item True is not an integer"),
+        ([[0], [1, 2], [3, 1.0]], "row 2: item 1.0 is not an integer"),
+        ([[0], [1, 2], ["3"]], "row 2: item '3' is not an integer"),
+        ([[0], [1, 2], [3, -1]], "row 2: item -1 out of range"),
+        ([[0], [1, 2], [2**70]], "row 2: item 1180591620717411303424 out of range"),
+        ([[0], [1, 2], [-2**70]], "row 2: item -1180591620717411303424 out of range"),
+        ([[0], [64], [None]], "row 1: item 64 out of range"),
+        ([[0], [1, "x"], [2**70]], "row 1: item 'x' is not an integer"),
+    ])
+    def test_row_item_messages(self, rows, message):
+        obj = {"item_kind": "vertex", "n_items": 64, "stripped": [],
+               "rows": rows, "design": {}, "seed": 0}
+        with pytest.raises(InvalidParameterError) as exc:
+            matrix_from_json(obj)
+        assert str(exc.value) == message
+
 
 @given(seed=st.integers(0, 2**16), m=st.integers(0, 12),
        t=st.integers(0, 12), did=st.sampled_from([1, 2]))

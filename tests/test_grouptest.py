@@ -13,7 +13,7 @@ from walktest.errors import (
     InvalidParameterError,
     SizeExceededError,
 )
-from walktest.graphs import complete_graph
+from walktest.graphs import complete_graph, erdos_renyi_graph
 from walktest.grouptest import (
     DefectiveSet,
     NoiseModel,
@@ -205,6 +205,29 @@ class TestCertifierPinned:
     def test_edge_design_margins(self):
         M = build_design(complete_graph(12), 2, 120, 5, t=12)
         assert (disjunct_margin(M, 1), disjunct_margin(M, 2)) == (5, 2)
+
+    @staticmethod
+    def g64():
+        # the CLI pipeline's graph: gen-graph erdos-renyi --n 64 --p 0.3 --seed 2010
+        return erdos_renyi_graph(64, 0.3, 2010)
+
+    @pytest.mark.parametrize("did, build, want", [
+        # design --auto --d 2 sizes m = 4186, t = 23: every column's search
+        # ends at its root node
+        (2, dict(m=4186, seed=1, t=23), (True, 621, None)),
+        (4, dict(m=40, seed=2014, sink=0), (False, 11, (0, (23, 351), 0))),
+    ])
+    def test_cli_pipeline_matrices(self, did, build, want):
+        M = build_design(self.g64(), did, **build)
+        cert = is_disjunct(M, 2, budget=2e8)
+        wit = cert.witness
+        got = (cert.disjunct, cert.nodes,
+               wit and (wit.s0, wit.others, wit.private))
+        assert got == want
+        with pytest.raises(SizeExceededError) as exc:
+            is_disjunct(M, 2, budget=want[1] - 1)
+        assert exc.value.progress == {"needed": 621 * math.comb(620, 2),
+                                      "limit": want[1] - 1, "columns_done": 0}
 
 
 class TestSimulate:
