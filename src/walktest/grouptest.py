@@ -230,6 +230,10 @@ class _Budget:
         self.limit = limit
         self.columns_done = 0
 
+    def exceeded(self) -> SizeExceededError:
+        return SizeExceededError("disjunctness search exceeded the node budget",
+                                 limit=self.limit, columns_done=self.columns_done)
+
 
 def _node_cap(budget: float) -> float:
     """The node budget as an int, or ``inf`` for no cap."""
@@ -242,13 +246,15 @@ class _Columns:
     """Columns as Python-int bitsets (bit i is row i), with weights and
     pairwise overlap counts (-1 on the diagonal)."""
 
-    def __init__(self, A: np.ndarray):
-        self.m, self.nc = A.shape
-        packed = np.packbits(A.T, axis=1, bitorder="little")
+    def __init__(self, At: np.ndarray):
+        # At holds one column per row: packing and the overlap product then
+        # read contiguous memory
+        self.nc, self.m = At.shape
+        packed = np.packbits(At, axis=1, bitorder="little")
         self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        self.w = [b.bit_count() for b in self.bits]
-        Af = A.astype(np.float32)
-        self.overlap = np.rint(Af.T @ Af).astype(np.int64)
+        Bf = At.astype(np.float32)
+        self.overlap = np.rint(Bf @ Bf.T).astype(np.int64)
+        self.w = self.overlap.diagonal().copy()
         np.fill_diagonal(self.overlap, -1)
 
     def by_overlap(self, j0: int) -> tuple[list[int], list[int]]:
@@ -260,6 +266,26 @@ class _Columns:
         # j0's own entry (-1) sorts last; drop it
         order = np.argsort(-row, kind="stable")[:-1]
         return order.tolist(), [0, *np.cumsum(row[order]).tolist()]
+
+
+# Overlap cells in the first block of root bounds (see _root_slack)
+_ROOT_CELLS = 4096
+
+
+def _root_slack(cs: _Columns, r: int):
+    """Yield each column's weight less the sum of its r largest overlaps.
+
+    A column whose slack exceeds e fails the first bound test of its
+    ``_search``, so that search ends at its root node.  Computed per block of
+    columns as the caller reaches them, because a certification often stops
+    after a few columns: the first block holds about ``_ROOT_CELLS`` overlaps
+    and each later block twice as many columns as the one before."""
+    lo, size = 0, max(8, _ROOT_CELLS // cs.nc)
+    while lo < cs.nc:
+        ov = cs.overlap[lo:lo + size]
+        top = np.partition(ov, cs.nc - r, axis=1)[:, cs.nc - r:].sum(axis=1)
+        yield from (cs.w[lo:lo + size] - top).tolist()
+        lo, size = lo + size, 2 * size
 
 
 def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
@@ -286,10 +312,7 @@ def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
         nonlocal limit
         budget.nodes += 1
         if budget.nodes > budget.limit:
-            raise SizeExceededError(
-                "disjunctness search exceeded the node budget",
-                limit=budget.limit, columns_done=budget.columns_done,
-            )
+            raise budget.exceeded()
         if priv < limit:
             limit = priv
             if limit <= stop:
@@ -369,13 +392,19 @@ def is_disjunct(
             "disjunctness enumeration over budget",
             needed=total, limit=cap, columns_done=0,
         )
-    cs = _Columns(M.dense()[:, cols])
+    cs = _Columns(M.dense().T[cols])
     counter = _Budget(cap)
     witness = None
-    for j0 in range(nc):
+    for j0, slack in enumerate(_root_slack(cs, d_eff)):
         counter.columns_done = j0
-        if cs.w[j0] <= e or _search(cs.bits, cs.bits[j0], *cs.by_overlap(j0),
-                                    d_eff, 0, e + 1, e, counter) <= e:
+        if slack > e:
+            # settled at the root: _search would count its root node, fail
+            # its first bound test and stop (slack <= weight, so weight > e)
+            counter.nodes += 1
+            if counter.nodes > counter.limit:
+                raise counter.exceeded()
+        elif cs.w[j0] <= e or _search(cs.bits, cs.bits[j0], *cs.by_overlap(j0),
+                                      d_eff, 0, e + 1, e, counter) <= e:
             local, priv = _lex_witness(cs, j0, d_eff, e)
             witness = DisjunctWitness(
                 s0=cols[j0], others=tuple(cols[k] for k in local), private=priv)
@@ -407,7 +436,7 @@ def disjunct_margin(
     if total > cap:
         raise SizeExceededError("margin enumeration over budget",
                                 needed=total, limit=cap)
-    cs = _Columns(M.dense()[:, cols])
+    cs = _Columns(M.dense().T[cols])
     best = cs.m + 1
     counter = _Budget(math.inf)
     for j0 in range(nc):

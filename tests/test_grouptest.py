@@ -3,10 +3,14 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from walktest import grouptest
 from walktest.designs import build_design, matrix_from_json
 from walktest.errors import (
     InfeasibleError,
@@ -101,6 +105,27 @@ class TestDisjunctAgainstOracle:
                 mg = disjunct_margin(M, d)
                 assert mg == brute_margin(M, d), f"case {case}"
                 assert cert.disjunct == (mg > e)
+
+    def test_fuzz_tall_matrices(self):
+        # tall, thin matrices: many columns settle at the root of their search
+        rng = np.random.default_rng(1)
+        for case in range(120):
+            n_items = int(rng.integers(2, 9))
+            m = int(rng.integers(15, 61))
+            p = rng.uniform(0.05, 0.5)
+            rows = [tuple(np.flatnonzero(rng.random(n_items) < p).tolist())
+                    for _ in range(m)]
+            M = mk(n_items, rows)
+            d = int(rng.integers(1, 4))
+            e = int(rng.integers(0, 5))
+            cert = is_disjunct(M, d, e)
+            ok, wit = brute_disjunct(M, d, e)
+            assert cert.disjunct == ok, f"case {case}"
+            if not ok:
+                got = (cert.witness.s0, cert.witness.others,
+                       cert.witness.private)
+                assert got == (wit[0], tuple(wit[1]), wit[2]), f"case {case}"
+            assert disjunct_margin(M, d) == brute_margin(M, d), f"case {case}"
 
     def test_duplicate_columns_break_disjunctness(self):
         M = mk(3, [(0, 1), (0, 1), (2,)])
@@ -228,6 +253,60 @@ class TestCertifierPinned:
             is_disjunct(M, 2, budget=want[1] - 1)
         assert exc.value.progress == {"needed": 621 * math.comb(620, 2),
                                       "limit": want[1] - 1, "columns_done": 0}
+
+
+def certify(M, d, e, budget):
+    """A certificate, or the overflow's message and progress."""
+    try:
+        return is_disjunct(M, d, e, budget=budget)
+    except SizeExceededError as ex:
+        return str(ex), ex.progress
+
+
+@st.composite
+def certify_cases(draw):
+    n_items = draw(st.integers(2, 12))
+    m = draw(st.sampled_from([draw(st.integers(0, 12)), draw(st.integers(13, 80))]))
+    p = draw(st.floats(0.05, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strip = tuple(np.flatnonzero(rng.random(n_items) < 0.1).tolist())
+    if len(strip) >= n_items - 1:
+        strip = ()
+    rows = [tuple(x for x in np.flatnonzero(rng.random(n_items) < p)
+                  if x not in strip) for _ in range(m)]
+    return (mk(n_items, rows, strip), draw(st.integers(1, 4)),
+            draw(st.integers(0, 4)), draw(st.floats(0, 1)))
+
+
+def test_root_settle_matches_full_search():
+    """With the root bound patched to settle nothing, every column runs its
+    full search; certificates and overflow progress must not change.  The
+    budgets include one below the node count and one drawn between the
+    enumeration count and the node count, where the search itself
+    overflows."""
+    settled, overflows = [], []
+    real = grouptest._root_slack
+
+    @given(case=certify_cases())
+    @settings(max_examples=400, deadline=None)
+    def check(case):
+        M, d, e, frac = case
+        cols = list(M.columns)
+        d_eff = min(d, len(cols) - 1)
+        total = len(cols) * math.comb(len(cols) - 1, d_eff)
+        nodes = is_disjunct(M, d, e, budget=math.inf).nodes
+        for budget in (math.inf, nodes - 1,
+                       total + int(frac * max(nodes - 1 - total, 0))):
+            got = certify(M, d, e, budget)
+            with mock.patch.object(grouptest, "_root_slack",
+                                   lambda cs, r: itertools.repeat(-math.inf, cs.nc)):
+                assert got == certify(M, d, e, budget)
+            overflows.append(isinstance(got, tuple) and "search" in got[0])
+        cs = grouptest._Columns(M.dense().T[cols])
+        settled.append(d_eff > 0 and any(s > e for s in real(cs, d_eff)))
+
+    check()
+    assert sum(settled) >= 20 and sum(overflows) >= 20
 
 
 class TestSimulate:
