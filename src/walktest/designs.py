@@ -20,6 +20,7 @@ defaults were frozen by scripts/calibrate.py and live in calibration.py.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import asdict, dataclass, replace
@@ -494,18 +495,20 @@ def matrix_from_json(obj: dict) -> MeasurementMatrix:
     if not isinstance(rows, list) or set(map(type, rows)) - {list}:
         raise InvalidParameterError("rows must be a list of lists")
     flat = list(itertools.chain.from_iterable(rows))
-    if (set(map(type, flat)) - {int}
-            or flat and not 0 <= min(flat) <= max(flat) < n_items):
+    items = None
+    if not set(map(type, flat)) - {int}:
+        with contextlib.suppress(OverflowError):  # beyond int64: out of range
+            items = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    if items is None or items.size and not 0 <= items.min() <= items.max() < n_items:
         idx, x = next((i, x) for i, r in enumerate(rows) for x in r
                       if type(x) is not int or not 0 <= x < n_items)
         what = "out of range" if type(x) is int else "is not an integer"
         raise InvalidParameterError(f"row {idx}: item {x!r} {what}")
     lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     pools = np.zeros((len(rows), n_items), dtype=bool)
-    pools[np.repeat(np.arange(len(rows)), lens),
-          np.array(flat, dtype=np.int64)] = True
-    dup = np.flatnonzero(np.count_nonzero(pools, axis=1) != lens)
-    if dup.size:
+    pools[np.repeat(np.arange(len(rows)), lens), items] = True
+    if np.count_nonzero(pools) != items.size:
+        dup = np.flatnonzero(np.count_nonzero(pools, axis=1) != lens)
         raise InvalidParameterError(f"row {dup[0]}: duplicate items")
     for idx in np.flatnonzero(pools[:, stripped].any(axis=1))[:1]:
         x = next(x for x in sorted(stripped) if pools[idx, x])
