@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -456,7 +457,10 @@ def _cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never
+    mutates it, and building it costs more than most commands' parsing."""
     top = argparse.ArgumentParser(
         prog="walktest",
         description="Graph-constrained group testing via random walks.")

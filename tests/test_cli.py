@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from walktest.cli import main
+from walktest.cli import _build_parser, main
 from walktest.designs import read_matrix
 
 
@@ -408,3 +408,35 @@ class TestTopLevel:
             doc["parameters"].pop("out")
             docs.append(doc)
         assert docs[0] == docs[1]
+
+    def test_cached_parser_repeats_commands(self, graph_file, tmp_path, capsys):
+        assert _build_parser() is _build_parser()
+        matrix = tmp_path / "M.json"
+        sidecar = tmp_path / "M.json.manifest.json"
+
+        def untimed(text):
+            doc = load_json(text)
+            doc.get("manifest", doc).pop("timestamps")
+            return doc
+
+        def pipeline():
+            code, out, err = run(capsys, "design", "--graph", str(graph_file),
+                                 "--design", "4", "--d", "2", "--m", "40",
+                                 "--sink", "0", "--seed", "3", "--out", str(matrix))
+            design = (code, out, err, matrix.read_bytes(),
+                      untimed(sidecar.read_text()))
+            code, out, err = run(capsys, "check-disjunct", "--matrix", str(matrix),
+                                 "--d", "2", "--budget", "2e8")
+            return design, (code, untimed(out), err)
+
+        first = pipeline()
+        assert first[0][0] == first[1][0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check-disjunct", "--matrix", str(matrix)])  # no --d
+        assert exc.value.code == 2
+        assert "--d" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert pipeline() == first
