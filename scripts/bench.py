@@ -13,6 +13,8 @@ summary goes to ``BENCH_<label>.json`` in the change checkout: for each
 workload and metric, each side's median and quartiles over the pairs, the
 change/parent ratio of the medians and the number of pairs the change won
 (by the metric's direction in BENCHMARK.json; ties count for neither).
+Each end-to-end metric also gets a ``verdict`` against its BENCHMARK.json
+bound (see ``verdict``).
 ``--trace 0`` fills the file's ``end_to_end`` section, ``--trace 1`` its
 ``per_layer`` section; runs with another label, section or workload already
 in the file are kept, so several invocations build one file.  The file also
@@ -121,7 +123,34 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarise(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
+def verdict(both: list[tuple[float, float]], lower: bool, bound: float) -> str:
+    """Read (parent, change) pairs of one end-to-end metric.
+
+    ``gain``: at least ten pairs, the change won at least 9/10 of them, and
+    the medians differ by more than the parent's quartile spread.
+    ``worse``: the change's median is worse than the parent's by more than
+    ``bound`` (a fraction of the parent's median).  ``unresolved``: either
+    side's quartile spread is wider than the bound, unless every change run
+    beats every parent run.  Otherwise ``no change``."""
+    sign = 1 if lower else -1  # sign * value: smaller is better
+    parent = quartiles([a for a, _ in both])
+    change = quartiles([b for _, b in both])
+    wins = sum(sign * b < sign * a for a, b in both)
+    gap = sign * (parent["median"] - change["median"])  # > 0: change better
+    if (len(both) >= 10 and 10 * wins >= 9 * len(both)
+            and gap > parent["q3"] - parent["q1"]):
+        return "gain"
+    if -gap > bound * abs(parent["median"]):
+        return "worse"
+    spread = max(side["q3"] - side["q1"] for side in (parent, change))
+    beats_all = (max(sign * b for _, b in both) < min(sign * a for a, _ in both))
+    if spread > bound * abs(parent["median"]) and not beats_all:
+        return "unresolved"
+    return "no change"
+
+
+def summarise(pairs: list[dict], lower_is_better: dict[str, bool],
+              bounds: dict[str, float]) -> dict:
     metrics = {}
     for name in pairs[0]["parent"]["metrics"]:
         both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs]
@@ -140,13 +169,18 @@ def summarise(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
             "change_better_pairs": sum((b < a) if lower else (b > a) for a, b in both),
             "pairs": len(both),
         }
+        if name in bounds:
+            metrics[name]["verdict"] = verdict(both, lower, bounds[name])
     return metrics
 
 
-def directions(checkout: Path) -> dict[str, bool]:
+def directions(checkout: Path) -> tuple[dict[str, bool], dict[str, float]]:
+    """Each metric's direction (lower is better) and each end-to-end
+    metric's bound, from the checkout's BENCHMARK.json."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] == "lower"
-            for m in spec["end_to_end"] + spec["per_layer"]}
+    return ({m["name"]: m["better"] == "lower"
+             for m in spec["end_to_end"] + spec["per_layer"]},
+            {m["name"]: m["bound"] for m in spec["end_to_end"]})
 
 
 def main(argv=None) -> int:
@@ -165,7 +199,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    lower = directions(sides["change"])
+    lower, bounds = directions(sides["change"])
     out = sides["change"] / f"BENCH_{args.label}.json"
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.update(label=args.label, machine={
@@ -203,7 +237,7 @@ def main(argv=None) -> int:
             "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
             "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
             "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
-            "metrics": summarise(pairs, lower),
+            "metrics": summarise(pairs, lower, bounds),
             "runs": pairs,
         }
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

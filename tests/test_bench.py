@@ -1,0 +1,69 @@
+"""scripts/bench.py: the verdict on each end-to-end metric of a BENCH file."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+spec = importlib.util.spec_from_file_location(
+    "bench", Path(__file__).resolve().parents[1] / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+
+def pairs(parent, change):
+    return [{"parent": {"metrics": {"wall_s": a, "nodes": a}},
+             "change": {"metrics": {"wall_s": b, "nodes": b}}}
+            for a, b in zip(parent, change)]
+
+
+TIGHT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.02]
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    # 10/10 pairs won, medians 0.30 apart against a parent spread of 0.02
+    (TIGHT, [0.70, 0.71, 0.69, 0.72, 0.70, 0.68, 0.71, 0.70, 0.69, 0.70], "gain"),
+    # 9/10 won is enough
+    (TIGHT, [0.70, 0.71, 0.69, 0.72, 0.70, 0.68, 0.71, 0.70, 0.69, 1.10], "gain"),
+    # 8/10 is not: the median still moved, within the bound
+    (TIGHT, [0.90, 0.91, 0.89, 0.92, 0.90, 0.88, 0.91, 0.90, 1.05, 1.10], "no change"),
+    # 4/4 won but fewer than ten pairs
+    (TIGHT[:4], [0.70, 0.71, 0.69, 0.72], "no change"),
+    # every pair won, but by less than the parent's quartile spread
+    ([1.0, 1.2, 0.8, 1.1, 0.9, 1.0, 1.2, 0.8, 1.1, 0.9],
+     [0.99, 1.19, 0.79, 1.09, 0.89, 0.99, 1.19, 0.79, 1.09, 0.89], "no change"),
+    # median 30% worse against a 24% bound
+    (TIGHT, [1.30, 1.31, 1.29, 1.32, 1.30, 1.28, 1.31, 1.30, 1.29, 1.30], "worse"),
+    # 20% worse is within the bound
+    (TIGHT, [1.20, 1.21, 1.19, 1.22, 1.20, 1.18, 1.21, 1.20, 1.19, 1.20], "no change"),
+    # the parent spreads by 0.6 of its median against a 0.24 bound
+    ([0.5, 1.5, 1.0, 0.6, 1.4, 1.0, 0.5, 1.5, 1.0, 0.6],
+     [0.6, 1.4, 1.0, 0.5, 1.5, 1.0, 0.6, 1.4, 1.0, 0.5], "unresolved"),
+    # the change alone spreads that wide
+    (TIGHT, [0.5, 1.5, 1.0, 0.6, 1.4, 1.0, 0.5, 1.5, 1.0, 0.6], "unresolved"),
+    # a wide spread, but every change run beats every parent run (four
+    # pairs, so no gain)
+    ([2.0, 3.0, 2.0, 3.0], [1.0, 1.9, 1.0, 1.9], "no change"),
+    # one change run does not
+    ([2.0, 3.0, 2.0, 3.0], [1.0, 2.1, 1.0, 1.9], "unresolved"),
+])
+def test_verdict(parent, change, want):
+    got = bench.summarise(pairs(parent, change), {"wall_s": True, "nodes": True},
+                          {"wall_s": 0.24})
+    assert got["wall_s"]["verdict"] == want
+    assert "verdict" not in got["nodes"]  # no bound: a per-layer metric
+
+
+def test_verdict_follows_direction():
+    up = [1.30, 1.31, 1.29, 1.32, 1.30, 1.28, 1.31, 1.30, 1.29, 1.30]
+    both = list(zip(TIGHT, up))
+    assert bench.verdict(both, lower=False, bound=0.24) == "gain"
+    assert bench.verdict(both, lower=True, bound=0.24) == "worse"
+    assert bench.verdict([(b, a) for a, b in both], lower=False, bound=0.2) == "worse"
+
+
+def test_directions_read_benchmark_bounds():
+    lower, bounds = bench.directions(Path(__file__).resolve().parents[1])
+    assert bounds == {"wall_s": 0.24, "op_p50_ms": 0.24, "op_tail_ms": 0.24,
+                      "setup_s": 0.25, "peak_rss_mb": 0.2}
+    assert lower["wall_s"] and not lower["grouptest.nodes_per_s"]
