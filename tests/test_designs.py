@@ -278,6 +278,12 @@ class TestFileFormat:
             matrix_from_json(obj)
         assert str(exc.value) == message
 
+    def test_duplicate_item_message(self):
+        obj = {"item_kind": "vertex", "n_items": 64, "stripped": [],
+               "rows": [[0], [1, 2], [3, 5, 3], [4, 4]], "design": {}, "seed": 0}
+        with pytest.raises(InvalidParameterError, match="^row 2: duplicate items$"):
+            matrix_from_json(obj)
+
 
 @given(seed=st.integers(0, 2**16), m=st.integers(0, 12),
        t=st.integers(0, 12), did=st.sampled_from([1, 2]))

@@ -263,10 +263,37 @@ def certify(M, d, e, budget):
         return str(ex), ex.progress
 
 
+def root_oracle(M, d, e, frac):
+    """Certify M with the root settle and with the root bound patched to
+    settle nothing, so that every column runs its full search; certificates
+    and overflow progress must match.  The budgets are none, one below the
+    node count, and one drawn by ``frac`` between the enumeration count and
+    the node count, where the search itself overflows.  Returns whether any
+    column settles and how many search overflows came after a settled
+    column."""
+    cols = list(M.columns)
+    d_eff = min(d, len(cols) - 1)
+    total = len(cols) * math.comb(len(cols) - 1, d_eff)
+    slack = list(grouptest._root_slack(
+        grouptest._Columns(M.dense().T[cols]), d_eff)) if d_eff else []
+    settles = [s > e for s in slack]
+    nodes = is_disjunct(M, d, e, budget=math.inf).nodes
+    late = 0
+    for budget in (math.inf, nodes - 1,
+                   total + int(frac * max(nodes - 1 - total, 0))):
+        got = certify(M, d, e, budget)
+        with mock.patch.object(grouptest, "_root_slack",
+                               lambda cs, r: itertools.repeat(-math.inf, cs.nc)):
+            assert got == certify(M, d, e, budget)
+        if isinstance(got, tuple) and "search" in got[0]:
+            late += any(settles[:got[1]["columns_done"]])
+    return any(settles), late
+
+
 @st.composite
 def certify_cases(draw):
     n_items = draw(st.integers(2, 12))
-    m = draw(st.sampled_from([draw(st.integers(0, 12)), draw(st.integers(13, 80))]))
+    m = draw(st.integers(0, 12) | st.integers(13, 80))
     p = draw(st.floats(0.05, 0.6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     strip = tuple(np.flatnonzero(rng.random(n_items) < 0.1).tolist())
@@ -279,34 +306,29 @@ def certify_cases(draw):
 
 
 def test_root_settle_matches_full_search():
-    """With the root bound patched to settle nothing, every column runs its
-    full search; certificates and overflow progress must not change.  The
-    budgets include one below the node count and one drawn between the
-    enumeration count and the node count, where the search itself
-    overflows."""
-    settled, overflows = [], []
-    real = grouptest._root_slack
+    settled = []
 
     @given(case=certify_cases())
     @settings(max_examples=400, deadline=None)
     def check(case):
-        M, d, e, frac = case
-        cols = list(M.columns)
-        d_eff = min(d, len(cols) - 1)
-        total = len(cols) * math.comb(len(cols) - 1, d_eff)
-        nodes = is_disjunct(M, d, e, budget=math.inf).nodes
-        for budget in (math.inf, nodes - 1,
-                       total + int(frac * max(nodes - 1 - total, 0))):
-            got = certify(M, d, e, budget)
-            with mock.patch.object(grouptest, "_root_slack",
-                                   lambda cs, r: itertools.repeat(-math.inf, cs.nc)):
-                assert got == certify(M, d, e, budget)
-            overflows.append(isinstance(got, tuple) and "search" in got[0])
-        cs = grouptest._Columns(M.dense().T[cols])
-        settled.append(d_eff > 0 and any(s > e for s in real(cs, d_eff)))
+        settled.append(root_oracle(*case)[0])
 
     check()
-    assert sum(settled) >= 20 and sum(overflows) >= 20
+    assert sum(settled) >= 50
+
+
+def test_root_settle_keeps_overflow_progress():
+    # few items, so d-sets span the other columns and a search can outgrow
+    # the enumeration count after earlier columns settled
+    rng = np.random.default_rng(3)
+    late = 0
+    for _ in range(300):
+        n_items = int(rng.integers(3, 7))
+        rows = [tuple(np.flatnonzero(rng.random(n_items) < rng.uniform(0.2, 0.6)).tolist())
+                for _ in range(int(rng.integers(3, 40)))]
+        late += root_oracle(mk(n_items, rows), int(rng.integers(2, 6)),
+                            int(rng.integers(0, 3)), rng.random())[1]
+    assert late >= 10
 
 
 class TestSimulate:
