@@ -14,6 +14,12 @@ margin tightens its limit to the least count found.  The lexicographically
 first witness is built slot by slot: each slot takes the smallest later
 column for which the search, run on the columns after it, still finds a
 violation.
+
+The decision settles a column at its root when the column's weight less its
+d largest overlaps exceeds e.  That is the search's first bound test, so the
+root is one node of the same search: it counts against the budget as such,
+and only the per-column sort of overlaps is skipped.  The bounds come from
+``np.partition`` over blocks of overlap rows as the loop reaches them.
 """
 
 from __future__ import annotations
@@ -247,8 +253,9 @@ class _Columns:
     pairwise overlap counts (-1 on the diagonal)."""
 
     def __init__(self, At: np.ndarray):
-        # At holds one column per row: packing and the overlap product then
-        # read contiguous memory
+        # At holds one column per row, so packing reads contiguous rows;
+        # callers gather it as dense().T[cols], which costs less than
+        # dense()[:, cols] on a tall matrix
         self.nc, self.m = At.shape
         packed = np.packbits(At, axis=1, bitorder="little")
         self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
