@@ -253,9 +253,8 @@ class _Columns:
     pairwise overlap counts (-1 on the diagonal)."""
 
     def __init__(self, At: np.ndarray):
-        # At holds one column per row, so packing reads contiguous rows;
-        # callers gather it as dense().T[cols], which costs less than
-        # dense()[:, cols] on a tall matrix
+        # At holds one column per row (callers pass dense().T[cols]), so
+        # packing and the product read contiguous rows
         self.nc, self.m = At.shape
         packed = np.packbits(At, axis=1, bitorder="little")
         self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
