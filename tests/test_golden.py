@@ -3,7 +3,8 @@
 Each case rebuilds one seeded output (a matrix file, an outcome vector, the
 CSV rows of an experiment, a mix of sink-walk or fixed-length-walk
 estimates, the derived
-structure of a graph mix, or a ``gen-graph`` file) and compares its digest
+structure of a graph mix, or a ``gen-graph`` or ``simulate`` file) and
+compares its digest
 with the value pinned here.  A refactor that keeps these digests keeps the
 library's behaviour; a change that moves one must say why and re-pin it.
 
@@ -283,6 +284,32 @@ def _gen_graph_files() -> dict:
     return out
 
 
+# --noise/--flips arguments of each pinned ``simulate`` file
+_SIMULATE_NOISE = {
+    "none": ["--noise", "none"],
+    "flip": ["--noise", "flip:0.1"],
+    "flips": ["--flips", "1,4"],
+}
+
+
+def _simulate_files() -> dict:
+    """The bytes ``walktest simulate`` writes for the design-2 matrix under
+    each noise option."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix = os.path.join(tmp, "M.json")
+        with open(matrix, "w", encoding="utf-8") as fh:
+            fh.write(_matrix_text(_matrices()["design2"]))
+        for name, noise in _SIMULATE_NOISE.items():
+            path = os.path.join(tmp, f"y-{name}.json")
+            code = cli_main(["simulate", "--matrix", matrix, "--defectives",
+                             "10,200", "--seed", "3", *noise, "--out", path])
+            assert code == 0
+            with open(path, "rb") as fh:
+                out[name] = fh.read()
+    return out
+
+
 def _digests() -> dict:
     out = {f"matrix/{k}": _sha(_matrix_text(M)) for k, M in _matrices().items()}
     out.update({f"outcome/{k}": _sha(b) for k, b in _outcomes().items()})
@@ -292,6 +319,8 @@ def _digests() -> dict:
     out["estimate/fixed-mix"] = _sha(_fixed_estimates())
     out.update({f"gen-graph/{k}": hashlib.sha256(b).hexdigest()
                 for k, b in _gen_graph_files().items()})
+    out.update({f"simulate/{k}": hashlib.sha256(b).hexdigest()
+                for k, b in _simulate_files().items()})
     return out
 
 
@@ -321,6 +350,9 @@ PINNED = {
     "outcome/dilution": "1f8cacfd8f2996092d7213b410740a6a1986d53fdb2aa20ffbf0a36919f1b427",
     "outcome/flip": "4f169626fc1e7a668e92704b50b09c04cd7d7eafe57f0b9b692656fc6ea0f8ae",
     "outcome/noiseless": "af575e54e99d876889560daaf57b3051e5edeedd4bca582b41a8db0d3527df77",
+    "simulate/flip": "595b6fb5ad98dcbeb8ae522ee1953039c1872801d210cb678d18ff7e017dc1ab",
+    "simulate/flips": "4ec333bd283f935fd9e81b3477ede10d04d1d7aaaf049f5a63efa65ed790808e",
+    "simulate/none": "38fe336e1e1fefebf22d4b11368064d4fe406ee3fdff338b5231947647be645d",
 }
 
 
