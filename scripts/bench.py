@@ -21,6 +21,11 @@ in the file are kept, so several invocations build one file.  The file also
 records the CPU count, the numpy and Python versions and every run's
 seed, outcome and metrics.
 
+Before the first pair, each checkout's ``src`` and ``perfbench`` are
+compiled to bytecode once (``python -m compileall``, which writes it even
+under ``PYTHONDONTWRITEBYTECODE``), so that no timed run, ``setup_s``
+above all, also times compiling modules that differ between the two.
+
 ``--tier1`` instead runs the Tier-1 command (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) once per
 pair in each checkout, alternating which goes first.  It fills the file's
@@ -50,6 +55,11 @@ WORKLOADS = ("tomography", "verify", "sweep-certify", "cli-pipeline")
 SECTIONS = {0: "end_to_end", 1: "per_layer"}
 SHOWN = ("wall_s", "op_p50_ms", "op_tail_ms", "setup_s", "peak_rss_mb",
          "rng.trial_rng.calls", "rng.trial_rng.us_per_call")
+
+
+def compile_bytecode(checkout: Path) -> None:
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=checkout, check=True, timeout=600)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -205,6 +215,8 @@ def main(argv=None) -> int:
     doc.update(label=args.label, machine={
         "cpu_count": os.cpu_count(), "numpy": np.__version__,
         "python": platform.python_version(), "machine": platform.machine()})
+    for checkout in sides.values():
+        compile_bytecode(checkout)
     if args.tier1:
         runs = []
         for k in range(args.pairs):

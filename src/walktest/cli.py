@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .designs import build_design, read_matrix, write_matrix
-from .errors import InvalidParameterError, WalktestError, read_json
+from .errors import (InvalidParameterError, WalktestError, parse_errors,
+                     read_json, write_json)
 from .experiments import (
     check_graph_config,
     fixed_input_experiment,
@@ -39,17 +40,18 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
-    graph_to_json,
     random_regular_graph,
     read_graph,
+    write_graph,
 )
 from .grouptest import (
     NoiseModel,
     decode_cover,
     decode_threshold,
     is_disjunct,
-    outcomes_from_json,
+    read_outcomes,
     simulate_tests,
+    write_outcomes,
 )
 from .mixing import default_delta, mixing_time
 from .rng import trial_rng
@@ -97,8 +99,11 @@ class _Run:
         self.parameters = params
         self.seed = params.get("seed")
 
-    def read_input(self, path: str) -> None:
+    def read_input(self, path: str, read=None):
+        """``read(path)``, with the file's digest recorded for the manifest."""
+        value = read(path) if read else None
         self.inputs[path] = _sha256(path)
+        return value
 
     def manifest(self) -> dict:
         return {
@@ -121,14 +126,8 @@ def _print_report(report: dict, run: _Run) -> None:
     print(_dump(report))
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(obj))
-        fh.write("\n")
-
-
 def _sidecar(out_path: str, run: _Run) -> None:
-    _write_json(out_path + ".manifest.json", run.manifest())
+    write_json(out_path + ".manifest.json", run.manifest(), indent=2)
 
 
 def _note(args, msg: str) -> None:
@@ -136,11 +135,22 @@ def _note(args, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _int_list(text: str | None, option: str) -> list[int]:
+    try:
+        return [int(tok) for tok in (text or "").replace(",", " ").split()]
+    except ValueError:
+        raise InvalidParameterError(
+            f"{option} must be comma-separated integers, got {text!r}") from None
+
+
+def _int_param(p: dict, key: str) -> int:
+    if key not in p:
+        raise InvalidParameterError(f'--params needs key "{key}"')
+    try:
+        return int(p[key])
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f'--params "{key}" must be an integer, got {p[key]!r}') from None
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +168,20 @@ def _cmd_gen_graph(args) -> int:
         if args.p is None:
             raise InvalidParameterError("erdos-renyi needs --p")
         g = erdos_renyi_graph(args.n, args.p, args.seed)
-    elif args.family == "random-regular":
+    else:  # random-regular; argparse allows no other family
         if args.degree is None:
             raise InvalidParameterError("random-regular needs --degree")
         g = random_regular_graph(args.n, args.degree, args.seed)
-    else:
-        raise InvalidParameterError(f"unknown family {args.family!r}")
     _note(args, f"{args.family}: n={g.n} edges={g.edge_count} "
                 f"connected={g.connected}")
-    if args.format == "text":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for u, v in g.edge_list:
-                fh.write(f"{u} {v}\n")
-    else:
-        _write_json(args.out, graph_to_json(g))
+    write_graph(g, args.out, format=args.format)
     _sidecar(args.out, run)
     return _EXIT_OK
 
 
 def _cmd_mix(args) -> int:
     run = _Run("mix", args)
-    g = read_graph(args.graph)
-    run.read_input(args.graph)
+    g = run.read_input(args.graph, read_graph)
     delta = args.delta if args.delta is not None else default_delta(g)
     rep = mixing_time(g, delta=delta, lazy=args.lazy)
     _print_report({"steps": rep.steps, "delta": rep.delta,
@@ -192,46 +194,37 @@ _QUANTITIES = ("pi", "piA", "piSink", "visits", "early", "influence")
 
 def _cmd_walk_stats(args) -> int:
     run = _Run("walk-stats", args)
-    g = read_graph(args.graph)
-    run.read_input(args.graph)
-    try:
+    g = run.read_input(args.graph, read_graph)
+    with parse_errors("--params"):
         p = json.loads(args.params)
-    except json.JSONDecodeError as ex:
-        raise InvalidParameterError(f"--params is not valid JSON: {ex}") from ex
     if not isinstance(p, dict):
         raise InvalidParameterError("--params must be a JSON object")
+    need = functools.partial(_int_param, p)
     kind = p.get("kind", "vertex")
     lazy = bool(p.get("lazy", False))
     q = args.quantity
     if q == "pi":
-        est = hit_probability(g, int(p["v"]), kind, int(p["steps"]),
+        rep = hit_probability(g, need("v"), kind, need("steps"),
                               args.trials, args.seed, lazy=lazy)
-        report = dataclasses.asdict(est)
     elif q == "piA":
-        est = hit_avoid_probability(g, int(p["v"]), p.get("avoid", []), kind,
-                                    int(p["steps"]), args.trials, args.seed,
+        rep = hit_avoid_probability(g, need("v"), p.get("avoid", []), kind,
+                                    need("steps"), args.trials, args.seed,
                                     lazy=lazy)
-        report = dataclasses.asdict(est)
     elif q == "piSink":
-        est = hit_before_sink_probability(g, int(p["v"]), p.get("avoid", []),
-                                          int(p["sink"]), kind, args.trials,
+        rep = hit_before_sink_probability(g, need("v"), p.get("avoid", []),
+                                          need("sink"), kind, args.trials,
                                           args.seed, cap=p.get("cap"),
                                           lazy=lazy)
-        report = dataclasses.asdict(est)
     elif q == "visits":
-        rep = visit_count_tail_check(g, int(p["v"]), int(p["steps"]),
-                                     int(p["k"]), args.trials, args.seed)
-        report = dataclasses.asdict(rep)
+        rep = visit_count_tail_check(g, need("v"), need("steps"),
+                                     need("k"), args.trials, args.seed)
     elif q == "early":
-        rep = early_visit_check(g, int(p["v"]), int(p["k"]), args.trials,
+        rep = early_visit_check(g, need("v"), need("k"), args.trials,
                                 args.seed, designated=p.get("designated", ()))
-        report = dataclasses.asdict(rep)
-    elif q == "influence":
-        rep = influence_check(g, int(p["i"]), int(p["j"]), args.trials,
+    else:  # influence; argparse allows no other quantity
+        rep = influence_check(g, need("i"), need("j"), args.trials,
                               args.seed, t_mix=p.get("t_mix"))
-        report = dataclasses.asdict(rep)
-    else:
-        raise InvalidParameterError(f"unknown quantity {q!r}")
+    report = dataclasses.asdict(rep)
     report["quantity"] = q
     _print_report(report, run)
     return _EXIT_OK
@@ -239,9 +232,8 @@ def _cmd_walk_stats(args) -> int:
 
 def _cmd_design(args) -> int:
     run = _Run("design", args)
-    g = read_graph(args.graph)
-    run.read_input(args.graph)
-    designated = _int_list(args.designated) if args.designated else []
+    g = run.read_input(args.graph, read_graph)
+    designated = _int_list(args.designated, "--designated")
     m, t = args.m, args.t
     if args.auto or m is None:
         params = measured_design_parameters(g, args.d, args.eta)
@@ -265,32 +257,30 @@ def _cmd_design(args) -> int:
 def _parse_noise(text: str) -> NoiseModel | None:
     if text == "none":
         return None
-    if ":" in text:
-        name, _, val = text.partition(":")
+    name, _, val = text.partition(":")
+    try:
         q = float(val)
-        if name == "flip":
-            return NoiseModel.flip(q)
-        if name in ("dilute", "dilution"):
-            return NoiseModel.dilution(q)
+    except ValueError:
+        name = None
+    if name == "flip":
+        return NoiseModel.flip(q)
+    if name in ("dilute", "dilution"):
+        return NoiseModel.dilution(q)
     raise InvalidParameterError(
-        f"noise must be none, flip:q, or dilute:q, got {text!r}")
+        f"--noise must be none, flip:q, or dilute:q, got {text!r}")
 
 
 def _cmd_simulate(args) -> int:
     run = _Run("simulate", args)
-    M = read_matrix(args.matrix)
-    run.read_input(args.matrix)
-    defectives = _int_list(args.defectives)
+    M = run.read_input(args.matrix, read_matrix)
+    defectives = _int_list(args.defectives, "--defectives")
     if args.flips is not None:
-        noise = NoiseModel.adversarial(_int_list(args.flips))
+        noise = NoiseModel.adversarial(_int_list(args.flips, "--flips"))
     else:
         noise = _parse_noise(args.noise)
     y = simulate_tests(M, defectives, noise=noise,
                        rng=trial_rng(args.seed, 0))
-    doc = {"bits": y.to01(), "item_kind": M.item_kind}
-    if noise is not None:
-        doc["noise"] = {"kind": noise.kind, "q": noise.q}
-    _write_json(args.out, doc)
+    write_outcomes(args.out, y)
     _note(args, f"{int(np.count_nonzero(y.bits))} of {y.m} tests positive")
     _sidecar(args.out, run)
     return _EXIT_OK
@@ -298,20 +288,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decode(args) -> int:
     run = _Run("decode", args)
-    M = read_matrix(args.matrix)
-    run.read_input(args.matrix)
-    doc = read_json(args.outcomes, "outcomes")
-    run.read_input(args.outcomes)
-    y = outcomes_from_json(doc)
-    kind = doc.get("item_kind")
-    if kind is not None and kind != M.item_kind:
-        raise InvalidParameterError(
-            f"outcomes were simulated over {kind} items but the matrix "
-            f"tests {M.item_kind} items")
-    if y.m != M.m:
-        raise InvalidParameterError(
-            f"matrix has {M.m} tests ({M.item_kind} items) but outcomes "
-            f"carry {y.m} bits")
+    M = run.read_input(args.matrix, read_matrix)
+    y = run.read_input(args.outcomes, read_outcomes)
     rule = args.rule
     if args.tau is not None:
         rule = "threshold"
@@ -327,9 +305,8 @@ def _cmd_decode(args) -> int:
 
 def _cmd_check_disjunct(args) -> int:
     run = _Run("check-disjunct", args)
-    M = read_matrix(args.matrix)
-    run.read_input(args.matrix)
-    exclude = _int_list(args.exclude) if args.exclude else []
+    M = run.read_input(args.matrix, read_matrix)
+    exclude = _int_list(args.exclude, "--exclude")
     cert = is_disjunct(M, args.d, e=args.e, budget=args.budget,
                        exclude_columns=exclude)
     report = {
@@ -363,8 +340,9 @@ _CONFIG_KEYS = {
 }
 
 
-def _check_config(cfg, kind: str) -> None:
-    """Reject a config that lacks a key its kind reads, before any output."""
+def _check_config(cfg, kind: str) -> NoiseModel | None:
+    """Reject a config that lacks a key its kind reads, before any output;
+    return the config's noise model."""
     if not isinstance(cfg, dict):
         raise InvalidParameterError("experiment config must be a JSON object")
     keys = _CONFIG_KEYS[kind]
@@ -376,19 +354,22 @@ def _check_config(cfg, kind: str) -> None:
     if "graph" in keys:
         check_graph_config(cfg["graph"])
     nspec = cfg.get("noise")
-    if nspec:
-        if not isinstance(nspec, dict) or "kind" not in nspec or "q" not in nspec:
-            raise InvalidParameterError('"noise" needs keys "kind" and "q"')
-        if nspec["kind"] not in ("flip", "dilution"):
-            raise InvalidParameterError(
-                f'noise kind must be "flip" or "dilution", got {nspec["kind"]!r}')
+    if not nspec:
+        return None
+    if not isinstance(nspec, dict) or "kind" not in nspec or "q" not in nspec:
+        raise InvalidParameterError('"noise" needs keys "kind" and "q"')
+    if nspec["kind"] == "flip":
+        return NoiseModel.flip(nspec["q"])
+    if nspec["kind"] == "dilution":
+        return NoiseModel.dilution(nspec["q"])
+    raise InvalidParameterError(
+        f'noise kind must be "flip" or "dilution", got {nspec["kind"]!r}')
 
 
 def _cmd_experiment(args) -> int:
     run = _Run("experiment", args)
-    cfg = read_json(args.config, "config")
-    _check_config(cfg, args.kind)
-    run.read_input(args.config)
+    cfg = run.read_input(args.config, functools.partial(read_json, what="config"))
+    noise = _check_config(cfg, args.kind)
     if "graph_file" in cfg:
         run.read_input(cfg["graph_file"])
     os.makedirs(args.out, exist_ok=True)
@@ -396,11 +377,6 @@ def _cmd_experiment(args) -> int:
     extra: dict = {}
     kind = args.kind
     seed = int(cfg.get("seed", args.seed))
-    noise = None
-    if cfg.get("noise"):
-        nspec = cfg["noise"]
-        noise = (NoiseModel.flip(nspec["q"]) if nspec["kind"] == "flip"
-                 else NoiseModel.dilution(nspec["q"]))
     if kind == "sweep":
         res = success_sweep(
             cfg["graph"], int(cfg["design"]), int(cfg["d"]),
@@ -447,7 +423,7 @@ def _cmd_experiment(args) -> int:
     manifest = run.manifest()
     manifest["config"] = cfg
     manifest["results"] = extra
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    write_json(os.path.join(args.out, "manifest.json"), manifest, indent=2)
     _note(args, f"wrote {results_csv}")
     return _EXIT_OK
 

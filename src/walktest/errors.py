@@ -2,14 +2,15 @@
 
 Every error raised by the library derives from WalktestError so the CLI can
 map domain failures to exit code 1 with a JSON diagnostic.  ``write_json``
-writes the library's JSON files (matrices, graphs, outcomes) and
-``read_json`` reads them back, reporting one that does not parse as an
-InvalidParameterError.
+writes every JSON file the library and the CLI write (matrices, graphs,
+outcomes, manifests) and ``read_json`` reads them back; ``parse_errors``
+reports a file that is not UTF-8 or not JSON as an InvalidParameterError.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 
 class WalktestError(Exception):
@@ -73,16 +74,23 @@ class InfeasibleError(WalktestError):
     kind = "infeasible"
 
 
-def write_json(path, obj) -> None:
-    """Write ``obj`` to ``path`` as sorted-key JSON and a newline."""
+def write_json(path, obj, indent: int | None = None) -> None:
+    """Write ``obj`` to ``path`` as sorted-key JSON and a newline; a value
+    JSON cannot hold is written as its ``str``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent, default=str) + "\n")
+
+
+@contextmanager
+def parse_errors(what: str):
+    """Report text in the block that is not UTF-8 or not JSON as invalid."""
+    try:
+        yield
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(f"bad {what} JSON: {exc}") from None
 
 
 def read_json(path, what: str):
     """Parse the JSON file at ``path``; unparsable text is an invalid parameter."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidParameterError(f"bad {what} JSON: {exc}") from None
+    with open(path, "r", encoding="utf-8") as fh, parse_errors(what):
+        return json.load(fh)

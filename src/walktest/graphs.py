@@ -30,6 +30,7 @@ from .errors import (
     NonMixingGraphError,
     NumericFailureError,
     SizeExceededError,
+    parse_errors,
     write_json,
 )
 from .rng import master_rng
@@ -428,8 +429,15 @@ def graph_from_json(doc: dict) -> Graph:
     return Graph.from_edges(doc["n"], doc["edges"])
 
 
-def write_graph(g: Graph, path: str) -> None:
-    write_json(path, graph_to_json(g))
+def write_graph(g: Graph, path: str, format: str = "json") -> None:
+    """Write ``g`` as indented JSON, or as text with one "u v" line per edge."""
+    if format == "json":
+        write_json(path, graph_to_json(g), indent=2)
+    elif format == "text":
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{u} {v}\n" for u, v in g.edge_list)
+    else:
+        raise InvalidParameterError(f'graph format must be "json" or "text", got {format!r}')
 
 
 def read_graph(path: str) -> Graph:
@@ -437,15 +445,10 @@ def read_graph(path: str) -> Graph:
 
     For the text form n is inferred as max vertex id + 1.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, parse_errors("graph"):
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"bad graph JSON: {exc}") from None
-        return graph_from_json(doc)
+        if text.lstrip().startswith("{"):
+            return graph_from_json(json.loads(text))
     edges = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()

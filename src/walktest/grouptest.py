@@ -112,10 +112,11 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeVector:
-    """Boolean test results; bit j is the outcome of row j."""
+    """Boolean test results; bit j is the outcome of row j, over ``item_kind``."""
 
     bits: np.ndarray
     noise: NoiseModel | None = None
+    item_kind: str | None = None
 
     @property
     def m(self) -> int:
@@ -219,7 +220,7 @@ def simulate_tests(
         raise InvalidParameterError(f"unknown noise kind {noise.kind!r}")
     bits = np.asarray(bits, dtype=bool)
     bits.flags.writeable = False
-    return OutcomeVector(bits=bits, noise=noise)
+    return OutcomeVector(bits=bits, noise=noise, item_kind=M.item_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +460,14 @@ def disjunct_margin(
 
 
 def _check_outcomes(M: MeasurementMatrix, y: OutcomeVector) -> None:
+    if y.item_kind is not None and y.item_kind != M.item_kind:
+        raise InvalidParameterError(
+            f"outcomes were simulated over {y.item_kind} items but the matrix "
+            f"tests {M.item_kind} items")
     if y.m != M.m:
         raise InvalidParameterError(
-            f"outcome length {y.m} does not match row count {M.m}")
+            f"matrix has {M.m} tests ({M.item_kind} items) but outcomes "
+            f"carry {y.m} bits")
 
 
 def negative_counts(M: MeasurementMatrix, y: OutcomeVector) -> np.ndarray:
@@ -492,6 +498,7 @@ def decode_threshold(M: MeasurementMatrix, y: OutcomeVector,
     Exact for (d,e)-disjunct matrices with at most floor((e-1)/2) corrupted
     outcomes and tau = floor((e-1)/2).  Default tau comes from the matrix's
     recorded design parameters when present."""
+    counts = negative_counts(M, y)
     if tau is None:
         e = (M.design.get("params") or {}).get("e")
         if e is None:
@@ -500,7 +507,6 @@ def decode_threshold(M: MeasurementMatrix, y: OutcomeVector,
         tau = max((int(e) - 1) // 2, 0)
     if tau < 0:
         raise InvalidParameterError(f"tau must be >= 0, got {tau}")
-    counts = negative_counts(M, y)
     items = tuple(c for c in M.columns if counts[c] <= tau)
     oversized = d is not None and len(items) > d
     return DefectiveSet(item_kind=M.item_kind, items=items, oversized=oversized)
@@ -656,7 +662,10 @@ def flip_noise_plan(
 
 
 def outcomes_to_json(y: OutcomeVector) -> dict:
-    return {"bits": y.to01()}
+    doc = {"bits": y.to01(), "item_kind": y.item_kind}
+    if y.noise is not None and y.noise.kind != "noiseless":
+        doc["noise"] = {"kind": y.noise.kind, "q": y.noise.q}
+    return {k: v for k, v in doc.items() if v is not None}
 
 
 def outcomes_from_json(obj: dict) -> OutcomeVector:
@@ -667,13 +676,15 @@ def outcomes_from_json(obj: dict) -> OutcomeVector:
     s = obj["bits"]
     if set(s) - {"0", "1"}:
         raise InvalidParameterError("outcome bits must be 0 or 1")
+    if obj.get("item_kind") not in (None, "vertex", "edge"):
+        raise InvalidParameterError(f"bad outcomes item_kind {obj['item_kind']!r}")
     bits = np.fromiter((ch == "1" for ch in s), dtype=bool, count=len(s))
     bits.flags.writeable = False
-    return OutcomeVector(bits=bits, noise=None)
+    return OutcomeVector(bits=bits, noise=None, item_kind=obj.get("item_kind"))
 
 
 def write_outcomes(path, y: OutcomeVector) -> None:
-    write_json(path, outcomes_to_json(y))
+    write_json(path, outcomes_to_json(y), indent=2)
 
 
 def read_outcomes(path) -> OutcomeVector:

@@ -1,6 +1,9 @@
-"""scripts/bench.py: the verdict on each end-to-end metric of a BENCH file."""
+"""scripts/bench.py: the verdict on each end-to-end metric of a BENCH file,
+and the bytecode compile before the first timed run."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,35 @@ def test_directions_read_benchmark_bounds():
     assert bounds == {"wall_s": 0.24, "op_p50_ms": 0.24, "op_tail_ms": 0.24,
                       "setup_s": 0.25, "peak_rss_mb": 0.2}
     assert lower["wall_s"] and not lower["grouptest.nodes_per_s"]
+
+
+@pytest.mark.parametrize("tier1", [False, True], ids=["workloads", "tier1"])
+def test_bytecode_compiled_once_per_checkout_before_any_run(tmp_path, monkeypatch,
+                                                            capsys, tier1):
+    spec = (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
+    sides = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(spec)
+        sides.append((tmp_path / side).resolve())
+    result = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                         "metrics": {"wall_s": {"value": 1.0}}})
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append((Path(cwd), cmd))
+        out = "1 passed in 0.01s" if "pytest" in cmd else result
+        return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    argv = ["--parent", str(sides[0]), "--change", str(sides[1]),
+            "--label", "t", "--pairs", "3"]
+    argv += ["--tier1"] if tier1 else ["--workload", "verify",
+                                       "--workload", "tomography"]
+    assert bench.main(argv) == 0
+    compiles = [i for i, (_, cmd) in enumerate(calls) if "compileall" in cmd]
+    assert compiles == [0, 1]
+    assert sorted(calls[i][0] for i in compiles) == sorted(sides)
+    assert calls[0][1][1:] == ["-m", "compileall", "-q", "src", "perfbench"]
+    assert len(calls) == 2 + 2 * 3 * (1 if tier1 else 2)
+    assert (sides[1] / "BENCH_t.json").exists()

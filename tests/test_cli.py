@@ -7,6 +7,9 @@ import pytest
 
 from walktest.cli import _build_parser, main
 from walktest.designs import read_matrix
+from walktest.graphs import read_graph, write_graph
+from walktest.grouptest import NoiseModel, simulate_tests, write_outcomes
+from walktest.rng import trial_rng
 
 
 def run(capsys, *argv):
@@ -86,6 +89,16 @@ class TestMix:
         assert load_json(err)["error"] == "NonMixingGraphError"
         code, out, _ = run(capsys, "mix", "--graph", str(path), "--lazy")
         assert code == 0
+
+
+    @pytest.mark.parametrize("content", [b"", b'{"n": 3', b"\xff\xfe0 1\n"],
+                             ids=["empty", "truncated", "not-utf8"])
+    def test_unreadable_graph_reports_kind(self, tmp_path, capsys, content):
+        path = tmp_path / "g.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "mix", "--graph", str(path))
+        assert (code, out) == (1, "")
+        assert load_json(err)["kind"] == "invalid-parameter"
 
 
 class TestWalkStats:
@@ -268,6 +281,97 @@ class TestPipeline:
         diag = load_json(err)
         assert diag["kind"] == "invalid-parameter"
         assert "outcomes JSON" in diag["message"]
+
+
+class TestLibraryWritesCliBytes:
+    """``write_graph`` and ``write_outcomes`` write the files the commands do."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_graph(self, tmp_path, capsys, fmt):
+        cli_file, lib_file = tmp_path / "cli", tmp_path / "lib"
+        code, _, _ = run(capsys, "gen-graph", "--family", "erdos-renyi",
+                         "--n", "64", "--p", "0.3", "--seed", "2010",
+                         "--format", fmt, "--out", str(cli_file))
+        assert code == 0
+        write_graph(read_graph(str(cli_file)), str(lib_file), format=fmt)
+        assert lib_file.read_bytes() == cli_file.read_bytes()
+
+    @pytest.mark.parametrize("options, noise", [
+        ([], None),
+        (["--noise", "flip:0.1"], NoiseModel.flip(0.1)),
+        (["--flips", "1,4"], NoiseModel.adversarial([1, 4])),
+    ], ids=["none", "flip", "adversarial"])
+    def test_outcomes(self, graph_file, tmp_path, capsys, options, noise):
+        mat = tmp_path / "M.json"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "2",
+            "--d", "1", "--m", "30", "--t", "10", "--out", str(mat))
+        cli_file, lib_file = tmp_path / "y-cli.json", tmp_path / "y-lib.json"
+        code, _, _ = run(capsys, "simulate", "--matrix", str(mat),
+                         "--defectives", "5,60", "--seed", "3", *options,
+                         "--out", str(cli_file))
+        assert code == 0
+        y = simulate_tests(read_matrix(mat), (5, 60), noise=noise,
+                           rng=trial_rng(3, 0))
+        write_outcomes(lib_file, y)
+        assert lib_file.read_bytes() == cli_file.read_bytes()
+
+
+class TestUnparsableValues:
+    """A value the CLI cannot parse exits 1 with a message naming it."""
+
+    @pytest.mark.parametrize("params, key", [
+        ("{}", '"v"'),
+        ('{"v": "x", "steps": 3}', '"v"'),
+        ('{"v": 3}', '"steps"'),
+        ('{"v": 3, "steps": null}', '"steps"'),
+        ('{"v": 3, "steps": [1]}', '"steps"'),
+    ], ids=["no-v", "text-v", "no-steps", "null-steps", "list-steps"])
+    def test_walk_stats_params(self, graph_file, capsys, params, key):
+        code, out, err = run(capsys, "walk-stats", "--graph", str(graph_file),
+                             "--quantity", "pi", "--params", params,
+                             "--trials", "10")
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert key in diag["message"] and "--params" in diag["message"]
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("simulate", "--noise", "flip:abc"),
+        ("simulate", "--noise", "flip"),
+        ("simulate", "--noise", "dilute:"),
+        ("simulate", "--defectives", "3,x"),
+        ("simulate", "--flips", "1,4.5"),
+        ("check-disjunct", "--exclude", "0 y"),
+        ("design", "--designated", "0,x"),
+    ])
+    def test_option_values(self, graph_file, tmp_path, capsys, command,
+                           option, value):
+        mat = tmp_path / "M.json"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "1",
+            "--d", "1", "--m", "12", "--t", "8", "--out", str(mat))
+        out_file = tmp_path / "out.json"
+        argv = {
+            "simulate": ["simulate", "--matrix", str(mat), "--out", str(out_file)],
+            "check-disjunct": ["check-disjunct", "--matrix", str(mat), "--d", "1"],
+            "design": ["design", "--graph", str(graph_file), "--design", "1",
+                       "--d", "1", "--m", "12", "--t", "8", "--out", str(out_file)],
+        }[command]
+        code, out, err = run(capsys, *argv, option, value)
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert option in diag["message"] and repr(value) in diag["message"]
+        assert not out_file.exists()
+
+    def test_noise_range_keeps_its_own_message(self, graph_file, tmp_path,
+                                                capsys):
+        mat = tmp_path / "M.json"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "1",
+            "--d", "1", "--m", "12", "--t", "8", "--out", str(mat))
+        code, _, err = run(capsys, "simulate", "--matrix", str(mat),
+                           "--noise", "flip:0.7", "--out", str(tmp_path / "y"))
+        assert code == 1
+        assert "flip probability" in load_json(err)["message"]
 
 
 class TestExperimentCommand:

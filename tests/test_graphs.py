@@ -318,3 +318,28 @@ class TestIO:
             graph_from_json({"n": 3, "edges": [[0, 3]]})
         with pytest.raises(InvalidParameterError):
             graph_from_json({"edges": []})
+
+    def test_written_forms_read_back(self, tmp_path, er64):
+        for fmt in ("json", "text"):
+            path = tmp_path / f"g.{fmt}"
+            write_graph(er64, str(path), format=fmt)
+            assert read_graph(str(path)).edge_list == er64.edge_list
+        assert (tmp_path / "g.json").read_text().startswith('{\n  "edges": [')
+        lines = (tmp_path / "g.text").read_text().splitlines()
+        assert lines == [f"{u} {v}" for u, v in er64.edge_list]
+
+    def test_unknown_format_rejected(self, tmp_path, er64):
+        with pytest.raises(InvalidParameterError, match="csv"):
+            write_graph(er64, str(tmp_path / "g.csv"), format="csv")
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"", "no edges"),
+        (b'{"n": 3', "bad graph JSON"),
+        (b"\xff\xfe0 1\n", "bad graph JSON"),
+    ], ids=["empty", "truncated", "not-utf8"])
+    def test_unreadable_file_rejected(self, tmp_path, content, message):
+        path = tmp_path / "g.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidParameterError, match=message):
+            read_graph(str(path))

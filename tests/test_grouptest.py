@@ -439,6 +439,32 @@ class TestDecoders:
         with pytest.raises(InvalidParameterError):
             decode_cover(M, y)
 
+    def test_outcome_kind_mismatch_names_both_kinds(self):
+        g = erdos_renyi_graph(16, 0.5, 3)
+        V = build_design(g, 1, 12, 1, t=6)
+        E = build_design(g, 2, 12, 1, t=6)
+        y = simulate_tests(V, (2,))
+        assert y.item_kind == "vertex"
+        for decode in (decode_cover, decode_threshold, negative_counts):
+            kw = {"tau": 1} if decode is decode_threshold else {}
+            with pytest.raises(InvalidParameterError,
+                               match="vertex items but the matrix tests edge"):
+                decode(E, y, **kw)
+        # the kind is checked before the threshold looks for design parameters
+        with pytest.raises(InvalidParameterError, match="vertex.*edge"):
+            decode_threshold(E, y)
+        # outcomes of no known kind decode on either matrix
+        bare = OutcomeVector(bits=y.bits)
+        assert decode_cover(V, bare).items == decode_cover(V, y).items
+
+    def test_outcome_length_message_names_both_counts(self):
+        M = mk(3, [(0,), (1,)])
+        y = simulate_tests(mk(3, [(0,)] * 5), (0,))
+        with pytest.raises(InvalidParameterError,
+                           match=r"matrix has 2 tests \(vertex items\) but "
+                                 r"outcomes carry 5 bits"):
+            decode_cover(M, y)
+
     def test_adversarial_check_matches_manual(self):
         rows = [(i,) for i in range(5)] * 3
         M = mk(5, rows)
@@ -543,6 +569,30 @@ class TestOutcomeIO:
 
     def test_to01(self):
         assert OutcomeVector(bits=np.array([False, True])).to01() == "01"
+
+    @pytest.mark.parametrize("noise, doc_noise", [
+        (None, None),
+        (NoiseModel.noiseless(), None),
+        (NoiseModel.flip(0.0), {"kind": "flip", "q": 0.0}),
+        (NoiseModel.dilution(0.25), {"kind": "dilution", "q": 0.25}),
+        (NoiseModel.adversarial([0, 2]), {"kind": "adversarial", "q": 0.0}),
+    ], ids=["none", "noiseless", "flip", "dilution", "adversarial"])
+    def test_document_records_kind_and_noise(self, tmp_path, noise, doc_noise):
+        M = mk(3, [(0,), (1,), (0, 2)])
+        y = simulate_tests(M, (1,), noise=noise, rng=np.random.default_rng(0))
+        path = tmp_path / "y.json"
+        write_outcomes(path, y)
+        doc = json.loads(path.read_text())
+        assert doc["item_kind"] == "vertex"
+        assert doc.get("noise") == doc_noise
+        assert path.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        back = read_outcomes(path)
+        assert (back.to01(), back.item_kind) == (y.to01(), "vertex")
+
+    def test_bad_item_kind_rejected(self):
+        with pytest.raises(InvalidParameterError, match="item_kind"):
+            outcomes_from_json({"bits": "1", "item_kind": "face"})
+        assert outcomes_from_json({"bits": "1"}).item_kind is None
 
     def test_bad_json(self):
         with pytest.raises(InvalidParameterError):
