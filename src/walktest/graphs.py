@@ -437,7 +437,8 @@ def write_graph(g: Graph, path: str, format: str = "json") -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(f"{u} {v}\n" for u, v in g.edge_list)
     else:
-        raise InvalidParameterError(f'graph format must be "json" or "text", got {format!r}')
+        raise InvalidParameterError(
+            f'graph format must be "json" or "text", got {format!r}')
 
 
 def read_graph(path: str) -> Graph:
