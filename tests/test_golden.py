@@ -94,6 +94,11 @@ def _matrices():
         # enough rows, and a cap low enough, that many rows are rebuilt
         "design3-retries": vertex_sink_design(g, [0, 3], 7, 240, 12, cap=40),
         "design4-retries": edge_sink_design(g, 11, 200, 13, cap=60, lazy=True),
+        # walks past the block path's 128 steps, across a 256-row block
+        "design2-lazy-start-long": edge_walk_design(g, 300, 200, 14, start=3,
+                                                    lazy=True),
+        # enough rows of short walks for the block draw path
+        "design1-block": vertex_walk_design(g, [2], 130, 40, 15),
     }
 
 
@@ -334,11 +339,13 @@ PINNED = {
     "gen-graph/json": "60a1511c58f3ca99bef15f9fa5bba72e2125ad0ce6ff2e58a6a839e5e3bebfbd",
     "gen-graph/text": "508d080a0fad850dba3e68312fee327cf68902bd75191b94d30298159c3c4bd2",
     "graph/mix": "70e60eeca3a48b52c5a81544e9edc5a8b9d14353f2b5ad26e6ab32c089aafd6a",
+    "matrix/design1-block": "b274e75085b8027a90dbe0147a9ad1cdc326bf852ab840dcb406b3eb9e231b0a",
     "matrix/design1-designated": "2bd5c50c0e1bb72779fff8020e65451ce2a7f7282fa1a29a400fc89ca8076e26",
     "matrix/design1-lazy": "80eaec207d514d897bd9315dbf089f1aec835986a70e9d95a1c308820a395f26",
     "matrix/design1-prefix": "d9d5df0449fe66024c020a9aad52a569c25d704387ed6c2391319da7943bd8cc",
     "matrix/design2": "0120352e55fdcfd0dbe61888ebdc35b01fea61f2b4c8b84b57c64cd793021af6",
     "matrix/design2-lazy-start": "27ae647ea8bfc62d8ccf51b4abd55254892c59d3054e0d0d708ca24550043adf",
+    "matrix/design2-lazy-start-long": "13e301b834fc5de7c3d7bf59447fa6c48c0e8efc71638712fb532c35859c3146",
     "matrix/design2-prefix": "95f4925843d5516a27e7233c1ab5ce4383256da825044c1b1e5e7f0bf442a88f",
     "matrix/design3": "758c1fc805b23b4c783c8346d9b144e88b6b7e6ef3b0ba325f59060792d9f909",
     "matrix/design3-lazy": "2b24f079b9df9a3d11d469d177cbe3182a7a3e8722a29e4bb1bc2d797ba5dc87",
