@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 MAX_WALK_ATTEMPTS = 100  # sink-walk regeneration budget per row
+_SCATTER_ROWS = 256  # walk rows scattered into pools per flat-index block
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +249,27 @@ def _matrix(design_id: int, pools: np.ndarray, stripped: tuple[int, ...],
 
 def _walk_pools(g: Graph, rule: StartRule, m: int, t: int, seed: int,
                 lazy: bool, edges: bool) -> np.ndarray:
-    """Mark the vertices (or edges) of each fixed-length walk in its row."""
+    """Mark the vertices (or edges) of each fixed-length walk in its row.
+
+    Sets the flat cells ``item + row * n_items`` of ``pools`` from the
+    walks' step-major arrays, ``_SCATTER_ROWS`` rows at a time; only lazy
+    edge walks hold -1 stays to drop."""
     if m < 0 or t < 0:
         raise InvalidParameterError("m and t must be nonnegative")
-    pools = np.zeros((m, g.edge_count if edges else g.n), dtype=bool)
+    n_items = g.edge_count if edges else g.n
+    pools = np.zeros((m, n_items), dtype=bool)
+    cells = pools.reshape(-1)
     for base, take in _batch_chunks(m, t):
         verts, eids = fixed_walk_batch(g, rule, t, take, seed, lazy=lazy,
                                        index_base=base)
-        items = eids if edges else verts
-        keep = items >= 0  # eid -1 marks a lazy stay
-        rows = np.repeat(np.arange(base, base + take), keep.sum(axis=1))
-        pools[rows, items[keep]] = True
+        items = (eids if edges else verts).T  # step-major, C-contiguous
+        for r0 in range(0, take, _SCATTER_ROWS):
+            block = items[:, r0:r0 + _SCATTER_ROWS]
+            rows = np.arange(base + r0, base + r0 + block.shape[1])
+            flat = block + rows * n_items
+            if edges and lazy:
+                flat = flat[block >= 0]  # eid -1 marks a lazy stay
+            cells[flat] = True
     return pools
 
 

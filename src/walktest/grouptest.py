@@ -79,6 +79,11 @@ class DefectiveSet:
     oversized: bool = False
 
 
+def _check_number(what: str, q) -> None:
+    if isinstance(q, bool) or not isinstance(q, (int, float, np.integer, np.floating)):
+        raise InvalidParameterError(f"{what} probability must be a number, got {q!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Outcome corruption: none, symmetric flips, one-sided dilution, or an
@@ -94,12 +99,14 @@ class NoiseModel:
 
     @classmethod
     def flip(cls, q: float) -> "NoiseModel":
+        _check_number("flip", q)
         if not 0.0 <= q < 0.5:
             raise InvalidParameterError(f"flip probability must be in [0, 1/2), got {q}")
         return cls(kind="flip", q=float(q))
 
     @classmethod
     def dilution(cls, q: float) -> "NoiseModel":
+        _check_number("dilution", q)
         if not 0.0 <= q <= 1.0:
             raise InvalidParameterError(f"dilution probability must be in [0, 1], got {q}")
         return cls(kind="dilution", q=float(q))

@@ -21,7 +21,12 @@ and ``random(steps)`` block from ``rng._block_draws``, in slabs of
 helper computes the rows' PCG64 outputs in numpy and replays the rare rows
 numpy's bounded draw might reject through ``trial_rng``.  The step bound is
 a measured crossover (see ``CHANGES.md``); every other call builds per-row
-Generators, and that path is the block path's oracle.
+Generators, and that path is the block path's oracle.  Its arrays are
+step-major from the draws on: the draws ``U`` are a (steps, trials) array,
+filled ``_FILL_ROWS`` rows at a time through a small row-major buffer whose
+transpose is copied in, and the positions and edge ids are (steps + 1,
+trials) and (steps, trials) arrays, so each step reads and writes whole
+contiguous rows.  ``fixed_walk_batch`` returns their transposes.
 ``sink_walk_batch`` serves the sink estimator and
 designs 3 and 4: per 64-step block, each active row draws its next
 ``random(64)`` block, all of them take up to 64 steps together (a row that
@@ -71,6 +76,7 @@ _LOCKSTEP_MIN_ROWS = 8  # fewer active sink walks than this finish one by one
 _BLOCK_MIN_ROWS = _BLOCK  # fixed_walk_batch draws from block streams from here
 _BLOCK_MAX_STEPS = 128  # ... for walks of at most this many steps
 _SLAB_DRAWS = 1 << 13  # raw outputs per block-stream slab (64 KB arrays)
+_FILL_ROWS = 128  # per-row draws are transposed into U this many rows at a time
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +222,9 @@ def fixed_walk_batch(
     Returns (verts (trials, steps+1) int32, eids (trials, steps) int32);
     eid -1 marks a lazy stay.  Row i uses trial_rng(seed, index_base + i),
     through block streams for many short walks (see the module docstring).
+    Both are transposed views of step-major arrays: ``.T`` of either is
+    C-contiguous, and ``tobytes()`` gives the row-major bytes, but a caller
+    that needs contiguous rows must copy.
     """
     _require_walkable(g)
     rule.validate(g)
@@ -234,19 +243,23 @@ def fixed_walk_batch(
             for r in range(0, trials, slab)])
         starts = _block_starts(rule, index_base, picks)
     else:
-        U = np.empty((trials, steps), dtype=np.float64)
+        U = np.empty((steps, trials), dtype=np.float64)
         starts = np.empty(trials, dtype=np.int64)
-        for i in range(trials):
-            rng = trial_rng(seed, index_base + i)
-            starts[i] = rule.resolve(index_base + i, rng, g.n)
-            if steps:
-                rng.random(out=U[i])
-        U = U.T
-    verts = np.empty((trials, steps + 1), dtype=np.int32)
-    eids = np.empty((trials, steps), dtype=np.int32)
+        buf = np.empty((min(_FILL_ROWS, trials), steps), dtype=np.float64)
+        for r0 in range(0, trials, _FILL_ROWS):
+            rows = min(_FILL_ROWS, trials - r0)
+            for k in range(rows):
+                i = index_base + r0 + k
+                rng = trial_rng(seed, i)
+                starts[r0 + k] = rule.resolve(i, rng, g.n)
+                if steps:
+                    rng.random(out=buf[k])
+            U[:, r0:r0 + rows] = buf[:rows].T
+    verts = np.empty((steps + 1, trials), dtype=np.int32)
+    eids = np.empty((steps, trials), dtype=np.int32)
     pos = np.empty(trials, dtype=np.int64)
     cur = starts
-    verts[:, 0] = cur
+    verts[0] = cur
     for j in range(steps):
         u = U[j]
         if lazy:
@@ -256,14 +269,13 @@ def fixed_walk_batch(
         np.multiply(u, degf[cur], out=pos, casting="unsafe")
         pos += ptr[cur]
         nxt = flat[pos]
-        eid = eidf[pos]
+        eids[j] = eidf[pos]
         if lazy:
             np.copyto(nxt, cur, where=stay)
-            eid[stay] = -1
-        verts[:, j + 1] = nxt
-        eids[:, j] = eid
+            eids[j][stay] = -1
+        verts[j + 1] = nxt
         cur = nxt
-    return verts, eids
+    return verts.T, eids.T
 
 
 def random_walk(
@@ -363,8 +375,7 @@ def walk_to_sink(
     rule.validate(g)
     if cap is None:
         cap = g.n ** 3
-    if cap < 0:
-        raise InvalidParameterError("cap must be nonnegative")
+    _check_cap(cap)
     v0 = rule.resolve(index, rng, g.n)
     verts, eids, term = _sink_walk_steps(g, v0, sink, cap, rng, lazy=lazy)
     return Walk(vertices=tuple(verts), edges=tuple(eids), terminated_by=term)
@@ -479,11 +490,39 @@ def _estimate(hits: int, trials: int, cap_exceeded: int = 0) -> Estimate:
                     cap_exceeded=cap_exceeded)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_items(g: Graph, kind: str, items) -> None:
     limit = g.n if kind == "vertex" else g.edge_count
     for x in items:
+        if not _is_int(x):
+            raise InvalidParameterError(f"{kind} id {x!r} is not an integer")
         if not 0 <= x < limit:
             raise InvalidParameterError(f"{kind} id {x} out of range")
+
+
+def _avoid_ids(g: Graph, kind: str, item, avoid) -> list[int]:
+    """The distinct ids of ``avoid``, ascending, after checking them and
+    ``item`` as ids of ``kind``."""
+    if kind not in ("vertex", "edge"):
+        raise InvalidParameterError(f"kind must be vertex or edge, got {kind!r}")
+    if isinstance(avoid, (str, bytes)) or not hasattr(avoid, "__iter__"):
+        raise InvalidParameterError(
+            f"avoid must be a list of {kind} ids, got {avoid!r}")
+    avoid = tuple(avoid)
+    _check_items(g, kind, (item, *avoid))
+    if item in avoid:
+        raise InvalidParameterError("item cannot be in its own avoid set")
+    return sorted(set(int(a) for a in avoid))
+
+
+def _check_cap(cap) -> None:
+    if not _is_int(cap):
+        raise InvalidParameterError(f"cap must be an integer, got {cap!r}")
+    if cap < 0:
+        raise InvalidParameterError("cap must be nonnegative")
 
 
 def _batch_chunks(trials: int, steps: int):
@@ -541,12 +580,7 @@ def hit_avoid_probability(
     """Fraction of walks that visit ``item`` and dodge every item in
     ``avoid``.  Same seed couples trials with :func:`hit_probability`, so
     the value is <= that estimate trial by trial."""
-    if kind not in ("vertex", "edge"):
-        raise InvalidParameterError(f"kind must be vertex or edge, got {kind!r}")
-    avoid = tuple(sorted(set(int(a) for a in avoid)))
-    _check_items(g, kind, (item, *avoid))
-    if item in avoid:
-        raise InvalidParameterError("item cannot be in its own avoid set")
+    avoid = _avoid_ids(g, kind, item, avoid)
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     rule = _as_start_rule(start)
@@ -577,13 +611,8 @@ def hit_before_sink_probability(
     """Fraction of sink walks that visit ``item`` and dodge ``avoid`` before
     first reaching ``sink``.  Cap-exceeded walks count as misses and are
     reported in the estimate."""
-    if kind not in ("vertex", "edge"):
-        raise InvalidParameterError(f"kind must be vertex or edge, got {kind!r}")
-    avoid_set = set(int(a) for a in avoid)
-    _check_items(g, kind, (item, *avoid_set))
-    if item in avoid_set:
-        raise InvalidParameterError("item cannot be in its own avoid set")
-    if kind == "vertex" and (item == sink or sink in avoid_set):
+    avoid = _avoid_ids(g, kind, item, avoid)
+    if kind == "vertex" and (item == sink or sink in avoid):
         raise InvalidParameterError("sink cannot be the item or avoided")
     if not 0 <= sink < g.n:
         raise InvalidParameterError(f"sink {sink} out of range")
@@ -592,8 +621,8 @@ def hit_before_sink_probability(
     rule = _as_start_rule(start)
     if cap is None:
         cap = g.n ** 3
+    _check_cap(cap)
     edges = kind == "edge"
-    avoid = sorted(avoid_set)
     hits = 0
     capped = 0
     for base, take in _sink_chunks(g, trials, edges):

@@ -335,6 +335,26 @@ class TestUnparsableValues:
         assert diag["kind"] == "invalid-parameter"
         assert key in diag["message"] and "--params" in diag["message"]
 
+    @pytest.mark.parametrize("quantity, params, named", [
+        ("piA", '{"v": 3, "steps": 3, "avoid": "x"}', "'x'"),
+        ("piA", '{"v": 3, "steps": 3, "avoid": [1, 2.5]}', "2.5"),
+        ("piSink", '{"v": 3, "sink": 1, "avoid": ["y"]}', "'y'"),
+        ("piSink", '{"v": 3, "sink": 1, "cap": "x"}', "'x'"),
+    ], ids=["piA-text-avoid", "piA-float-item", "piSink-text-item",
+            "piSink-text-cap"])
+    def test_walk_stats_optional_params(self, tmp_path, capsys, quantity,
+                                        params, named):
+        graph = tmp_path / "k8.json"
+        assert run(capsys, "gen-graph", "--family", "complete", "--n", "8",
+                   "--out", str(graph))[0] == 0
+        code, out, err = run(capsys, "walk-stats", "--graph", str(graph),
+                             "--quantity", quantity, "--params", params,
+                             "--trials", "10")
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert named in diag["message"]
+
     @pytest.mark.parametrize("command, option, value", [
         ("simulate", "--noise", "flip:abc"),
         ("simulate", "--noise", "flip"),
@@ -417,6 +437,25 @@ class TestExperimentCommand:
         diag = load_json(err)
         assert diag["kind"] == "invalid-parameter"
         assert key in diag["message"]
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("noise", [{"kind": "flip", "q": "0.1"},
+                                       {"kind": "dilution", "q": "0.1"}],
+                             ids=["flip", "dilution"])
+    def test_text_noise_probability_is_reported_before_output(
+            self, tmp_path, capsys, noise):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"family": "erdos-renyi", "n": 64, "p": 0.3},
+            "design": 1, "d": 2, "m_grid": [60], "trials": 30, "noise": noise}))
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, "experiment", "--kind", "sweep",
+                             "--config", str(cfg), "--out", str(outdir))
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert diag["message"] == (f"{noise['kind']} probability must be a "
+                                   "number, got '0.1'")
         assert not outdir.exists()
 
     def test_sweep_writes_csv_and_manifest(self, tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Design constructors: size formulas, row replay, stripping, file format."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walktest import designs, walks
 from walktest.designs import (
     ScaleConstants,
     build_design,
@@ -23,6 +25,8 @@ from walktest.designs import (
 )
 from walktest.errors import GenerationFailureError, InvalidParameterError
 from walktest.graphs import cycle_graph, erdos_renyi_graph
+from walktest.rng import trial_rng
+from walktest.walks import StartRule, random_walk
 
 ONES = ScaleConstants(kappa_t=1.0, kappa_m=1.0, kappa_e=1.0, kappa_D=1.0)
 
@@ -297,3 +301,30 @@ def test_walk_design_invariants(seed, m, t, did):
         assert list(row) == sorted(set(row))
         assert all(0 <= x < limit for x in row)
     assert verify_rows(g, M)
+
+
+_POOL_GRAPH = erdos_renyi_graph(24, 0.3, 11)
+_POOL_RULES = {"uniform": StartRule.uniform(),
+               "round-robin": StartRule.round_robin([0, 5, 9]),
+               "fixed": StartRule.fixed(3)}
+
+
+@given(edges=st.booleans(), lazy=st.booleans(),
+       rule=st.sampled_from(sorted(_POOL_RULES)),
+       m=st.sampled_from([1, 255, 256, 257, 600]),
+       t=st.sampled_from([0, 1, 128, 129, 300]),
+       chunk=st.sampled_from([100, 300]), seed=st.integers(0, 2**40))
+@settings(max_examples=40, deadline=None)
+def test_walk_pools_match_per_row_replay(edges, lazy, rule, m, t, chunk, seed):
+    """Rows of ``_walk_pools`` (design 1 without, design 2 with ``edges``)
+    equal the item sets of each row's walk replayed on its own stream.
+    Chunks of 100 or 300 rows start at bases that are not multiples of the
+    scatter block, and rows 255-257 and 600 end around and past it."""
+    g, start = _POOL_GRAPH, _POOL_RULES[rule]
+    with mock.patch.object(walks, "_CHUNK_ELEMS", chunk * (t + 1)):
+        pools = designs._walk_pools(g, start, m, t, seed, lazy, edges)
+    want = np.zeros((m, g.edge_count if edges else g.n), dtype=bool)
+    for i in range(m):
+        w = random_walk(g, start, t, trial_rng(seed, i), lazy=lazy, index=i)
+        want[i, list(w.edges if edges else w.vertices)] = True
+    assert np.array_equal(pools, want)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -392,6 +393,15 @@ class TestSimulate:
             NoiseModel.flip(0.5)
         with pytest.raises(InvalidParameterError):
             NoiseModel.dilution(1.5)
+
+    @pytest.mark.parametrize("q", ["0.1", None, [0.1], True])
+    def test_noise_probability_must_be_a_number(self, q):
+        for make, what in ((NoiseModel.flip, "flip"),
+                           (NoiseModel.dilution, "dilution")):
+            with pytest.raises(InvalidParameterError,
+                               match=f"^{what} probability must be a number, "
+                                     f"got {re.escape(repr(q))}$"):
+                make(q)
 
 
 class TestDecoders:

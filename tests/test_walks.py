@@ -1,5 +1,6 @@
 """Walk engines: batch/scalar agreement, closed forms, estimator coupling."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -266,6 +267,34 @@ class TestEstimators:
     def test_avoid_self_rejected(self, k16):
         with pytest.raises(InvalidParameterError):
             hit_avoid_probability(k16, 2, (2,), "vertex", 5, 10, 0)
+
+    @pytest.mark.parametrize("avoid, message", [
+        ("x", "avoid must be a list of vertex ids, got 'x'"),
+        (5, "avoid must be a list of vertex ids, got 5"),
+        ([1, "x"], "vertex id 'x' is not an integer"),
+        ([1.5], "vertex id 1.5 is not an integer"),
+        ([True], "vertex id True is not an integer"),
+    ], ids=["text", "scalar", "text-item", "float-item", "bool-item"])
+    def test_non_integer_avoid_rejected(self, k8, avoid, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            hit_avoid_probability(k8, 3, avoid, "vertex", 3, 10, 0)
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            hit_before_sink_probability(k8, 3, avoid, 1, "vertex", 10, 0)
+
+    @pytest.mark.parametrize("cap", ["x", 2.5, [40], True])
+    def test_non_integer_cap_rejected(self, k8, cap):
+        message = f"cap must be an integer, got {cap!r}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            hit_before_sink_probability(k8, 3, (), 1, "vertex", 10, 0, cap=cap)
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            walk_to_sink(k8, 0, 1, trial_rng(0, 0), cap=cap)
+
+    def test_integer_avoid_and_cap_accepted(self, k8):
+        plain = hit_before_sink_probability(k8, 3, [4, 5], 1, "vertex", 200, 9,
+                                            cap=40)
+        numpy = hit_before_sink_probability(k8, 3, np.array([5, 4, 5]), 1,
+                                            "vertex", 200, 9, cap=np.int64(40))
+        assert plain == numpy
 
     def test_triangle_sink_exact_half(self):
         # from vertex 2 on K_3 the first step decides: vertex 0 before
