@@ -53,8 +53,10 @@ import numpy as np
 
 WORKLOADS = ("tomography", "verify", "sweep-certify", "cli-pipeline")
 SECTIONS = {0: "end_to_end", 1: "per_layer"}
+# printed per pair; the file keeps every metric
 SHOWN = ("wall_s", "op_p50_ms", "op_tail_ms", "setup_s", "peak_rss_mb",
-         "rng.trial_rng.calls", "rng.trial_rng.us_per_call")
+         "rng.trial_rng.calls", "rng.trial_rng.us_per_call",
+         "grouptest.nodes", "grouptest.nodes_per_s")
 
 
 def compile_bytecode(checkout: Path) -> None:

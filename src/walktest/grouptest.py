@@ -6,7 +6,12 @@ rows against any d others, which lets a threshold decoder absorb up to
 floor((e-1)/2) flipped outcomes.
 
 The certifier holds each column as a Python-int bitset (bit i is row i), so
-a search node costs one ``|`` and one ``(col & ~cover).bit_count()``.
+an inner search node costs one ``|`` and one ``(col & ~cover).bit_count()``.
+Leaves, most of the nodes at d = 2, are not calls: their parent's loop takes
+the rows it leaves once and gives each leaf one ``&~`` and one popcount.
+The search runs each column's candidates by descending overlap; those
+orders are sorted a block of overlap rows at a time (see
+``_Columns.by_overlap``).
 
 One branch-and-bound search serves the decision, the margin and the witness.
 The decision stops at the first set that leaves at most e private rows; the
@@ -18,7 +23,7 @@ violation.
 The decision settles a column at its root when the column's weight less its
 d largest overlaps exceeds e.  That is the search's first bound test, so the
 root is one node of the same search: it counts against the budget as such,
-and only the per-column sort of overlaps is skipped.  The bounds come from
+and the column's overlap row is never sorted.  The bounds come from
 ``np.partition`` over blocks of overlap rows as the loop reaches them.
 """
 
@@ -39,6 +44,7 @@ from .errors import (
     read_json,
     write_json,
 )
+from .walks import _check_int
 
 __all__ = [
     "DefectiveSet",
@@ -79,8 +85,12 @@ class DefectiveSet:
     oversized: bool = False
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _check_number(what: str, q) -> None:
-    if isinstance(q, bool) or not isinstance(q, (int, float, np.integer, np.floating)):
+    if not _is_real(q):
         raise InvalidParameterError(f"{what} probability must be a number, got {q!r}")
 
 
@@ -251,9 +261,18 @@ class _Budget:
 
 def _node_cap(budget: float) -> float:
     """The node budget as an int, or ``inf`` for no cap."""
-    if math.isnan(budget):
-        raise InvalidParameterError("budget must be a number, got nan")
+    if not _is_real(budget) or math.isnan(budget):
+        raise InvalidParameterError(f"budget must be a number, got {budget!r}")
     return budget if math.isinf(budget) else int(budget)
+
+
+def _as_count(what: str, x, least: int) -> int:
+    """``x`` as a Python int, after checking that it is an integer (numpy
+    integers pass, ``bool`` fails) of at least ``least``."""
+    _check_int(what, x)
+    if x < least:
+        raise InvalidParameterError(f"{what} must be >= {least}, got {x}")
+    return int(x)
 
 
 class _Columns:
@@ -270,16 +289,37 @@ class _Columns:
         self.overlap = np.rint(Bf @ Bf.T).astype(np.int64)
         self.w = self.overlap.diagonal().copy()
         np.fill_diagonal(self.overlap, -1)
+        # the last sorted block starts at row lo; the run of consecutive
+        # searched rows that ends at row top started at row run
+        self.lo, self.run, self.top = 0, 0, -1
+        self.order = self.prefix = self.overlap[:0]
 
     def by_overlap(self, j0: int) -> tuple[list[int], list[int]]:
         """Other columns by descending overlap with j0 (stable), and the
-        prefix sums of those overlaps.  Sorted per call: a certification often
-        stops after a few columns, and sorting every row of a wide matrix up
-        front costs more than the search."""
-        row = self.overlap[j0]
-        # j0's own entry (-1) sorts last; drop it
-        order = np.argsort(-row, kind="stable")[:-1]
-        return order.tolist(), [0, *np.cumsum(row[order]).tolist()]
+        prefix sums of those overlaps.
+
+        Rows are sorted a block at a time and turned into lists one at a
+        time.  A block starts at the row asked for and holds as many rows
+        as were asked for just before it without a gap (at least one), so
+        a run of searched columns costs one sort per 1, 1, 2, 4, 8 ...
+        rows, a certification that searches one or two columns sorts only
+        those, and at most twice the rows searched are sorted: never the
+        rows between two far-apart searched columns."""
+        if j0 != self.top:
+            if j0 != self.top + 1:
+                self.run = j0
+            self.top = j0
+        i = j0 - self.lo
+        if not 0 <= i < len(self.order):
+            ov = self.overlap[j0:j0 + max(1, j0 - self.run)]
+            self.lo, i = j0, 0
+            # ndarray methods: np.argsort and np.sort add a few us per call
+            self.order = (-ov).argsort(kind="stable")[:, :-1]
+            desc = ov.copy()
+            desc.sort()
+            # each row's own entry (-1) sorts first here and last in order
+            self.prefix = desc[:, :0:-1].cumsum(axis=1)
+        return self.order[i].tolist(), [0, *self.prefix[i].tolist()]
 
 
 # Overlap cells in the first block of root bounds (see _root_slack)
@@ -313,25 +353,44 @@ def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
 def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
             r: int, cov: int, limit: int, stop: int, budget: _Budget) -> int:
     """Fewest rows of ``col0`` left uncovered by ``cov`` and an r-set of
-    ``order``, searched below ``limit``; returns the final limit.
+    ``order`` (r >= 1), searched below ``limit``; returns the final limit.
 
     Candidates run by descending overlap with col0, so the first one whose
     ``prefix`` bound cannot beat the limit ends its loop.  Each node counts
-    against ``budget``.  A node that leaves fewer rows becomes the new limit
-    (every partial set extends to a full one that leaves no more), and the
-    search returns once the limit is at most ``stop``."""
+    against ``budget``; the count is kept in a local and written back on
+    return and before an overflow is raised.  A node that leaves fewer rows
+    becomes the new limit (every partial set extends to a full one that
+    leaves no more), and the search returns once the limit is at most
+    ``stop``."""
     L = len(order)
+    nodes, cap = budget.nodes, budget.limit
 
     def rec(pos: int, r: int, cov: int, priv: int) -> bool:
-        nonlocal limit
-        budget.nodes += 1
-        if budget.nodes > budget.limit:
+        nonlocal limit, nodes
+        nodes += 1
+        if nodes > cap:
+            budget.nodes = nodes
             raise budget.exceeded()
         if priv < limit:
             limit = priv
             if limit <= stop:
                 return True
-        if r == 0:
+        if r == 1:
+            # the leaves, one loop turn each: a leaf is one node, its count
+            # one AND-NOT and one popcount of the rows this node leaves
+            rest = col0 & ~cov
+            for k in range(pos, L):
+                if priv - (prefix[k + 1] - prefix[k]) >= limit:
+                    break
+                nodes += 1
+                if nodes > cap:
+                    budget.nodes = nodes
+                    raise budget.exceeded()
+                leaf = (rest & ~bits[order[k]]).bit_count()
+                if leaf < limit:
+                    limit = leaf
+                    if limit <= stop:
+                        return True
             return False
         for k in range(pos, L - r + 1):
             if priv - (prefix[k + r] - prefix[k]) >= limit:
@@ -342,6 +401,7 @@ def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
         return False
 
     rec(0, r, cov, (col0 & ~cov).bit_count())
+    budget.nodes = nodes
     return limit
 
 
@@ -387,10 +447,7 @@ def is_disjunct(
     exceed n*C(n-1,d)); ``inf`` means no cap.  On violation the witness is
     the lexicographically first (s0, others) pair.  When fewer than d other
     columns exist the check uses all of them (d_effective)."""
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
-    if e < 0:
-        raise InvalidParameterError(f"e must be >= 0, got {e}")
+    d, e = _as_count("d", d, 1), _as_count("e", e, 0)
     cap = _node_cap(budget)
     cols = _columns_for(M, exclude_columns)
     nc = len(cols)
@@ -438,8 +495,7 @@ def disjunct_margin(
 
     The matrix is (d,e)-disjunct exactly for e < margin.  The budget caps
     the enumeration count n*C(n-1,d); ``inf`` means no cap."""
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
+    d = _as_count("d", d, 1)
     cap = _node_cap(budget)
     cols = _columns_for(M, exclude_columns)
     nc = len(cols)

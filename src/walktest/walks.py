@@ -518,11 +518,21 @@ def _avoid_ids(g: Graph, kind: str, item, avoid) -> list[int]:
     return sorted(set(int(a) for a in avoid))
 
 
+def _check_int(what: str, x) -> None:
+    if not _is_int(x):
+        raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
+
+
 def _check_cap(cap) -> None:
-    if not _is_int(cap):
-        raise InvalidParameterError(f"cap must be an integer, got {cap!r}")
+    _check_int("cap", cap)
     if cap < 0:
         raise InvalidParameterError("cap must be nonnegative")
+
+
+def _check_trials(trials) -> None:
+    _check_int("trials", trials)
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
 
 
 def _batch_chunks(trials: int, steps: int):
@@ -554,8 +564,8 @@ def hit_probability(
     if kind not in ("vertex", "edge"):
         raise InvalidParameterError(f"kind must be vertex or edge, got {kind!r}")
     _check_items(g, kind, [item])
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    _check_int("steps", steps)
+    _check_trials(trials)
     rule = _as_start_rule(start)
     hits = 0
     for base, take in _batch_chunks(trials, steps):
@@ -581,8 +591,8 @@ def hit_avoid_probability(
     ``avoid``.  Same seed couples trials with :func:`hit_probability`, so
     the value is <= that estimate trial by trial."""
     avoid = _avoid_ids(g, kind, item, avoid)
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    _check_int("steps", steps)
+    _check_trials(trials)
     rule = _as_start_rule(start)
     hits = 0
     for base, take in _batch_chunks(trials, steps):
@@ -612,12 +622,12 @@ def hit_before_sink_probability(
     first reaching ``sink``.  Cap-exceeded walks count as misses and are
     reported in the estimate."""
     avoid = _avoid_ids(g, kind, item, avoid)
+    _check_int("sink", sink)
     if kind == "vertex" and (item == sink or sink in avoid):
         raise InvalidParameterError("sink cannot be the item or avoided")
     if not 0 <= sink < g.n:
         raise InvalidParameterError(f"sink {sink} out of range")
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    _check_trials(trials)
     rule = _as_start_rule(start)
     if cap is None:
         cap = g.n ** 3
@@ -688,8 +698,8 @@ def visit_count_tail_check(
     """Check P(more than k visits to v) <= P(visit v)/4 with Monte Carlo
     slack.  ``k`` is the caller's multiple of the mixing time."""
     _check_items(g, "vertex", [v])
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    _check_int("steps", steps)
+    _check_trials(trials)
     rule = _as_start_rule(start)
     tail = 0
     any_visit = 0
@@ -730,8 +740,7 @@ def early_visit_check(
         raise InvalidParameterError("v must not be a designated start")
     if k < 0:
         raise InvalidParameterError("k must be nonnegative")
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    _check_trials(trials)
     rule = (StartRule.round_robin(designated) if designated
             else StartRule.uniform())
     min_deg = int(g.degrees.min())
@@ -768,8 +777,7 @@ def influence_check(
     counted); slack is 3 sigma on both estimates."""
     if not (0 <= i < j):
         raise InvalidParameterError("need 0 <= i < j")
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    _check_trials(trials)
     if t_mix is None:
         t_mix = mixing_time(g, lazy=lazy).steps
     if j - i < t_mix:

@@ -1,5 +1,6 @@
 """scripts/bench.py: the verdict on each end-to-end metric of a BENCH file,
-and the bytecode compile before the first timed run."""
+the bytecode compile before the first timed run, and the metrics printed
+per pair."""
 
 import importlib.util
 import json
@@ -102,3 +103,32 @@ def test_bytecode_compiled_once_per_checkout_before_any_run(tmp_path, monkeypatc
     assert calls[0][1][1:] == ["-m", "compileall", "-q", "src", "perfbench"]
     assert len(calls) == 2 + 2 * 3 * (1 if tier1 else 2)
     assert (sides[1] / "BENCH_t.json").exists()
+
+
+def test_traced_pairs_print_certifier_rate(tmp_path, monkeypatch, capsys):
+    spec = (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
+    sides = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(spec)
+        sides.append(tmp_path / side)
+    metrics = {"wall_s": 1.0, "grouptest.nodes": 441147.0,
+               "grouptest.nodes_per_s": 1.2e6, "rng.trial_rng.calls": 40.0,
+               "rng.trial_rng.us_per_call": 5.0, "designs.rows": 9.0}
+    result = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                         "metrics": {k: {"value": v} for k, v in metrics.items()}})
+
+    def fake_run(cmd, cwd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=result + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                       "--label", "t", "--pairs", "1", "--trace", "1",
+                       "--workload", "sweep-certify"]) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if x.startswith("sweep-certify seed"))
+    shown = json.loads(line.split(": ", 1)[1])
+    assert shown["parent"] == shown["change"] == {
+        k: v for k, v in metrics.items() if k != "designs.rows"}
+    doc = json.loads((sides[1] / "BENCH_t.json").read_text())
+    assert "designs.rows" in doc["per_layer"]["sweep-certify"]["metrics"]

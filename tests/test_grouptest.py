@@ -178,6 +178,34 @@ class TestDisjunctAgainstOracle:
         with pytest.raises(InvalidParameterError, match="budget"):
             disjunct_margin(M, 1, budget=math.nan)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(d="2"), "d must be an integer, got '2'"),
+        (dict(d=True), "d must be an integer, got True"),
+        (dict(d=2.0), "d must be an integer, got 2.0"),
+        (dict(d=2, e="0"), "e must be an integer, got '0'"),
+        (dict(d=2, e=0.5), "e must be an integer, got 0.5"),
+        (dict(d=2, e=False), "e must be an integer, got False"),
+        (dict(d=2, budget="1e6"), "budget must be a number, got '1e6'"),
+        (dict(d=2, budget=None), "budget must be a number, got None"),
+        (dict(d=2, budget=True), "budget must be a number, got True"),
+    ])
+    def test_argument_types_checked(self, kwargs, message):
+        M = build_design(complete_graph(12), 1, 40, 5, t=8)
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            is_disjunct(M, **kwargs)
+        if "e" not in kwargs:
+            with pytest.raises(InvalidParameterError,
+                               match=f"^{re.escape(message)}$"):
+                disjunct_margin(M, **kwargs)
+
+    def test_numpy_arguments_accepted(self):
+        M = build_design(complete_graph(12), 1, 40, 5, t=8)
+        cert = is_disjunct(M, np.int64(2), e=np.int8(1), budget=np.float32(1e6))
+        assert cert == is_disjunct(M, 2, e=1, budget=1e6)
+        assert type(cert.d) is int and type(cert.e) is int
+        assert disjunct_margin(M, np.uint8(2), budget=np.int64(10**6)) \
+            == disjunct_margin(M, 2)
+
     def test_parameter_validation(self):
         M = mk(3, [(0,), (1,), (2,)])
         with pytest.raises(InvalidParameterError):
@@ -330,6 +358,146 @@ def test_root_settle_keeps_overflow_progress():
         late += root_oracle(mk(n_items, rows), int(rng.integers(2, 6)),
                             int(rng.integers(0, 3)), rng.random())[1]
     assert late >= 10
+
+
+# The search and the overlap order as they were before the leaf level ran
+# inline and overlap rows were sorted per block: a Python call per node and
+# one argsort per searched column.  They visit the same nodes in the same
+# order, so certificates, margins and overflows must be identical.
+
+
+def ref_search(bits, col0, order, prefix, r, cov, limit, stop, budget):
+    L = len(order)
+
+    def rec(pos, r, cov, priv):
+        nonlocal limit
+        budget.nodes += 1
+        if budget.nodes > budget.limit:
+            raise budget.exceeded()
+        if priv < limit:
+            limit = priv
+            if limit <= stop:
+                return True
+        if r == 0:
+            return False
+        for k in range(pos, L - r + 1):
+            if priv - (prefix[k + r] - prefix[k]) >= limit:
+                break
+            ncov = cov | bits[order[k]]
+            if rec(k + 1, r - 1, ncov, (col0 & ~ncov).bit_count()):
+                return True
+        return False
+
+    rec(0, r, cov, (col0 & ~cov).bit_count())
+    return limit
+
+
+def ref_by_overlap(cs, j0):
+    row = cs.overlap[j0]
+    order = np.argsort(-row, kind="stable")[:-1]
+    return order.tolist(), [0, *np.cumsum(row[order]).tolist()]
+
+
+def certify_all(M, d, e, budgets):
+    """Certificate (or overflow message and progress) at each budget, and
+    the margin."""
+    return ([certify(M, d, e, b) for b in budgets],
+            disjunct_margin(M, d, budget=math.inf) if len(M.columns) > 1 else None)
+
+
+def against_reference(M, d, e, frac):
+    """Certify M with the fast path and the reference at no budget, the
+    node count, one below it, and one drawn by ``frac`` between the
+    enumeration count and the node count; returns the fast path's results."""
+    cols = list(M.columns)
+    d_eff = min(d, len(cols) - 1)
+    total = len(cols) * math.comb(len(cols) - 1, d_eff)
+    with mock.patch.object(grouptest, "_search", ref_search), \
+            mock.patch.object(grouptest._Columns, "by_overlap", ref_by_overlap):
+        nodes = is_disjunct(M, d, e, budget=math.inf).nodes
+    budgets = [math.inf, nodes, nodes - 1,
+               total + int(frac * max(nodes - 1 - total, 0))]
+    with mock.patch.object(grouptest, "_search", ref_search), \
+            mock.patch.object(grouptest._Columns, "by_overlap", ref_by_overlap):
+        want = certify_all(M, d, e, budgets)
+    got = certify_all(M, d, e, budgets)
+    assert got == want
+    return got
+
+
+@st.composite
+def wide_cases(draw):
+    """Many columns that settle at the root, and a few weak ones, 8 or more
+    apart, that are searched.  Weak column c shares x rows with two strong
+    columns a and b and has e + 1 rows of its own, so its slack is
+    e + 1 - x <= e, but no d others leave it e or fewer rows; a last weak
+    column may lack its own rows and end the decision with a witness."""
+    d = draw(st.integers(2, 3))
+    e = draw(st.integers(0, 3))
+    weak = [draw(st.integers(0, 7))]
+    for _ in range(draw(st.integers(1, 3))):
+        weak.append(weak[-1] + draw(st.integers(8, 20)))
+    n_items = weak[-1] + draw(st.integers(3, 12))
+    x = draw(st.integers(1, 3))
+    rows = [(c,) for c in range(n_items) if c not in weak
+            for _ in range(e + 2 * x + 1 + draw(st.integers(0, 2)))]
+    violate = draw(st.booleans())
+    for i, c in enumerate(weak):
+        a, b = c + 1, c + 2
+        rows += [(c, a, b)] * x
+        if not (violate and i == len(weak) - 1):
+            rows += [(c,)] * (e + 1)
+    return mk(n_items, rows), d, e, draw(st.floats(0, 1)), weak
+
+
+@given(case=certify_cases())
+@settings(max_examples=300, deadline=None)
+def test_fast_path_matches_reference(case):
+    M, d, e, frac = case
+    against_reference(M, d, min(e, 3), frac)
+
+
+def test_fast_path_keeps_overflow_node():
+    # few items and d up to 4: searches outgrow the enumeration count, so
+    # the budgets below the node count stop them part way
+    rng = np.random.default_rng(12)
+    overflows = 0
+    for _ in range(200):
+        n_items = int(rng.integers(3, 8))
+        rows = [tuple(np.flatnonzero(rng.random(n_items) < rng.uniform(0.2, 0.6)).tolist())
+                for _ in range(int(rng.integers(3, 30)))]
+        certs = against_reference(mk(n_items, rows), int(rng.integers(1, 5)),
+                                  int(rng.integers(0, 4)), rng.random())[0]
+        overflows += any(isinstance(c, tuple) and "search" in c[0] for c in certs)
+    assert overflows >= 20
+
+
+@given(case=wide_cases())
+@settings(max_examples=60, deadline=None)
+def test_fast_path_matches_reference_on_wide_matrices(case):
+    M, d, e, frac, weak = case
+    slack = grouptest._root_slack(grouptest._Columns(M.dense().T), d)
+    assert [j for j, s in enumerate(slack) if s <= e] == weak
+    against_reference(M, d, e, frac)
+
+
+@given(n_items=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       asks=st.lists(st.integers(0, 39), min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_by_overlap_blocks_match_per_column_sort(n_items, seed, asks):
+    rng = np.random.default_rng(seed)
+    A = rng.random((30, n_items)) < rng.uniform(0.1, 0.6)
+    cs = grouptest._Columns(np.ascontiguousarray(A.T))
+    # runs of rows asked in ascending order, as the searches ask them
+    asks = sorted(j % n_items for j in asks)
+    sorted_rows, block = 0, None
+    for j0 in asks:
+        assert cs.by_overlap(j0) == ref_by_overlap(cs, j0)
+        if cs.order is not block:
+            block = cs.order
+            sorted_rows += len(block)
+    # a block is never longer than the run of rows asked before it
+    assert sorted_rows <= 2 * len(set(asks))
 
 
 class TestSimulate:

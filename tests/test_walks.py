@@ -289,6 +289,39 @@ class TestEstimators:
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             walk_to_sink(k8, 0, 1, trial_rng(0, 0), cap=cap)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda g: hit_probability(g, 3, "vertex", "3", 10, 0),
+         "steps must be an integer, got '3'"),
+        (lambda g: hit_avoid_probability(g, 3, (), "vertex", 2.0, 10, 0),
+         "steps must be an integer, got 2.0"),
+        (lambda g: visit_count_tail_check(g, 3, None, 1, 10, 0),
+         "steps must be an integer, got None"),
+        (lambda g: hit_probability(g, 3, "vertex", 3, 2.5, 0),
+         "trials must be an integer, got 2.5"),
+        (lambda g: hit_probability(g, 3, "vertex", 3, True, 0),
+         "trials must be an integer, got True"),
+        (lambda g: hit_before_sink_probability(g, 3, (), 1, "vertex", "10", 0),
+         "trials must be an integer, got '10'"),
+        (lambda g: early_visit_check(g, 3, 2, 10.0, 0),
+         "trials must be an integer, got 10.0"),
+        (lambda g: hit_before_sink_probability(g, 3, (), "1", "vertex", 10, 0),
+         "sink must be an integer, got '1'"),
+        (lambda g: hit_before_sink_probability(g, 3, (), True, "vertex", 10, 0),
+         "sink must be an integer, got True"),
+    ], ids=["steps-text", "steps-float", "steps-none", "trials-float",
+            "trials-bool", "trials-text", "early-trials-float", "sink-text",
+            "sink-bool"])
+    def test_non_integer_counts_rejected(self, k8, call, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            call(k8)
+
+    def test_numpy_integer_counts_accepted(self, k8):
+        assert (hit_probability(k8, 3, "vertex", np.int64(4), np.int32(50), 1)
+                == hit_probability(k8, 3, "vertex", 4, 50, 1))
+        assert (hit_before_sink_probability(k8, 3, (), np.int16(1), "vertex",
+                                            np.uint8(50), 1)
+                == hit_before_sink_probability(k8, 3, (), 1, "vertex", 50, 1))
+
     def test_integer_avoid_and_cap_accepted(self, k8):
         plain = hit_before_sink_probability(k8, 3, [4, 5], 1, "vertex", 200, 9,
                                             cap=40)
