@@ -313,7 +313,7 @@ class _Columns:
         if not 0 <= i < len(self.order):
             ov = self.overlap[j0:j0 + max(1, j0 - self.run)]
             self.lo, i = j0, 0
-            # ndarray methods: np.argsort and np.sort add a few us per call
+            # ndarray methods: np.argsort and np.sort add about 1 us per call
             self.order = (-ov).argsort(kind="stable")[:, :-1]
             desc = ov.copy()
             desc.sort()
