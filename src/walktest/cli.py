@@ -27,6 +27,7 @@ from .designs import build_design, read_matrix, write_matrix
 from .errors import (InvalidParameterError, WalktestError, parse_errors,
                      read_json, write_json)
 from .experiments import (
+    _pinned_degree,
     check_graph_config,
     fixed_input_experiment,
     graph_from_config,
@@ -370,6 +371,8 @@ def _cmd_experiment(args) -> int:
     run = _Run("experiment", args)
     cfg = run.read_input(args.config, functools.partial(read_json, what="config"))
     noise = _check_config(cfg, args.kind)
+    if args.kind == "mixing":
+        _pinned_degree(cfg["family"], cfg.get("degree_rule", "6logn"))
     if "graph_file" in cfg:
         run.read_input(cfg["graph_file"])
     os.makedirs(args.out, exist_ok=True)

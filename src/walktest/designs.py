@@ -34,6 +34,7 @@ from .rng import trial_rng
 from .walks import (
     StartRule,
     _batch_chunks,
+    _designated,
     _sink_chunks,
     _sink_walk_steps,
     fixed_walk_batch,
@@ -310,7 +311,7 @@ def _start_from_json(obj: dict) -> StartRule:
 
 
 def _check_designated(g: Graph, designated) -> tuple[int, ...]:
-    out = tuple(int(v) for v in designated)
+    out = _designated(designated)
     for v in out:
         if not 0 <= v < g.n:
             raise InvalidParameterError(f"designated vertex {v} out of range")

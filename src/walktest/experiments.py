@@ -414,6 +414,23 @@ def success_sweep(
     return result
 
 
+def _pinned_degree(family: str, degree_rule: str) -> int | None:
+    """The degree ``degree_rule`` pins (None for "6logn"), after checking
+    it and ``family``."""
+    if family not in ("erdos-renyi", "random-regular", "cycle"):
+        raise InvalidParameterError(
+            "mixing family must be erdos-renyi, random-regular or cycle, "
+            f"got {family!r}")
+    if degree_rule == "6logn":
+        return None
+    rule, _, D = str(degree_rule).partition(":")
+    if rule != "fixed" or not D.isdecimal() or int(D) < 1:
+        raise InvalidParameterError(
+            f'degree rule must be "6logn" or "fixed:D" with D >= 1, got '
+            f"{degree_rule!r}")
+    return int(D)
+
+
 def mixing_scaling(
     family: str,
     n_grid,
@@ -426,28 +443,12 @@ def mixing_scaling(
     degree_rule "6logn" gives average degree 6 ln n (edge probability
     6 ln n / n); "fixed:D" pins the degree.  The cycle family is the slow
     control and is only meaningful with lazy=True."""
+    pinned = _pinned_degree(family, degree_rule)
     rows = []
     for idx, n in enumerate(sorted(int(x) for x in n_grid)):
-        if family == "cycle":
-            cfg = {"family": "cycle", "n": n}
-        elif degree_rule == "6logn":
-            D = math.ceil(6.0 * math.log(n))
-            if family == "erdos-renyi":
-                cfg = {"family": "erdos-renyi", "n": n, "p": min(D / n, 1.0)}
-            else:
-                cfg = {"family": "random-regular", "n": n, "degree": D}
-        elif degree_rule.startswith("fixed:"):
-            D = int(degree_rule.split(":", 1)[1])
-            if family == "erdos-renyi":
-                cfg = {"family": "erdos-renyi", "n": n, "p": min(D / n, 1.0)}
-            else:
-                cfg = {"family": "random-regular", "n": n, "degree": D}
-        else:
-            raise InvalidParameterError(f"unknown degree rule {degree_rule!r}")
-        if family == "cycle":
-            g, regens = cycle_graph(n), 0
-        else:
-            g, regens = graph_from_config(cfg, _child_seed(seed, idx))
+        D = pinned or math.ceil(6.0 * math.log(n))
+        cfg = {"family": family, "n": n, "p": min(D / n, 1.0), "degree": D}
+        g, regens = graph_from_config(cfg, _child_seed(seed, idx))
         rep = mixing_time(g, lazy=lazy)
         bound = None
         if not lazy:

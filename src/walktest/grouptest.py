@@ -44,7 +44,7 @@ from .errors import (
     read_json,
     write_json,
 )
-from .walks import _check_int
+from .walks import _as_count
 
 __all__ = [
     "DefectiveSet",
@@ -264,15 +264,6 @@ def _node_cap(budget: float) -> float:
     if not _is_real(budget) or math.isnan(budget):
         raise InvalidParameterError(f"budget must be a number, got {budget!r}")
     return budget if math.isinf(budget) else int(budget)
-
-
-def _as_count(what: str, x, least: int) -> int:
-    """``x`` as a Python int, after checking that it is an integer (numpy
-    integers pass, ``bool`` fails) of at least ``least``."""
-    _check_int(what, x)
-    if x < least:
-        raise InvalidParameterError(f"{what} must be >= {least}, got {x}")
-    return int(x)
 
 
 class _Columns:
@@ -548,10 +539,7 @@ def decode_cover(M: MeasurementMatrix, y: OutcomeVector,
     Exact for d-disjunct matrices, noiseless outcomes, and at most d
     defectives; otherwise may return a superset (oversized flag when a
     budget d is given)."""
-    counts = negative_counts(M, y)
-    items = tuple(c for c in M.columns if counts[c] == 0)
-    oversized = d is not None and len(items) > d
-    return DefectiveSet(item_kind=M.item_kind, items=items, oversized=oversized)
+    return _decode(M, negative_counts(M, y), 0, d)
 
 
 def decode_threshold(M: MeasurementMatrix, y: OutcomeVector,
@@ -570,6 +558,13 @@ def decode_threshold(M: MeasurementMatrix, y: OutcomeVector,
         tau = max((int(e) - 1) // 2, 0)
     if tau < 0:
         raise InvalidParameterError(f"tau must be >= 0, got {tau}")
+    return _decode(M, counts, tau, d)
+
+
+def _decode(M: MeasurementMatrix, counts: np.ndarray, tau: int,
+            d: int | None) -> DefectiveSet:
+    """The items in at most ``tau`` negative tests, from their ``counts``;
+    the cover rule is tau 0, as no count is negative."""
     items = tuple(c for c in M.columns if counts[c] <= tau)
     oversized = d is not None and len(items) > d
     return DefectiveSet(item_kind=M.item_kind, items=items, oversized=oversized)

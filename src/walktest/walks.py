@@ -40,6 +40,11 @@ steps.  The scalar engines (``random_walk``, ``_sink_walk_steps``) are the
 oracles of the batch engines and the replay path of ``verify_rows``; they
 read ``Graph.moves``, the same rows as per-vertex (neighbours, edge ids)
 tuples of Python ints.
+
+Estimators.  The fixed-walk statistics read their chunks from one loop,
+``_fixed_walks``.  ``_hit_estimate`` holds the one hit-and-avoid rule:
+``hit_probability`` is its empty avoid set, and ``early_visit_check`` its
+(k - 1)-step walk.  ``_sigma`` is the one binomial standard error.
 """
 
 from __future__ import annotations
@@ -103,14 +108,14 @@ class StartRule:
 
     @classmethod
     def round_robin(cls, designated) -> "StartRule":
-        des = tuple(int(v) for v in designated)
+        des = _designated(designated)
         if not des:
             raise InvalidParameterError("round-robin needs a nonempty designated list")
         return cls(kind="round-robin", designated=des)
 
     @classmethod
     def designated_uniform(cls, designated) -> "StartRule":
-        des = tuple(int(v) for v in designated)
+        des = _designated(designated)
         if not des:
             raise InvalidParameterError("need a nonempty designated list")
         return cls(kind="designated-uniform", designated=des)
@@ -373,9 +378,7 @@ def walk_to_sink(
         raise InvalidParameterError(f"sink {sink} out of range")
     rule = _as_start_rule(start)
     rule.validate(g)
-    if cap is None:
-        cap = g.n ** 3
-    _check_cap(cap)
+    cap = _as_count("cap", g.n ** 3 if cap is None else cap, 0)
     v0 = rule.resolve(index, rng, g.n)
     verts, eids, term = _sink_walk_steps(g, v0, sink, cap, rng, lazy=lazy)
     return Walk(vertices=tuple(verts), edges=tuple(eids), terminated_by=term)
@@ -483,15 +486,40 @@ class Estimate:
     cap_exceeded: int = 0
 
 
+def _sigma(p, n):
+    """Binomial standard error of a fraction (or array of them) p of n."""
+    return np.sqrt(p * (1.0 - p) / n)
+
+
 def _estimate(hits: int, trials: int, cap_exceeded: int = 0) -> Estimate:
     p = hits / trials
-    hw = 1.96 * np.sqrt(p * (1.0 - p) / trials)
-    return Estimate(value=p, trials=trials, half_width=float(hw),
+    return Estimate(value=p, trials=trials, half_width=float(1.96 * _sigma(p, trials)),
                     cap_exceeded=cap_exceeded)
 
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_int(what: str, x) -> None:
+    if not _is_int(x):
+        raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
+
+
+def _as_count(what: str, x, least: int) -> int:
+    """``x`` as a Python int, after checking that it is an integer (numpy
+    integers pass, ``bool`` fails) of at least ``least``."""
+    _check_int(what, x)
+    if x < least:
+        raise InvalidParameterError(f"{what} must be >= {least}, got {x}")
+    return int(x)
+
+
+def _id_list(what: str, kind: str, xs) -> tuple:
+    if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
+        raise InvalidParameterError(
+            f"{what} must be a list of {kind} ids, got {xs!r}")
+    return tuple(xs)
 
 
 def _check_items(g: Graph, kind: str, items) -> None:
@@ -503,36 +531,23 @@ def _check_items(g: Graph, kind: str, items) -> None:
             raise InvalidParameterError(f"{kind} id {x} out of range")
 
 
+def _designated(designated) -> tuple[int, ...]:
+    des = _id_list("designated", "vertex", designated)
+    for v in des:
+        _check_int("designated vertex", v)
+    return tuple(int(v) for v in des)
+
+
 def _avoid_ids(g: Graph, kind: str, item, avoid) -> list[int]:
     """The distinct ids of ``avoid``, ascending, after checking them and
     ``item`` as ids of ``kind``."""
     if kind not in ("vertex", "edge"):
         raise InvalidParameterError(f"kind must be vertex or edge, got {kind!r}")
-    if isinstance(avoid, (str, bytes)) or not hasattr(avoid, "__iter__"):
-        raise InvalidParameterError(
-            f"avoid must be a list of {kind} ids, got {avoid!r}")
-    avoid = tuple(avoid)
+    avoid = _id_list("avoid", kind, avoid)
     _check_items(g, kind, (item, *avoid))
     if item in avoid:
         raise InvalidParameterError("item cannot be in its own avoid set")
     return sorted(set(int(a) for a in avoid))
-
-
-def _check_int(what: str, x) -> None:
-    if not _is_int(x):
-        raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
-
-
-def _check_cap(cap) -> None:
-    _check_int("cap", cap)
-    if cap < 0:
-        raise InvalidParameterError("cap must be nonnegative")
-
-
-def _check_trials(trials) -> None:
-    _check_int("trials", trials)
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
 
 
 def _batch_chunks(trials: int, steps: int):
@@ -550,6 +565,28 @@ def _sink_chunks(g: Graph, trials: int, edges: bool):
     return _batch_chunks(trials, (g.edge_count if edges else g.n) + 2048)
 
 
+def _fixed_walks(g: Graph, rule: StartRule, steps, trials, seed, lazy):
+    """Each ``_batch_chunks`` chunk's (verts, eids) of ``trials`` walks."""
+    for base, take in _batch_chunks(trials, steps):
+        yield fixed_walk_batch(g, rule, steps, take, seed, lazy=lazy,
+                               index_base=base)
+
+
+def _hit_estimate(g, item, avoid, kind, steps, trials, seed, start, lazy) -> Estimate:
+    """Fraction of walks that visit ``item`` and no id in ``avoid``."""
+    avoid = _avoid_ids(g, kind, item, avoid)
+    _check_int("steps", steps)
+    trials = _as_count("trials", trials, 1)
+    hits = 0
+    for verts, eids in _fixed_walks(g, _as_start_rule(start), steps, trials, seed, lazy):
+        arr = verts if kind == "vertex" else eids
+        good = (arr == item).any(axis=1)
+        for a in avoid:
+            good &= ~(arr == a).any(axis=1)
+        hits += int(good.sum())
+    return _estimate(hits, trials)
+
+
 def hit_probability(
     g: Graph,
     item: int,
@@ -561,19 +598,7 @@ def hit_probability(
     lazy: bool = False,
 ) -> Estimate:
     """Fraction of fixed-length walks that visit ``item`` (vertex or edge)."""
-    if kind not in ("vertex", "edge"):
-        raise InvalidParameterError(f"kind must be vertex or edge, got {kind!r}")
-    _check_items(g, kind, [item])
-    _check_int("steps", steps)
-    _check_trials(trials)
-    rule = _as_start_rule(start)
-    hits = 0
-    for base, take in _batch_chunks(trials, steps):
-        verts, eids = fixed_walk_batch(g, rule, steps, take, seed, lazy=lazy,
-                                       index_base=base)
-        arr = verts if kind == "vertex" else eids
-        hits += int((arr == item).any(axis=1).sum())
-    return _estimate(hits, trials)
+    return _hit_estimate(g, item, (), kind, steps, trials, seed, start, lazy)
 
 
 def hit_avoid_probability(
@@ -590,20 +615,7 @@ def hit_avoid_probability(
     """Fraction of walks that visit ``item`` and dodge every item in
     ``avoid``.  Same seed couples trials with :func:`hit_probability`, so
     the value is <= that estimate trial by trial."""
-    avoid = _avoid_ids(g, kind, item, avoid)
-    _check_int("steps", steps)
-    _check_trials(trials)
-    rule = _as_start_rule(start)
-    hits = 0
-    for base, take in _batch_chunks(trials, steps):
-        verts, eids = fixed_walk_batch(g, rule, steps, take, seed, lazy=lazy,
-                                       index_base=base)
-        arr = verts if kind == "vertex" else eids
-        good = (arr == item).any(axis=1)
-        for a in avoid:
-            good &= ~(arr == a).any(axis=1)
-        hits += int(good.sum())
-    return _estimate(hits, trials)
+    return _hit_estimate(g, item, avoid, kind, steps, trials, seed, start, lazy)
 
 
 def hit_before_sink_probability(
@@ -627,14 +639,11 @@ def hit_before_sink_probability(
         raise InvalidParameterError("sink cannot be the item or avoided")
     if not 0 <= sink < g.n:
         raise InvalidParameterError(f"sink {sink} out of range")
-    _check_trials(trials)
+    trials = _as_count("trials", trials, 1)
     rule = _as_start_rule(start)
-    if cap is None:
-        cap = g.n ** 3
-    _check_cap(cap)
+    cap = _as_count("cap", g.n ** 3 if cap is None else cap, 0)
     edges = kind == "edge"
-    hits = 0
-    capped = 0
+    hits = capped = 0
     for base, take in _sink_chunks(g, trials, edges):
         visited, cap_rows, _ = sink_walk_batch(g, rule, sink, cap, take, seed,
                                                lazy=lazy, edges=edges,
@@ -699,20 +708,15 @@ def visit_count_tail_check(
     slack.  ``k`` is the caller's multiple of the mixing time."""
     _check_items(g, "vertex", [v])
     _check_int("steps", steps)
-    _check_trials(trials)
-    rule = _as_start_rule(start)
-    tail = 0
-    any_visit = 0
-    for base, take in _batch_chunks(trials, steps):
-        verts, _ = fixed_walk_batch(g, rule, steps, take, seed, lazy=lazy,
-                                    index_base=base)
+    _check_int("k", k)
+    trials = _as_count("trials", trials, 1)
+    tail = any_visit = 0
+    for verts, _ in _fixed_walks(g, _as_start_rule(start), steps, trials, seed, lazy):
         counts = (verts == v).sum(axis=1)
         tail += int((counts > k).sum())
         any_visit += int((counts > 0).sum())
-    p_tail = tail / trials
-    p_any = any_visit / trials
-    hw = 1.96 * (np.sqrt(p_tail * (1 - p_tail) / trials)
-                 + np.sqrt(p_any * (1 - p_any) / trials))
+    p_tail, p_any = tail / trials, any_visit / trials
+    hw = 1.96 * (_sigma(p_tail, trials) + _sigma(p_any, trials))
     slack = float(3.0 * hw / 1.96)  # 3 sigma on each side, combined
     bound = p_any / 4.0
     return VisitTailReport(k=k, tail_probability=p_tail, visit_probability=p_any,
@@ -735,26 +739,19 @@ def early_visit_check(
     round-robin over ``designated`` when given, else uniform; ``v`` must not
     be designated."""
     _check_items(g, "vertex", [v])
-    designated = tuple(designated)
+    designated = _designated(designated)
     if v in designated:
         raise InvalidParameterError("v must not be a designated start")
-    if k < 0:
-        raise InvalidParameterError("k must be nonnegative")
-    _check_trials(trials)
-    rule = (StartRule.round_robin(designated) if designated
-            else StartRule.uniform())
+    k = _as_count("k", k, 0)
+    trials = _as_count("trials", trials, 1)
+    rule = StartRule.round_robin(designated) if designated else StartRule.uniform()
     min_deg = int(g.degrees.min())
     if min_deg == 0:
         raise DegenerateGraphError("graph has an isolated vertex")
-    steps = max(k - 1, 0)
-    hits = 0
-    if k > 0:
-        for base, take in _batch_chunks(trials, steps):
-            verts, _ = fixed_walk_batch(g, rule, steps, take, seed, lazy=lazy,
-                                        index_base=base)
-            hits += int((verts[:, :k] == v).any(axis=1).sum())
-    p = hits / trials
-    sigma = float(np.sqrt(p * (1 - p) / trials))
+    # positions 0..k-1 are the whole of a (k - 1)-step walk
+    p = (_hit_estimate(g, v, (), "vertex", k - 1, trials, seed, rule,
+                       lazy).value if k else 0.0)
+    sigma = float(_sigma(p, trials))
     bound = k / min_deg
     return EarlyVisitReport(k=k, probability=p, bound=bound, slack=3 * sigma,
                             holds=p <= bound + 3 * sigma, trials=trials)
@@ -775,46 +772,33 @@ def influence_check(
 
     Pairs whose conditioning count is below ``min_count`` are skipped (and
     counted); slack is 3 sigma on both estimates."""
+    _check_int("i", i)
+    _check_int("j", j)
     if not (0 <= i < j):
         raise InvalidParameterError("need 0 <= i < j")
-    _check_trials(trials)
-    if t_mix is None:
-        t_mix = mixing_time(g, lazy=lazy).steps
+    trials = _as_count("trials", trials, 1)
+    min_count = _as_count("min_count", min_count, 1)
+    t_mix = (mixing_time(g, lazy=lazy).steps if t_mix is None
+             else _as_count("t_mix", t_mix, 0))
     if j - i < t_mix:
-        raise InvalidParameterError(
-            f"j - i = {j - i} is below the mixing time {t_mix}"
-        )
+        raise InvalidParameterError(f"j - i = {j - i} is below the mixing time {t_mix}")
     c = degree_uniformity(g).ratio
     n = g.n
     joint = np.zeros((n, n), dtype=np.int64)
     count_i = np.zeros(n, dtype=np.int64)
-    for base, take in _batch_chunks(trials, j):
-        verts, _ = fixed_walk_batch(g, StartRule.uniform(), j, take, seed,
-                                    lazy=lazy, index_base=base)
+    for verts, _ in _fixed_walks(g, StartRule.uniform(), j, trials, seed, lazy):
         vi = verts[:, i].astype(np.int64)
         vj = verts[:, j].astype(np.int64)
         joint += np.bincount(vi * n + vj, minlength=n * n).reshape(n, n)
         count_i += np.bincount(vi, minlength=n)
     count_j = joint.sum(axis=0)
     bound = 2.0 / (3.0 * c * n)
-    max_dev = 0.0
-    checked = 0
-    skipped = 0
-    holds = True
     marg = count_i / trials
-    sigma_marg = np.sqrt(marg * (1 - marg) / trials)
-    for v in range(n):
-        cnt = int(count_j[v])
-        if cnt < min_count:
-            skipped += n
-            continue
-        cond = joint[:, v] / cnt
-        sigma_cond = np.sqrt(cond * (1 - cond) / cnt)
-        dev = np.abs(cond - marg)
-        checked += n
-        max_dev = max(max_dev, float(dev.max()))
-        if (dev > bound + 3.0 * (sigma_cond + sigma_marg)).any():
-            holds = False
-    return InfluenceReport(i=i, j=j, max_deviation=max_dev, bound=bound,
-                           pairs_checked=checked, pairs_skipped=skipped,
-                           holds=holds, trials=trials)
+    cols = np.flatnonzero(count_j >= min_count)  # the conditioning columns
+    cond = joint[:, cols] / count_j[cols]
+    dev = np.abs(cond - marg[:, None])
+    slack = 3.0 * (_sigma(cond, count_j[cols]) + _sigma(marg, trials)[:, None])
+    return InfluenceReport(i=i, j=j, max_deviation=float(dev.max(initial=0.0)),
+                           bound=bound, pairs_checked=n * cols.size,
+                           pairs_skipped=n * (n - cols.size),
+                           holds=not (dev > bound + slack).any(), trials=trials)

@@ -340,8 +340,12 @@ class TestUnparsableValues:
         ("piA", '{"v": 3, "steps": 3, "avoid": [1, 2.5]}', "2.5"),
         ("piSink", '{"v": 3, "sink": 1, "avoid": ["y"]}', "'y'"),
         ("piSink", '{"v": 3, "sink": 1, "cap": "x"}', "'x'"),
+        ("influence", '{"i": 1, "j": 5, "t_mix": "x"}', "'x'"),
+        ("early", '{"v": 3, "k": 2, "designated": ["x"]}', "'x'"),
+        ("early", '{"v": 3, "k": 2, "designated": [1.7]}', "1.7"),
     ], ids=["piA-text-avoid", "piA-float-item", "piSink-text-item",
-            "piSink-text-cap"])
+            "piSink-text-cap", "influence-text-t_mix", "early-text-designated",
+            "early-float-designated"])
     def test_walk_stats_optional_params(self, tmp_path, capsys, quantity,
                                         params, named):
         graph = tmp_path / "k8.json"
@@ -438,6 +442,38 @@ class TestExperimentCommand:
         assert diag["kind"] == "invalid-parameter"
         assert key in diag["message"]
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("config, named", [
+        ({"family": "complete", "n_grid": [8]}, "'complete'"),
+        ({"family": "banana", "n_grid": [8]}, "'banana'"),
+        ({"family": "random-regular", "n_grid": [8], "degree_rule": "fixed:x"},
+         "'fixed:x'"),
+    ], ids=["complete", "unknown", "text-degree"])
+    def test_bad_mixing_family_or_degree_is_reported_before_output(
+            self, tmp_path, capsys, config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, "experiment", "--kind", "mixing",
+                             "--config", str(cfg), "--out", str(outdir))
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert named in diag["message"]
+        assert not outdir.exists()
+
+    def test_text_designated_vertex_is_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"family": "erdos-renyi", "n": 64, "p": 0.3},
+            "design": 1, "d": 2, "m_grid": [60], "trials": 30,
+            "designated": ["x"]}))
+        code, out, err = run(capsys, "experiment", "--kind", "sweep",
+                             "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert "'x'" in diag["message"]
 
     @pytest.mark.parametrize("noise", [{"kind": "flip", "q": "0.1"},
                                        {"kind": "dilution", "q": "0.1"}],

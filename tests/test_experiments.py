@@ -1,6 +1,7 @@
 """Desk-scale experiments: sweeps, scaling, verification, tomography."""
 
 import math
+import re
 
 import pytest
 
@@ -204,6 +205,18 @@ class TestMixingScaling:
     def test_unknown_rule(self):
         with pytest.raises(InvalidParameterError):
             mixing_scaling("erdos-renyi", [32], seed=0, degree_rule="cubic")
+
+    @pytest.mark.parametrize("family, rule, named", [
+        ("complete", "6logn", "'complete'"),
+        ("banana", "fixed:8", "'banana'"),
+        ("random-regular", "fixed:x", "'fixed:x'"),
+        ("erdos-renyi", "fixed:0", "'fixed:0'"),
+        ("cycle", "fixed:", "'fixed:'"),
+    ], ids=["complete", "unknown-family", "text-degree", "zero-degree",
+            "no-degree"])
+    def test_bad_family_or_degree_rejected(self, family, rule, named):
+        with pytest.raises(InvalidParameterError, match=re.escape(named)):
+            mixing_scaling(family, [64, 128], seed=0, degree_rule=rule)
 
     def test_csv_shape(self):
         res = mixing_scaling("cycle", [8], seed=0, lazy=True)

@@ -669,6 +669,16 @@ class TestDecoders:
             adversarial_flip_check(M, (0,), 0, [(0,)] * 10, limit=5)
 
 
+@given(rows=st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=12),
+       bits=st.lists(st.booleans(), min_size=12, max_size=12),
+       d=st.sampled_from([None, 0, 2]))
+@settings(max_examples=60, deadline=None)
+def test_cover_decode_is_threshold_decode_at_zero(rows, bits, d):
+    M = mk(8, rows)
+    y = OutcomeVector(bits=np.array(bits[:len(rows)], dtype=bool))
+    assert decode_cover(M, y, d=d) == decode_threshold(M, y, tau=0, d=d)
+
+
 class TestBinomialQuantile:
     def test_frozen_value(self):
         assert binomial_quantile(200, 0.05, 0.99) == 18

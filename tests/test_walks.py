@@ -1,5 +1,6 @@
 """Walk engines: batch/scalar agreement, closed forms, estimator coupling."""
 
+import functools
 import re
 from unittest import mock
 
@@ -8,12 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from walktest.designs import vertex_walk_design
 from walktest.errors import InvalidParameterError
-from walktest.graphs import complete_graph, cycle_graph, erdos_renyi_graph
+from walktest.graphs import (complete_graph, cycle_graph, degree_uniformity,
+                             erdos_renyi_graph)
 from walktest import walks
 from walktest.rng import trial_rng
 from walktest.walks import (
+    EarlyVisitReport,
+    Estimate,
+    InfluenceReport,
     StartRule,
+    VisitTailReport,
     Walk,
     early_visit_check,
     fixed_walk_batch,
@@ -386,3 +393,201 @@ class TestBoundChecks:
         rep = influence_check(k16, 3, 6, trials=30_000, seed=12, t_mix=3)
         assert rep.holds
         assert rep.pairs_checked + rep.pairs_skipped == 16 * 16
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g: early_visit_check(g, 3, "2", 10, 0),
+         "k must be an integer, got '2'"),
+        (lambda g: early_visit_check(g, 3, -1, 10, 0),
+         "k must be >= 0, got -1"),
+        (lambda g: visit_count_tail_check(g, 3, 3, "2", 10, 0),
+         "k must be an integer, got '2'"),
+        (lambda g: influence_check(g, "1", 5, 10, 0, t_mix=1),
+         "i must be an integer, got '1'"),
+        (lambda g: influence_check(g, 1, 5.0, 10, 0, t_mix=1),
+         "j must be an integer, got 5.0"),
+        (lambda g: influence_check(g, 1, 5, 10, 0, t_mix="x"),
+         "t_mix must be an integer, got 'x'"),
+        (lambda g: influence_check(g, 1, 5, 10, 0, t_mix=1, min_count=2.5),
+         "min_count must be an integer, got 2.5"),
+        (lambda g: influence_check(g, 1, 5, 10, 0, t_mix=1, min_count=0),
+         "min_count must be >= 1, got 0"),
+        (lambda g: early_visit_check(g, 3, 2, 10, 0, designated=["x"]),
+         "designated vertex must be an integer, got 'x'"),
+        (lambda g: early_visit_check(g, 3, 2, 10, 0, designated=[1.7]),
+         "designated vertex must be an integer, got 1.7"),
+        (lambda g: early_visit_check(g, 3, 2, 10, 0, designated=5),
+         "designated must be a list of vertex ids, got 5"),
+        (lambda g: StartRule.round_robin([0, True]),
+         "designated vertex must be an integer, got True"),
+        (lambda g: StartRule.designated_uniform("01"),
+         "designated must be a list of vertex ids, got '01'"),
+        (lambda g: vertex_walk_design(g, [1.7], 10, 3, 0),
+         "designated vertex must be an integer, got 1.7"),
+    ], ids=["early-text-k", "early-negative-k", "tail-text-k", "text-i",
+            "float-j", "text-t_mix", "float-min_count", "zero-min_count",
+            "early-text-designated", "early-float-designated",
+            "early-scalar-designated", "round-robin-bool", "uniform-text",
+            "design-float-designated"])
+    def test_bad_arguments_rejected(self, k8, call, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            call(k8)
+
+
+# ---------------------------------------------------------------------------
+# the estimator core against the loops it replaced
+# ---------------------------------------------------------------------------
+# Each reference is the statistic's own loop as it stood before the shared
+# core, run on one unchunked fixed_walk_batch call (the per-row streams make
+# chunking invisible).
+
+
+def _ref_hit_avoid(g, item, avoid, kind, steps, trials, seed, lazy):
+    verts, eids = fixed_walk_batch(g, StartRule.uniform(), steps, trials, seed,
+                                   lazy=lazy)
+    arr = verts if kind == "vertex" else eids
+    if not avoid:
+        hits = int((arr == item).any(axis=1).sum())
+    else:
+        good = (arr == item).any(axis=1)
+        for a in sorted(set(avoid)):
+            good &= ~(arr == a).any(axis=1)
+        hits = int(good.sum())
+    p = hits / trials
+    return Estimate(value=p, trials=trials,
+                    half_width=float(1.96 * np.sqrt(p * (1.0 - p) / trials)))
+
+
+def _ref_tail(g, v, steps, k, trials, seed, lazy):
+    verts, _ = fixed_walk_batch(g, StartRule.uniform(), steps, trials, seed,
+                                lazy=lazy)
+    counts = (verts == v).sum(axis=1)
+    p_tail = int((counts > k).sum()) / trials
+    p_any = int((counts > 0).sum()) / trials
+    hw = 1.96 * (np.sqrt(p_tail * (1 - p_tail) / trials)
+                 + np.sqrt(p_any * (1 - p_any) / trials))
+    slack = float(3.0 * hw / 1.96)
+    bound = p_any / 4.0
+    return VisitTailReport(k=k, tail_probability=p_tail, visit_probability=p_any,
+                           bound=bound, slack=slack,
+                           holds=p_tail <= bound + slack, trials=trials)
+
+
+def _ref_early(g, v, k, trials, seed, designated, lazy):
+    rule = (StartRule.round_robin(designated) if designated
+            else StartRule.uniform())
+    hits = 0
+    if k > 0:
+        verts, _ = fixed_walk_batch(g, rule, max(k - 1, 0), trials, seed,
+                                    lazy=lazy)
+        hits = int((verts[:, :k] == v).any(axis=1).sum())
+    p = hits / trials
+    sigma = float(np.sqrt(p * (1 - p) / trials))
+    bound = k / int(g.degrees.min())
+    return EarlyVisitReport(k=k, probability=p, bound=bound, slack=3 * sigma,
+                            holds=p <= bound + 3 * sigma, trials=trials)
+
+
+def _ref_influence(g, i, j, trials, seed, lazy, min_count):
+    n = g.n
+    verts, _ = fixed_walk_batch(g, StartRule.uniform(), j, trials, seed,
+                                lazy=lazy)
+    vi = verts[:, i].astype(np.int64)
+    vj = verts[:, j].astype(np.int64)
+    joint = np.bincount(vi * n + vj, minlength=n * n).reshape(n, n)
+    count_i = np.bincount(vi, minlength=n)
+    count_j = joint.sum(axis=0)
+    bound = 2.0 / (3.0 * degree_uniformity(g).ratio * n)
+    max_dev = 0.0
+    checked = 0
+    skipped = 0
+    holds = True
+    marg = count_i / trials
+    sigma_marg = np.sqrt(marg * (1 - marg) / trials)
+    for v in range(n):
+        cnt = int(count_j[v])
+        if cnt < min_count:
+            skipped += n
+            continue
+        cond = joint[:, v] / cnt
+        sigma_cond = np.sqrt(cond * (1 - cond) / cnt)
+        dev = np.abs(cond - marg)
+        checked += n
+        max_dev = max(max_dev, float(dev.max()))
+        if (dev > bound + 3.0 * (sigma_cond + sigma_marg)).any():
+            holds = False
+    return InfluenceReport(i=i, j=j, max_deviation=max_dev, bound=bound,
+                           pairs_checked=checked, pairs_skipped=skipped,
+                           holds=holds, trials=trials)
+
+
+def _chunked(rows, steps, call):
+    """``call()`` with ``_batch_chunks`` cutting walks of ``steps`` steps
+    into chunks of ``rows`` rows."""
+    with mock.patch.object(walks, "_CHUNK_ELEMS", rows * (steps + 1)):
+        return call()
+
+
+_CORE_GRAPHS = (complete_graph(5), cycle_graph(7), erdos_renyi_graph(20, 0.3, 5))
+_CHUNK = 70  # trials 70, 71 and 135 cross a chunk boundary; 63-65 the block floor
+
+
+class TestEstimatorCore:
+    """Whole reports of the shared core against the loops it replaced."""
+
+    @given(graph=st.sampled_from(range(len(_CORE_GRAPHS))),
+           kind=st.sampled_from(["vertex", "edge"]), lazy=st.booleans(),
+           steps=st.sampled_from([0, 1, 2, 9, _S + 1]),
+           k=st.sampled_from([0, 1, 2, 7]),
+           trials=st.sampled_from([1, 63, 64, 65, _CHUNK, _CHUNK + 1, 135]),
+           seed=st.integers(0, 2**40), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reports_match_the_replaced_loops(self, graph, kind, lazy, steps,
+                                              k, trials, seed, data):
+        g = _CORE_GRAPHS[graph]
+        limit = g.n if kind == "vertex" else g.edge_count
+        item, *avoid = data.draw(st.lists(st.integers(0, limit - 1),
+                                          min_size=1, max_size=3, unique=True))
+        v = data.draw(st.integers(1, g.n - 1))
+        designated = data.draw(st.sampled_from([(), (0,), (0, v - 1)]))
+        designated = tuple(x for x in designated if x != v)
+        j = max(steps, 1)
+        i = data.draw(st.integers(0, j - 1))
+        end = fixed_walk_batch(g, StartRule.uniform(), j, trials, seed,
+                               lazy=lazy)[0][:, j]
+        counts = np.bincount(end, minlength=g.n)
+        # no column skipped (if each is reached), some, or all of them
+        min_count = data.draw(st.sampled_from(
+            [max(1, int(counts.min())), int(counts.max()), int(counts.max()) + 1]))
+        chunked = functools.partial(_chunked, _CHUNK)
+
+        assert chunked(steps, lambda: hit_probability(
+            g, item, kind, steps, trials, seed, lazy=lazy)) == \
+            _ref_hit_avoid(g, item, (), kind, steps, trials, seed, lazy)
+        assert chunked(steps, lambda: hit_avoid_probability(
+            g, item, avoid, kind, steps, trials, seed, lazy=lazy)) == \
+            _ref_hit_avoid(g, item, avoid, kind, steps, trials, seed, lazy)
+        assert chunked(steps, lambda: visit_count_tail_check(
+            g, v, steps, k, trials, seed, lazy=lazy)) == \
+            _ref_tail(g, v, steps, k, trials, seed, lazy)
+        assert chunked(max(k - 1, 0), lambda: early_visit_check(
+            g, v, k, trials, seed, designated=designated, lazy=lazy)) == \
+            _ref_early(g, v, k, trials, seed, designated, lazy)
+        assert chunked(j, lambda: influence_check(
+            g, i, j, trials, seed, t_mix=0, lazy=lazy, min_count=min_count)) == \
+            _ref_influence(g, i, j, trials, seed, lazy, min_count)
+
+    def test_influence_skips_none_some_or_all_columns(self):
+        g = _CORE_GRAPHS[2]
+        counts = np.bincount(fixed_walk_batch(g, StartRule.uniform(), 4, 400,
+                                              3)[0][:, 4], minlength=g.n)
+        assert counts.min() >= 1 and counts.min() < counts.max()
+        n2 = g.n * g.n
+        for min_count, skipped in ((1, 0), (int(counts.max()), None),
+                                   (int(counts.max()) + 1, n2)):
+            rep = influence_check(g, 1, 4, 400, 3, t_mix=0, min_count=min_count)
+            assert rep == _ref_influence(g, 1, 4, 400, 3, False, min_count)
+            if skipped is None:
+                assert 0 < rep.pairs_skipped < n2
+            else:
+                assert rep.pairs_skipped == skipped
+            assert rep.pairs_checked + rep.pairs_skipped == n2
