@@ -18,8 +18,9 @@ bound (see ``verdict``).
 ``--trace 0`` fills the file's ``end_to_end`` section, ``--trace 1`` its
 ``per_layer`` section; runs with another label, section or workload already
 in the file are kept, so several invocations build one file.  The file also
-records the CPU count, the numpy and Python versions and every run's
-seed, outcome and metrics.
+records the CPU count, the numpy and Python versions, every run's seed,
+outcome and metrics, and under ``checkouts`` the commit each side has out
+and whether its files differ from it (``null`` outside a git checkout).
 
 Before the first pair, each checkout's ``src`` and ``perfbench`` are
 compiled to bytecode once (``python -m compileall``, which writes it even
@@ -62,6 +63,21 @@ SHOWN = ("wall_s", "op_p50_ms", "op_tail_ms", "setup_s", "peak_rss_mb",
 def compile_bytecode(checkout: Path) -> None:
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                    cwd=checkout, check=True, timeout=600)
+
+
+def checkout_state(checkout: Path, output: str) -> dict | None:
+    """``git rev-parse HEAD`` of a checkout and whether any of its files,
+    other than the BENCH file ``output``, differs from that commit or is
+    untracked; None outside a git checkout."""
+    if not (checkout / ".git").exists():
+        return None
+    git = ["git", "-C", str(checkout)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
+                          text=True, check=True, timeout=60).stdout.strip()
+    status = subprocess.run(git + ["status", "--porcelain", "--", ".",
+                                   f":(exclude){output}"], capture_output=True,
+                            text=True, check=True, timeout=60).stdout
+    return {"commit": head, "dirty": bool(status.strip())}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -216,7 +232,8 @@ def main(argv=None) -> int:
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.update(label=args.label, machine={
         "cpu_count": os.cpu_count(), "numpy": np.__version__,
-        "python": platform.python_version(), "machine": platform.machine()})
+        "python": platform.python_version(), "machine": platform.machine()},
+        checkouts={side: checkout_state(path, out.name) for side, path in sides.items()})
     for checkout in sides.values():
         compile_bytecode(checkout)
     if args.tier1:

@@ -27,6 +27,7 @@ from .designs import build_design, read_matrix, write_matrix
 from .errors import (InvalidParameterError, WalktestError, parse_errors,
                      read_json, write_json)
 from .experiments import (
+    _check_success,
     _pinned_degree,
     check_graph_config,
     fixed_input_experiment,
@@ -47,6 +48,7 @@ from .graphs import (
 )
 from .grouptest import (
     NoiseModel,
+    _is_real,
     decode_cover,
     decode_threshold,
     is_disjunct,
@@ -57,6 +59,7 @@ from .grouptest import (
 from .mixing import default_delta, mixing_time
 from .rng import trial_rng
 from .walks import (
+    _is_int,
     early_visit_check,
     hit_avoid_probability,
     hit_before_sink_probability,
@@ -339,11 +342,17 @@ _CONFIG_KEYS = {
     "verify": ("graph", "d", "trials"),
     "tomo": ("graph", "source"),
 }
+# Values _cmd_experiment converts with int() or float(), where present.
+_CONFIG_VALUES = {
+    **dict.fromkeys(("design", "d", "trials", "source", "seed"),
+                    (_is_int, "an integer")),
+    **dict.fromkeys(("eta", "budget", "q", "confidence"), (_is_real, "a number")),
+}
 
 
 def _check_config(cfg, kind: str) -> NoiseModel | None:
-    """Reject a config that lacks a key its kind reads, before any output;
-    return the config's noise model."""
+    """Reject a config that lacks a key its kind reads, or holds a value of
+    the wrong type, before any output; return the config's noise model."""
     if not isinstance(cfg, dict):
         raise InvalidParameterError("experiment config must be a JSON object")
     keys = _CONFIG_KEYS[kind]
@@ -352,6 +361,12 @@ def _check_config(cfg, kind: str) -> NoiseModel | None:
     for key in keys:
         if key not in cfg:
             raise InvalidParameterError(f'{kind} config needs key "{key}"')
+    for key, (check, what) in _CONFIG_VALUES.items():
+        if key in cfg and not check(cfg[key]):
+            raise InvalidParameterError(
+                f'{kind} config "{key}" must be {what}, got {cfg[key]!r}')
+    if kind == "sweep":
+        _check_success(cfg.get("success", "auto"))
     if "graph" in keys:
         check_graph_config(cfg["graph"])
     nspec = cfg.get("noise")

@@ -300,6 +300,12 @@ def _prefix_recovery_success(
 # ---------------------------------------------------------------------------
 
 
+def _check_success(success) -> None:
+    if success not in ("auto", "disjunct", "recovery"):
+        raise InvalidParameterError(
+            f'success must be "auto", "disjunct" or "recovery", got {success!r}')
+
+
 def success_sweep(
     graph_config: dict,
     design_id: int,
@@ -331,6 +337,7 @@ def success_sweep(
     certified therefore cannot exceed the node budget, raise, or trigger a
     degrade.  The up-front n*C(n-1,d) enumeration check does not depend on
     m, so it raises or degrades exactly as before."""
+    _check_success(success)
     m_grid = sorted(int(m) for m in m_grid)
     if not m_grid or m_grid[0] < 0:
         raise InvalidParameterError("m grid must be nonnegative")
@@ -472,8 +479,9 @@ def fixed_input_experiment(
     budget: float = 1e9,
     constants: ScaleConstants | None = None,
 ) -> FixedInputResult:
-    """Paired sweep: random-instance recovery versus worst-case
-    disjunctness on the same matrices.
+    """Random-instance recovery versus worst-case disjunctness: two sweeps
+    of one design on one graph family, at child seeds 1 and 2 of ``seed``,
+    so a trial's matrix differs between the two.
 
     Random-instance recovery needs far fewer rows; the result reports
     gamma = ln n / (d ln(n/d)) and the full worst-case row formula for

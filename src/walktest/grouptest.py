@@ -556,9 +556,7 @@ def decode_threshold(M: MeasurementMatrix, y: OutcomeVector,
             raise InvalidParameterError(
                 "no recorded design parameters: pass tau explicitly")
         tau = max((int(e) - 1) // 2, 0)
-    if tau < 0:
-        raise InvalidParameterError(f"tau must be >= 0, got {tau}")
-    return _decode(M, counts, tau, d)
+    return _decode(M, counts, _as_count("tau", tau, 0), d)
 
 
 def _decode(M: MeasurementMatrix, counts: np.ndarray, tau: int,

@@ -11,35 +11,36 @@ Randomness contract (bit-reproducible):
 A single walk replayed with the same stream is bit-identical to the batch
 row, and dropping rows never perturbs other rows.
 
-Two batch engines step rows in lockstep through the numpy arrays of
-``Graph.csr``.  ``fixed_walk_batch`` draws each row's one block and steps
-every row together.  For ``_BLOCK_MIN_ROWS`` (64, one stream-cache block)
-rows or more of walks of at most ``_BLOCK_MAX_STEPS`` (128) steps, with a
-seed of 0 or more and indices below 2**32, it takes each row's start draw
-and ``random(steps)`` block from ``rng._block_draws``, in slabs of
-``_SLAB_DRAWS`` raw outputs, instead of building a Generator per row; that
-helper computes the rows' PCG64 outputs in numpy and replays the rare rows
-numpy's bounded draw might reject through ``trial_rng``.  The step bound is
-a measured crossover (see ``CHANGES.md``); every other call builds per-row
-Generators, and that path is the block path's oracle.  Its arrays are
-step-major from the draws on: the draws ``U`` are a (steps, trials) array,
-filled ``_FILL_ROWS`` rows at a time through a small row-major buffer whose
-transpose is copied in, and the positions and edge ids are (steps + 1,
-trials) and (steps, trials) arrays, so each step reads and writes whole
-contiguous rows.  ``fixed_walk_batch`` returns their transposes.
-``sink_walk_batch`` serves the sink estimator and
-designs 3 and 4: per 64-step block, each active row draws its next
-``random(64)`` block, all of them take up to 64 steps together (a row that
-reaches the sink keeps stepping to the block's end), and then the steps
-after each row's first arrival are dropped and the rows still walking are
-kept.  At each block boundary, the first included, fewer than
+One step rule serves every walk: from vertex v, draw u uniform in [0, 1)
+and move to v's neighbour in slot floor(u * deg v) of ``Graph.csr``; a lazy
+walk stays when u < 1/2 and uses 2u - 1 otherwise.  It is written twice:
+``_lockstep`` steps many rows together on a (steps, rows) array of draws,
+and ``_scalar_steps`` steps one walk on Python ints from ``Graph.moves``.
+
+``fixed_walk_batch`` gathers each row's draws into a step-major (steps,
+trials) array ``U`` and runs ``_lockstep`` once; it returns the transposes
+of the (steps + 1, trials) positions and (steps, trials) edge ids.  For
+``_BLOCK_MIN_ROWS`` (64, one stream-cache block) rows or more of walks of at
+most ``_BLOCK_MAX_STEPS`` (128) steps, with a seed of 0 or more and indices
+below 2**32, it takes each row's start draw and ``random(steps)`` block from
+``rng._block_draws``, in slabs of ``_SLAB_DRAWS`` raw outputs, instead of
+building a Generator per row; that helper computes the rows' PCG64 outputs
+in numpy and replays the rare rows numpy's bounded draw might reject through
+``trial_rng``.  The step bound is a measured crossover (see ``CHANGES.md``);
+every other call builds per-row Generators, ``_FILL_ROWS`` rows at a time
+through a small row-major buffer whose transpose is copied in, and that
+path is the block path's oracle.  ``sink_walk_batch`` serves the sink
+estimator and designs 3 and 4: per 64-step block, each active row draws its
+next ``random(64)`` block, ``_lockstep`` takes up to 64 steps of all of them
+(a row that reaches the sink keeps stepping to the block's end), and then
+the steps after each row's first arrival are dropped and the rows still
+walking are kept.  At each block boundary, the first included, fewer than
 ``_LOCKSTEP_MIN_ROWS`` active rows finish one by one through
 ``_sink_walk_steps`` on their own streams; that threshold is the measured
 point where a lockstep step over few rows costs more than their scalar
-steps.  The scalar engines (``random_walk``, ``_sink_walk_steps``) are the
-oracles of the batch engines and the replay path of ``verify_rows``; they
-read ``Graph.moves``, the same rows as per-vertex (neighbours, edge ids)
-tuples of Python ints.
+steps.  The scalar walks (``random_walk``, one ``_scalar_steps`` call, and
+``_sink_walk_steps``, one call per ``random(64)`` block) are the oracles of
+the batch engines and the replay path of ``verify_rows``.
 
 Estimators.  The fixed-walk statistics read their chunks from one loop,
 ``_fixed_walks``.  ``_hit_estimate`` holds the one hit-and-avoid rule:
@@ -122,6 +123,7 @@ class StartRule:
 
     @classmethod
     def fixed(cls, vertex: int) -> "StartRule":
+        _check_int("start", vertex)
         return cls(kind="fixed", vertex=int(vertex))
 
     def validate(self, g: Graph) -> None:
@@ -154,7 +156,7 @@ def _as_start_rule(start) -> StartRule:
         return start
     if start is None:
         return StartRule.uniform()
-    return StartRule.fixed(int(start))
+    return StartRule.fixed(start)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,55 @@ def _block_starts(rule: StartRule, base: int, picks: np.ndarray) -> np.ndarray:
     return des[picks]  # designated-uniform, or fixed with every pick 0
 
 
+def _lockstep(g: Graph, U, V, E, lazy: bool) -> None:
+    """Step the rows that start at ``V[0]`` on the step-major draws ``U``
+    (steps, rows): row r's step j writes its vertex to ``V[j + 1, r]`` and,
+    when ``E`` is given, its edge id (-1 for a lazy stay) to ``E[j, r]``."""
+    flat, ptr, eidf = g.csr
+    degf = g.degrees.astype(np.float64)
+    pos = np.empty(V.shape[1], dtype=np.int64)  # the CSR slot of each step
+    cur = V[0].astype(np.int64)
+    for j, u in enumerate(U):
+        if lazy:
+            stay = u < 0.5
+            u = np.where(stay, 0.0, 2.0 * u - 1.0)
+        # a double u < 1 times a degree d rounds to below d, so the scalar
+        # walks' clamp to d - 1 never binds here
+        np.multiply(u, degf[cur], out=pos, casting="unsafe")
+        pos += ptr[cur]
+        nxt = flat[pos]
+        if lazy:
+            np.copyto(nxt, cur, where=stay)
+        V[j + 1] = nxt
+        if E is not None:
+            E[j] = eidf[pos]
+            if lazy:
+                E[j][stay] = -1
+        cur = nxt
+
+
+def _scalar_steps(moves, U, lazy: bool, sink: int, verts: list, eids: list) -> bool:
+    """Add one step per draw in ``U`` to the walk ending at ``verts[-1]``,
+    appending to ``verts`` and ``eids`` (``Walk`` fields); True, with the
+    remaining draws unused, on arrival at ``sink``."""
+    v = verts[-1]
+    for u in U.tolist():
+        nbrs, eid_row = moves[v]
+        d = len(nbrs)
+        if lazy:
+            if u < 0.5:
+                verts.append(v)
+                continue
+            u = 2.0 * u - 1.0
+        k = min(int(u * d), d - 1)
+        eids.append(eid_row[k])
+        v = nbrs[k]
+        verts.append(v)
+        if v == sink:
+            return True
+    return False
+
+
 def fixed_walk_batch(
     g: Graph,
     rule: StartRule,
@@ -235,11 +286,9 @@ def fixed_walk_batch(
     rule.validate(g)
     if steps < 0 or trials < 0:
         raise InvalidParameterError("steps and trials must be nonnegative")
-    flat, ptr, eidf = g.csr
-    degf = g.degrees.astype(np.float64)
+    U = np.empty((steps, trials), dtype=np.float64)  # U[j]: step j's draws
     if (trials >= _BLOCK_MIN_ROWS and steps <= _BLOCK_MAX_STEPS
             and _in_block_domain(seed, index_base, trials)):
-        U = np.empty((steps, trials), dtype=np.float64)  # U[j]: step j's draws
         width = {"uniform": g.n,
                  "designated-uniform": len(rule.designated)}.get(rule.kind, 1)
         slab = _SLAB_DRAWS // (steps + 1)
@@ -248,7 +297,6 @@ def fixed_walk_batch(
             for r in range(0, trials, slab)])
         starts = _block_starts(rule, index_base, picks)
     else:
-        U = np.empty((steps, trials), dtype=np.float64)
         starts = np.empty(trials, dtype=np.int64)
         buf = np.empty((min(_FILL_ROWS, trials), steps), dtype=np.float64)
         for r0 in range(0, trials, _FILL_ROWS):
@@ -262,24 +310,8 @@ def fixed_walk_batch(
             U[:, r0:r0 + rows] = buf[:rows].T
     verts = np.empty((steps + 1, trials), dtype=np.int32)
     eids = np.empty((steps, trials), dtype=np.int32)
-    pos = np.empty(trials, dtype=np.int64)
-    cur = starts
-    verts[0] = cur
-    for j in range(steps):
-        u = U[j]
-        if lazy:
-            stay = u < 0.5
-            u = np.where(stay, 0.0, 2.0 * u - 1.0)
-        # the CSR slot of each row's step; no clamp, see sink_walk_batch
-        np.multiply(u, degf[cur], out=pos, casting="unsafe")
-        pos += ptr[cur]
-        nxt = flat[pos]
-        eids[j] = eidf[pos]
-        if lazy:
-            np.copyto(nxt, cur, where=stay)
-            eids[j][stay] = -1
-        verts[j + 1] = nxt
-        cur = nxt
+    verts[0] = starts
+    _lockstep(g, U, verts, eids, lazy)
     return verts.T, eids.T
 
 
@@ -298,25 +330,9 @@ def random_walk(
     rule.validate(g)
     if steps < 0:
         raise InvalidParameterError("steps must be nonnegative")
-    v = rule.resolve(index, rng, g.n)
-    u_block = rng.random(steps)
-    nbrs_eids = g.moves
-    verts = [v]
+    verts = [rule.resolve(index, rng, g.n)]
     eids: list[int] = []
-    for j in range(steps):
-        u = float(u_block[j])
-        nbrs, eid_row = nbrs_eids[v]
-        d = len(nbrs)
-        if lazy:
-            if u < 0.5:
-                verts.append(v)
-                continue
-            k = min(int((2.0 * u - 1.0) * d), d - 1)
-        else:
-            k = min(int(u * d), d - 1)
-        eids.append(eid_row[k])
-        v = nbrs[k]
-        verts.append(v)
+    _scalar_steps(g.moves, rng.random(steps), lazy, -1, verts, eids)  # no sink
     return Walk(vertices=tuple(verts), edges=tuple(eids), terminated_by="length-reached")
 
 
@@ -333,34 +349,14 @@ def _sink_walk_steps(
     eids: list[int] = []
     if v0 == sink:
         return verts, eids, "sink-reached"
-    nbrs_eids = g.moves
-    v = v0
-    buf = rng.random(64)
-    k = 0
-    steps = 0
+    done = 0  # a block is drawn first, and then only while a step is due
     while True:
-        if steps >= cap:
-            return verts, eids, "cap-exceeded"
-        if k == 64:
-            buf = rng.random(64)
-            k = 0
-        u = float(buf[k])
-        k += 1
-        steps += 1
-        nbrs, eid_row = nbrs_eids[v]
-        d = len(nbrs)
-        if lazy:
-            if u < 0.5:
-                verts.append(v)
-                continue
-            idx = min(int((2.0 * u - 1.0) * d), d - 1)
-        else:
-            idx = min(int(u * d), d - 1)
-        eids.append(eid_row[idx])
-        v = nbrs[idx]
-        verts.append(v)
-        if v == sink:
+        if _scalar_steps(g.moves, rng.random(64)[:cap - done], lazy, sink,
+                         verts, eids):
             return verts, eids, "sink-reached"
+        done += 64
+        if done >= cap:
+            return verts, eids, "cap-exceeded"
 
 
 def walk_to_sink(
@@ -410,8 +406,6 @@ def sink_walk_batch(
         raise InvalidParameterError(f"sink {sink} out of range")
     if cap < 0 or trials < 0:
         raise InvalidParameterError("cap and trials must be nonnegative")
-    flat, ptr, eidf = g.csr
-    degf = g.degrees.astype(np.float64)
     visited = np.zeros((trials, g.edge_count if edges else g.n), dtype=bool)
     capped = np.zeros(trials, dtype=bool)
     rngs = [trial_rng(seed, index_base + i) for i in range(trials)]
@@ -437,34 +431,23 @@ def sink_walk_batch(
         if s == 0:  # cap 0: each walk drew its first block and stopped
             capped[rows] = True
             break
-        if lazy:
-            stay = U < 0.5
-            U = np.where(stay, 0.0, 2.0 * U - 1.0)
-        P = np.empty((s, rows.size), dtype=np.int64)  # CSR slot of each step
-        V = np.empty((s, rows.size), dtype=np.int64)  # vertex after each step
-        for j in range(s):
-            # a double u < 1 times a degree d rounds to below d, so the
-            # scalar engine's clamp to d - 1 never binds here
-            pos = P[j]
-            np.multiply(U[:, j], degf[cur], out=pos, casting="unsafe")
-            pos += ptr[cur]
-            nxt = flat.take(pos, out=V[j])
-            if lazy:
-                np.copyto(nxt, cur, where=stay[:, j])
-            cur = nxt
+        V = np.empty((s + 1, rows.size), dtype=np.int64)  # V[j + 1]: after step j
+        V[0] = cur
+        E = np.empty((s, rows.size), dtype=np.int64) if edges else None
+        _lockstep(g, U[:, :s].T, V, E, lazy)
         done += s
-        hit = V == sink
+        hit = V[1:] == sink
         arrived = hit.any(axis=0)
         # each walk's steps up to its first arrival; the rest are discarded
         keep = np.arange(s)[:, None] <= np.where(arrived, hit.argmax(axis=0), s)
         if edges:
-            items = eidf[P]
+            items = E
             if lazy:
-                keep &= ~stay[:, :s].T
+                keep &= E >= 0
         else:
-            items = V
+            items = V[1:]
         visited[np.broadcast_to(rows, keep.shape)[keep], items[keep]] = True
-        rows, cur = rows[~arrived], cur[~arrived]
+        rows, cur = rows[~arrived], V[s][~arrived]
         if done >= cap:
             capped[rows] = True
             break

@@ -1,6 +1,6 @@
 """scripts/bench.py: the verdict on each end-to-end metric of a BENCH file,
-the bytecode compile before the first timed run, and the metrics printed
-per pair."""
+the bytecode compile before the first timed run, the metrics printed per
+pair, and the commits the file names."""
 
 import importlib.util
 import json
@@ -132,3 +132,51 @@ def test_traced_pairs_print_certifier_rate(tmp_path, monkeypatch, capsys):
         k: v for k, v in metrics.items() if k != "designs.rows"}
     doc = json.loads((sides[1] / "BENCH_t.json").read_text())
     assert "designs.rows" in doc["per_layer"]["sweep-certify"]["metrics"]
+
+
+def git(cwd, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def test_checkout_state_names_commit_and_changes(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    (repo / "a.py").write_text("x = 1\n")
+    git(repo, "add", "a.py")
+    git(repo, "commit", "-q", "-m", "one")
+    head = git(repo, "rev-parse", "HEAD")
+    assert bench.checkout_state(repo, "BENCH_t.json") == {"commit": head,
+                                                          "dirty": False}
+    (repo / "BENCH_t.json").write_text("{}\n")  # the file being written
+    assert not bench.checkout_state(repo, "BENCH_t.json")["dirty"]
+    (repo / "a.py").write_text("x = 2\n")
+    assert bench.checkout_state(repo, "BENCH_t.json") == {"commit": head,
+                                                          "dirty": True}
+    git(repo, "checkout", "-q", "a.py")
+    (repo / "b.py").write_text("")  # untracked
+    assert bench.checkout_state(repo, "BENCH_t.json")["dirty"]
+
+
+def test_checkouts_null_outside_git(tmp_path, monkeypatch):
+    spec = (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
+    sides = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(spec)
+        sides.append(tmp_path / side)
+    assert bench.checkout_state(sides[0], "BENCH_t.json") is None
+    result = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                         "metrics": {"wall_s": {"value": 1.0}}})
+
+    def fake_run(cmd, cwd, **kwargs):
+        assert cmd[0] != "git"
+        return subprocess.CompletedProcess(cmd, 0, stdout=result + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                       "--label", "t", "--pairs", "1", "--workload", "verify"]) == 0
+    doc = json.loads((sides[1] / "BENCH_t.json").read_text())
+    assert doc["checkouts"] == {"parent": None, "change": None}

@@ -494,6 +494,52 @@ class TestExperimentCommand:
                                    "number, got '0.1'")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("kind, change, message", [
+        ("sweep", {"design": "x"},
+         'sweep config "design" must be an integer, got \'x\''),
+        ("sweep", {"trials": "many"},
+         'sweep config "trials" must be an integer, got \'many\''),
+        ("sweep", {"trials": "30"},
+         'sweep config "trials" must be an integer, got \'30\''),
+        ("sweep", {"d": 1.7}, 'sweep config "d" must be an integer, got 1.7'),
+        ("sweep", {"eta": "0.1"},
+         'sweep config "eta" must be a number, got \'0.1\''),
+        ("sweep", {"budget": None},
+         'sweep config "budget" must be a number, got None'),
+        ("sweep", {"success": "bogus"},
+         'success must be "auto", "disjunct" or "recovery", got \'bogus\''),
+        ("fixed-input", {"trials": True},
+         'fixed-input config "trials" must be an integer, got True'),
+        ("verify", {"d": "1"}, 'verify config "d" must be an integer, got \'1\''),
+        ("tomo", {"q": "x"}, 'tomo config "q" must be a number, got \'x\''),
+        ("tomo", {"source": 0.5},
+         'tomo config "source" must be an integer, got 0.5'),
+        ("tomo", {"confidence": "0.99"},
+         'tomo config "confidence" must be a number, got \'0.99\''),
+        ("mixing", {"seed": "3"}, 'mixing config "seed" must be an integer, got \'3\''),
+    ], ids=["text-design", "text-trials", "text-number-trials", "float-d",
+            "text-eta", "null-budget", "unknown-success", "bool-trials",
+            "text-d", "text-q", "float-source", "text-confidence", "text-seed"])
+    def test_bad_config_value_is_reported_before_output(
+            self, tmp_path, capsys, kind, change, message):
+        graph = {"family": "erdos-renyi", "n": 64, "p": 0.3}
+        base = {"sweep": {"graph": graph, "design": 1, "d": 2, "m_grid": [60],
+                          "trials": 30},
+                "verify": {"graph": graph, "d": 1, "trials": 400},
+                "tomo": {"graph": graph, "source": 0},
+                "mixing": {"family": "erdos-renyi", "n_grid": [8]}}
+        base["fixed-input"] = base["sweep"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(base[kind], **change)))
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, "experiment", "--kind", kind,
+                             "--config", str(cfg), "--out", str(outdir))
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert diag["message"] == message
+        assert not outdir.exists()
+
     def test_sweep_writes_csv_and_manifest(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

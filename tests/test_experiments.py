@@ -136,6 +136,10 @@ class TestSuccessSweep:
         with pytest.raises(InvalidParameterError, match="20"):
             success_sweep({"family": "complete", "n": 16}, 1, 1, 0.0,
                           [20, 20], 30, 3, success="recovery")
+        with pytest.raises(InvalidParameterError,
+                           match="^success must be \"auto\", \"disjunct\" or "
+                                 "\"recovery\", got 'bogus'$"):
+            success_sweep(ER64, 1, 1, 0.0, [4, 8], 30, 0, success="bogus")
 
     def test_degrade_replays_earlier_trials(self, monkeypatch):
         # the certifier overflows on its 7th call, several trials in

@@ -611,6 +611,17 @@ class TestDecoders:
         with pytest.raises(InvalidParameterError):
             decode_threshold(bare, simulate_tests(bare, (1,)))
 
+    @pytest.mark.parametrize("tau, message", [
+        ("1", "tau must be an integer, got '1'"),
+        (0.5, "tau must be an integer, got 0.5"),
+        (True, "tau must be an integer, got True"),
+        (-1, "tau must be >= 0, got -1"),
+    ], ids=["text", "float", "bool", "negative"])
+    def test_threshold_tau_checked(self, tau, message):
+        M = mk(4, [(i,) for i in range(4)])
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            decode_threshold(M, simulate_tests(M, (1,)), tau=tau)
+
     def test_outcome_length_mismatch(self):
         M = mk(3, [(0,), (1,)])
         y = OutcomeVector(bits=np.zeros(5, dtype=bool))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walktest.designs import vertex_walk_design
+from walktest.designs import edge_walk_design, vertex_walk_design
 from walktest.errors import InvalidParameterError
 from walktest.graphs import (complete_graph, cycle_graph, degree_uniformity,
                              erdos_renyi_graph)
@@ -168,6 +168,91 @@ def _start_rule(kind, vertex):
     if kind == "round-robin":
         return StartRule.round_robin(designated)
     return StartRule.designated_uniform(designated)
+
+
+# The scalar walks' loops as they stood before the shared step core.
+
+
+def _ref_random_walk(g, v, steps, rng, lazy):
+    u_block = rng.random(steps)
+    verts, eids = [v], []
+    for j in range(steps):
+        u = float(u_block[j])
+        nbrs, eid_row = g.moves[v]
+        d = len(nbrs)
+        if lazy:
+            if u < 0.5:
+                verts.append(v)
+                continue
+            k = min(int((2.0 * u - 1.0) * d), d - 1)
+        else:
+            k = min(int(u * d), d - 1)
+        eids.append(eid_row[k])
+        v = nbrs[k]
+        verts.append(v)
+    return Walk(vertices=tuple(verts), edges=tuple(eids),
+                terminated_by="length-reached")
+
+
+def _ref_sink_walk(g, v0, sink, cap, rng, lazy):
+    def walk(term):
+        return Walk(vertices=tuple(verts), edges=tuple(eids), terminated_by=term)
+    verts, eids = [v0], []
+    if v0 == sink:
+        return walk("sink-reached")
+    v = v0
+    buf = rng.random(64)
+    k = 0
+    steps = 0
+    while True:
+        if steps >= cap:
+            return walk("cap-exceeded")
+        if k == 64:
+            buf = rng.random(64)
+            k = 0
+        u = float(buf[k])
+        k += 1
+        steps += 1
+        nbrs, eid_row = g.moves[v]
+        d = len(nbrs)
+        if lazy:
+            if u < 0.5:
+                verts.append(v)
+                continue
+            idx = min(int((2.0 * u - 1.0) * d), d - 1)
+        else:
+            idx = min(int(u * d), d - 1)
+        eids.append(eid_row[idx])
+        v = nbrs[idx]
+        verts.append(v)
+        if v == sink:
+            return walk("sink-reached")
+
+
+class TestScalarCore:
+    """``random_walk`` and ``walk_to_sink`` against the loops they replaced:
+    whole walks and each Generator's state after each walk."""
+
+    @given(graph=st.sampled_from(range(len(_SINK_GRAPHS))),
+           start=st.sampled_from([None, 0, 1, 2, 3, 4, 5]),
+           sink=st.integers(0, 5),
+           steps=st.sampled_from([0, 1, 63, 64, 65, 130]),
+           cap=st.sampled_from([0, 1, 63, 64, 65, 128]),
+           lazy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(graph=1, start=3, sink=3, steps=1, cap=0, lazy=False, seed=0)
+    @example(graph=1, start=3, sink=3, steps=65, cap=65, lazy=True, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_walks_match_the_replaced_loops(self, graph, start, sink, steps,
+                                            cap, lazy, seed):
+        g = _SINK_GRAPHS[graph]
+        rule = StartRule.uniform() if start is None else StartRule.fixed(start)
+        rng, ref = trial_rng(seed, 0), trial_rng(seed, 0)
+        assert random_walk(g, start, steps, rng, lazy=lazy) == _ref_random_walk(
+            g, rule.resolve(0, ref, g.n), steps, ref, lazy)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert walk_to_sink(g, start, sink, rng, cap=cap, lazy=lazy) == _ref_sink_walk(
+            g, rule.resolve(0, ref, g.n), sink, cap, ref, lazy)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 _FIXED_GRAPHS = (erdos_renyi_graph(64, 0.3, 42), cycle_graph(7), complete_graph(5))
@@ -423,11 +508,32 @@ class TestBoundChecks:
          "designated must be a list of vertex ids, got '01'"),
         (lambda g: vertex_walk_design(g, [1.7], 10, 3, 0),
          "designated vertex must be an integer, got 1.7"),
+        (lambda g: random_walk(g, 1.7, 3, trial_rng(0, 0)),
+         "start must be an integer, got 1.7"),
+        (lambda g: random_walk(g, True, 3, trial_rng(0, 0)),
+         "start must be an integer, got True"),
+        (lambda g: walk_to_sink(g, "x", 1, trial_rng(0, 0)),
+         "start must be an integer, got 'x'"),
+        (lambda g: walk_to_sink(g, 1.7, 1, trial_rng(0, 0)),
+         "start must be an integer, got 1.7"),
+        (lambda g: hit_probability(g, 3, "vertex", 3, 100, 0, start=1.7),
+         "start must be an integer, got 1.7"),
+        (lambda g: hit_probability(g, 3, "vertex", 3, 100, 0, start="x"),
+         "start must be an integer, got 'x'"),
+        (lambda g: hit_probability(g, 3, "vertex", 3, 100, 0, start=True),
+         "start must be an integer, got True"),
+        (lambda g: edge_walk_design(g, 10, 3, 0, start=1.7),
+         "start must be an integer, got 1.7"),
+        (lambda g: edge_walk_design(g, 10, 3, 0, start=True),
+         "start must be an integer, got True"),
     ], ids=["early-text-k", "early-negative-k", "tail-text-k", "text-i",
             "float-j", "text-t_mix", "float-min_count", "zero-min_count",
             "early-text-designated", "early-float-designated",
             "early-scalar-designated", "round-robin-bool", "uniform-text",
-            "design-float-designated"])
+            "design-float-designated", "walk-float-start", "walk-bool-start",
+            "sink-text-start", "sink-float-start", "hit-float-start",
+            "hit-text-start", "hit-bool-start", "design-float-start",
+            "design-bool-start"])
     def test_bad_arguments_rejected(self, k8, call, message):
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             call(k8)
