@@ -334,13 +334,18 @@ def _write_csv(path: str, rows: list[list]) -> None:
         csv.writer(fh).writerows(rows)
 
 
-# Keys each experiment kind reads unconditionally.
+# Keys each experiment kind reads unconditionally, and those _cmd_experiment
+# reads where present; it reads no others.
 _CONFIG_KEYS = {
-    "sweep": ("graph", "design", "d", "m_grid", "trials"),
-    "mixing": ("family", "n_grid"),
-    "fixed-input": ("graph", "design", "d", "m_grid", "trials"),
-    "verify": ("graph", "d", "trials"),
-    "tomo": ("graph", "source"),
+    "sweep": (("graph", "design", "d", "m_grid", "trials"),
+              ("seed", "eta", "noise", "success", "budget", "t", "sink",
+               "designated")),
+    "mixing": (("family", "n_grid"), ("seed", "degree_rule", "lazy")),
+    "fixed-input": (("graph", "design", "d", "m_grid", "trials"),
+                    ("seed", "budget")),
+    "verify": (("graph", "d", "trials"), ("seed", "graph_file")),
+    "tomo": (("graph", "source"),
+             ("seed", "graph_file", "congested", "q", "t", "m", "confidence")),
 }
 # Values _cmd_experiment converts with int() or float(), where present.
 _CONFIG_VALUES = {
@@ -351,11 +356,15 @@ _CONFIG_VALUES = {
 
 
 def _check_config(cfg, kind: str) -> NoiseModel | None:
-    """Reject a config that lacks a key its kind reads, or holds a value of
-    the wrong type, before any output; return the config's noise model."""
+    """Reject a config that lacks a key its kind reads, holds a key its kind
+    does not read, or holds a value of the wrong type, before any output;
+    return the config's noise model."""
     if not isinstance(cfg, dict):
         raise InvalidParameterError("experiment config must be a JSON object")
-    keys = _CONFIG_KEYS[kind]
+    keys, optional = _CONFIG_KEYS[kind]
+    for key in cfg:
+        if key not in keys and key not in optional:
+            raise InvalidParameterError(f'{kind} config has unknown key "{key}"')
     if kind in ("verify", "tomo") and "graph_file" in cfg:
         keys = keys[1:]  # the file stands in for "graph"
     for key in keys:

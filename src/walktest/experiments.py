@@ -336,7 +336,14 @@ def success_sweep(
     crediting it and every larger grid value.  A longer prefix that is never
     certified therefore cannot exceed the node budget, raise, or trigger a
     degrade.  The up-front n*C(n-1,d) enumeration check does not depend on
-    m, so it raises or degrades exactly as before."""
+    m, so it raises or degrades exactly as before.
+
+    Each prefix's certification resumes at the column where the previous
+    prefix found its witness (``is_disjunct``'s ``shorter``), since the
+    columns before it stay private as rows are added.  The node budget
+    applies to each call and counts only the columns that call searches, so
+    a prefix may fit the budget where a search from column 0 would exceed
+    it, and then neither raises nor degrades."""
     _check_success(success)
     m_grid = sorted(int(m) for m in m_grid)
     if not m_grid or m_grid[0] < 0:
@@ -396,8 +403,10 @@ def success_sweep(
         params_sample = params
         if mode in ("auto", "disjunct"):
             try:
+                cert = None
                 for i, m in enumerate(m_grid):
-                    if is_disjunct(M.prefix(m), d, budget=budget).disjunct:
+                    cert = is_disjunct(M.prefix(m), d, budget=budget, shorter=cert)
+                    if cert.disjunct:
                         for m_up in m_grid[i:]:
                             wins[m_up] += 1
                         break

@@ -44,7 +44,7 @@ from .errors import (
     read_json,
     write_json,
 )
-from .walks import _as_count
+from .walks import _as_count, _check_int, _id_list
 
 __all__ = [
     "DefectiveSet",
@@ -317,15 +317,16 @@ class _Columns:
 _ROOT_CELLS = 4096
 
 
-def _root_slack(cs: _Columns, r: int):
-    """Yield each column's weight less the sum of its r largest overlaps.
+def _root_slack(cs: _Columns, r: int, start: int = 0):
+    """Yield each column's weight less the sum of its r largest overlaps,
+    from column ``start`` on.
 
     A column whose slack exceeds e fails the first bound test of its
     ``_search``, so that search ends at its root node.  Computed per block of
     columns as the caller reaches them, because a certification often stops
     after a few columns: the first block holds about ``_ROOT_CELLS`` overlaps
     and each later block twice as many columns as the one before."""
-    lo, size = 0, max(8, _ROOT_CELLS // cs.nc)
+    lo, size = start, max(8, _ROOT_CELLS // cs.nc)
     while lo < cs.nc:
         ov = cs.overlap[lo:lo + size]
         top = np.partition(ov, cs.nc - r, axis=1)[:, cs.nc - r:].sum(axis=1)
@@ -334,11 +335,39 @@ def _root_slack(cs: _Columns, r: int):
 
 
 def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
-    excl = set(int(x) for x in exclude_columns)
+    excl = _id_list("exclude_columns", "column", exclude_columns)
     for x in excl:
+        _check_int("excluded column", x)
         if not 0 <= x < M.n_items:
             raise InvalidParameterError(f"excluded column {x} out of range")
+    excl = {int(x) for x in excl}
     return [c for c in M.columns if c not in excl]
+
+
+def _chain_start(shorter, d: int, e: int, cols: list[int]) -> int:
+    """The column index a certification resumes at after ``shorter``, the
+    certificate of a shorter row prefix (0 without one, ``len(cols)`` when
+    it is disjunct)."""
+    if shorter is None:
+        return 0
+    if not isinstance(shorter, DisjunctCertificate):
+        raise InvalidParameterError(
+            f"shorter must be a DisjunctCertificate, got {shorter!r}")
+    for what, got, want in (("d", shorter.d, d), ("e", shorter.e, e)):
+        if got != want:
+            raise InvalidParameterError(
+                f"shorter certificate has {what} = {got!r}, not {want}")
+    if shorter.columns != tuple(cols):
+        raise InvalidParameterError(
+            "shorter certificate checks other columns than this check "
+            f"({len(shorter.columns)} against {len(cols)})")
+    if shorter.disjunct:
+        return len(cols)
+    s0 = getattr(shorter.witness, "s0", None)
+    if s0 not in cols:
+        raise InvalidParameterError(
+            f"shorter certificate's witness column {s0!r} is not checked")
+    return cols.index(s0)
 
 
 def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
@@ -430,6 +459,7 @@ def is_disjunct(
     e: int = 0,
     budget: float = 1e8,
     exclude_columns=(),
+    shorter: DisjunctCertificate | None = None,
 ) -> DisjunctCertificate:
     """Exhaustively certify (d,e)-disjunctness over the non-stripped columns.
 
@@ -437,7 +467,15 @@ def is_disjunct(
     also caps search nodes (every partial set visited counts, so nodes can
     exceed n*C(n-1,d)); ``inf`` means no cap.  On violation the witness is
     the lexicographically first (s0, others) pair.  When fewer than d other
-    columns exist the check uses all of them (d_effective)."""
+    columns exist the check uses all of them (d_effective).
+
+    ``shorter`` is the certificate this function returned for a shorter row
+    prefix of the same matrix, with the same d, e and columns.  Adding rows
+    only adds private rows, so every column before its witness column is
+    still private and the search starts there; when it is disjunct, so is
+    this prefix.  The certificate equals the one without ``shorter`` except
+    for ``nodes``, which counts the columns searched, and the budget caps
+    those nodes alone.  The argument and enumeration checks run first."""
     d, e = _as_count("d", d, 1), _as_count("e", e, 0)
     cap = _node_cap(budget)
     cols = _columns_for(M, exclude_columns)
@@ -445,19 +483,20 @@ def is_disjunct(
     if nc == 0:
         raise InvalidParameterError("no columns to check")
     d_eff = min(d, nc - 1)
-    if d_eff == 0:
-        return DisjunctCertificate(disjunct=True, d=d, e=e, d_effective=0,
-                                   columns=tuple(cols), witness=None, nodes=0)
     total = nc * math.comb(nc - 1, d_eff)
-    if total > cap:
+    if d_eff and total > cap:
         raise SizeExceededError(
             "disjunctness enumeration over budget",
             needed=total, limit=cap, columns_done=0,
         )
+    start = _chain_start(shorter, d, e, cols)
+    if d_eff == 0 or start == nc:
+        return DisjunctCertificate(disjunct=True, d=d, e=e, d_effective=d_eff,
+                                   columns=tuple(cols), witness=None, nodes=0)
     cs = _Columns(M.dense().T[cols])
     counter = _Budget(cap)
     witness = None
-    for j0, slack in enumerate(_root_slack(cs, d_eff)):
+    for j0, slack in enumerate(_root_slack(cs, d_eff, start), start):
         counter.columns_done = j0
         if slack > e:
             # settled at the root: _search would count its root node, fail

@@ -328,8 +328,7 @@ def random_walk(
     _require_walkable(g)
     rule = _as_start_rule(start)
     rule.validate(g)
-    if steps < 0:
-        raise InvalidParameterError("steps must be nonnegative")
+    steps = _as_count("steps", steps, 0)
     verts = [rule.resolve(index, rng, g.n)]
     eids: list[int] = []
     _scalar_steps(g.moves, rng.random(steps), lazy, -1, verts, eids)  # no sink
@@ -370,6 +369,7 @@ def walk_to_sink(
 ) -> Walk:
     """Walk until first arrival at ``sink`` (or the step cap, default n^3)."""
     _require_walkable(g)
+    _check_int("sink", sink)
     if not 0 <= sink < g.n:
         raise InvalidParameterError(f"sink {sink} out of range")
     rule = _as_start_rule(start)

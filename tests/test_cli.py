@@ -421,8 +421,9 @@ class TestExperimentCommand:
         ("verify", {}, '"graph"'),
         ("tomo", {}, '"graph"'),
         ("verify", {"graph_file": "g.json", "trials": 10}, '"d"'),
-        ("mixing", {"family": "complete", "n_grid": [8],
-                    "noise": {"kind": "flip"}}, '"q"'),
+        ("sweep", {"graph": {"family": "complete", "n": 8}, "design": 1,
+                   "d": 1, "m_grid": [8], "trials": 30,
+                   "noise": {"kind": "flip"}}, '"q"'),
         ("verify", {"graph": {"family": "erdos-renyi", "n": 16}, "d": 2,
                     "trials": 10}, '"p"'),
         ("sweep", {"graph": {"family": "random-regular", "n": 16}, "design": 1,
@@ -517,9 +518,19 @@ class TestExperimentCommand:
         ("tomo", {"confidence": "0.99"},
          'tomo config "confidence" must be a number, got \'0.99\''),
         ("mixing", {"seed": "3"}, 'mixing config "seed" must be an integer, got \'3\''),
+        ("sweep", {"sucess": "recovery"}, 'sweep config has unknown key "sucess"'),
+        ("sweep", {"graph_file": "g.json"},
+         'sweep config has unknown key "graph_file"'),
+        ("fixed-input", {"eta": 0.1}, 'fixed-input config has unknown key "eta"'),
+        ("verify", {"m_grid": [60]}, 'verify config has unknown key "m_grid"'),
+        ("tomo", {"trials": 30}, 'tomo config has unknown key "trials"'),
+        ("mixing", {"noise": {"kind": "flip", "q": 0.1}},
+         'mixing config has unknown key "noise"'),
     ], ids=["text-design", "text-trials", "text-number-trials", "float-d",
             "text-eta", "null-budget", "unknown-success", "bool-trials",
-            "text-d", "text-q", "float-source", "text-confidence", "text-seed"])
+            "text-d", "text-q", "float-source", "text-confidence", "text-seed",
+            "misspelt-key", "sweep-graph-file", "fixed-input-eta",
+            "verify-m-grid", "tomo-trials", "mixing-noise"])
     def test_bad_config_value_is_reported_before_output(
             self, tmp_path, capsys, kind, change, message):
         graph = {"family": "erdos-renyi", "n": 64, "p": 0.3}

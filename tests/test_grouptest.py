@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -188,6 +189,16 @@ class TestDisjunctAgainstOracle:
         (dict(d=2, budget="1e6"), "budget must be a number, got '1e6'"),
         (dict(d=2, budget=None), "budget must be a number, got None"),
         (dict(d=2, budget=True), "budget must be a number, got True"),
+        (dict(d=2, exclude_columns=["a"]),
+         "excluded column must be an integer, got 'a'"),
+        (dict(d=2, exclude_columns=[1.5]),
+         "excluded column must be an integer, got 1.5"),
+        (dict(d=2, exclude_columns=[True]),
+         "excluded column must be an integer, got True"),
+        (dict(d=2, exclude_columns="12"),
+         "exclude_columns must be a list of column ids, got '12'"),
+        (dict(d=2, exclude_columns=3),
+         "exclude_columns must be a list of column ids, got 3"),
     ])
     def test_argument_types_checked(self, kwargs, message):
         M = build_design(complete_graph(12), 1, 40, 5, t=8)
@@ -284,10 +295,10 @@ class TestCertifierPinned:
                                       "limit": want[1] - 1, "columns_done": 0}
 
 
-def certify(M, d, e, budget):
+def certify(M, d, e, budget, **kw):
     """A certificate, or the overflow's message and progress."""
     try:
-        return is_disjunct(M, d, e, budget=budget)
+        return is_disjunct(M, d, e, budget=budget, **kw)
     except SizeExceededError as ex:
         return str(ex), ex.progress
 
@@ -312,7 +323,8 @@ def root_oracle(M, d, e, frac):
                    total + int(frac * max(nodes - 1 - total, 0))):
         got = certify(M, d, e, budget)
         with mock.patch.object(grouptest, "_root_slack",
-                               lambda cs, r: itertools.repeat(-math.inf, cs.nc)):
+                               lambda cs, r, start: itertools.repeat(
+                                   -math.inf, cs.nc - start)):
             assert got == certify(M, d, e, budget)
         if isinstance(got, tuple) and "search" in got[0]:
             late += any(settles[:got[1]["columns_done"]])
@@ -498,6 +510,108 @@ def test_by_overlap_blocks_match_per_column_sort(n_items, seed, asks):
             sorted_rows += len(block)
     # a block is never longer than the run of rows asked before it
     assert sorted_rows <= 2 * len(set(asks))
+
+
+# A certification chained on a shorter prefix's certificate against the same
+# certification from column 0.
+
+
+@st.composite
+def chain_cases(draw):
+    """A matrix, nested prefix lengths m1 <= m2, d, e, excluded columns and
+    a budget fraction.  Few items, d up to 6 and long prefixes make searches
+    that outgrow the enumeration count, so budgets between the two stop
+    them part way; the sizes come from the drawn seed, as hypothesis's own
+    integers favour the small matrices where that seldom happens."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_items = int(rng.integers(2, 7))
+    p = rng.uniform(0.2, 0.7)
+    strip = tuple(np.flatnonzero(rng.random(n_items) < 0.1).tolist())
+    if len(strip) >= n_items - 1:
+        strip = ()
+    rows = [tuple(x for x in np.flatnonzero(rng.random(n_items) < p)
+                  if x not in strip) for _ in range(int(rng.integers(0, 61)))]
+    # singleton rows make the columns below a cutoff private, so the
+    # shorter prefix's witness column is often not the first
+    rows += [(c,) for c in range(int(rng.integers(0, n_items + 1)))
+             if c not in strip for _ in range(int(rng.integers(0, 5)))]
+    rng.shuffle(rows)
+    M = mk(n_items, rows, strip)
+    exclude = [c for c in M.columns[1:] if rng.random() < 0.2]
+    m2 = int(rng.integers(len(rows) // 3, len(rows) + 1))
+    m1 = max(m2 - int(rng.integers(0, 16)), 0)
+    return (M, m1, m2, int(rng.integers(1, 7)), int(rng.integers(0, 4)),
+            exclude, rng.random())
+
+
+def test_chained_certificate_matches_search_from_column_zero():
+    seen = []
+
+    @given(case=chain_cases())
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def check(case):
+        M, m1, m2, d, e, exclude, frac = case
+        kw = dict(exclude_columns=exclude)
+        shorter = is_disjunct(M.prefix(m1), d, e, budget=math.inf, **kw)
+        longer = M.prefix(m2)
+        full = is_disjunct(longer, d, e, budget=math.inf, **kw)
+        chained = is_disjunct(longer, d, e, budget=math.inf, shorter=shorter, **kw)
+        assert replace(chained, nodes=full.nodes) == full
+        assert chained.nodes <= full.nodes
+        if shorter.disjunct:
+            assert chained.nodes == 0
+        # the columns before the start cost the unchained search `skipped`
+        # nodes and settle without overflow, so the chained search at budget
+        # b stops where the unchained one stops at b + skipped
+        skipped = full.nodes - chained.nodes
+        nc = len(full.columns)
+        total = nc * math.comb(nc - 1, full.d_effective)
+        overflowed = False
+        for b in {chained.nodes - 1,
+                  total + int(frac * max(chained.nodes - 1 - total, 0))}:
+            if b < total:
+                continue
+            got, want = (certify(longer, d, e, b, shorter=shorter, **kw),
+                         certify(longer, d, e, b + skipped, **kw))
+            if isinstance(want, tuple):
+                overflowed = True
+                assert got == (want[0], dict(want[1], limit=b))
+            else:
+                assert got == replace(want, nodes=want.nodes - skipped)
+        seen.append((e > 0, full.d_effective < d, bool(M.stripped),
+                     bool(exclude), shorter.disjunct,
+                     0 < skipped and not shorter.disjunct,
+                     overflowed and skipped > 0))
+
+    check()
+    covered = [sum(flags) for flags in zip(*seen)]
+    assert min(covered) >= 10, covered
+
+
+@pytest.mark.parametrize("shorter, message", [
+    (lambda M: is_disjunct(M.prefix(20), 1),
+     "shorter certificate has d = 1, not 2"),
+    (lambda M: is_disjunct(M.prefix(20), 2, e=1),
+     "shorter certificate has e = 1, not 0"),
+    (lambda M: is_disjunct(M.prefix(20), 2, exclude_columns=[3]),
+     "shorter certificate checks other columns than this check (11 against 12)"),
+    (lambda M: replace(is_disjunct(M.prefix(20), 2), disjunct=False,
+                       witness=None),
+     "shorter certificate's witness column None is not checked"),
+    (lambda M: "cert", "shorter must be a DisjunctCertificate, got 'cert'"),
+    (lambda M: dict(disjunct=True),
+     "shorter must be a DisjunctCertificate, got {'disjunct': True}"),
+], ids=["d", "e", "columns", "no-witness", "text", "dict"])
+def test_mismatched_shorter_certificate_rejected(shorter, message):
+    M = build_design(complete_graph(12), 1, 40, 5, t=8)
+    bad = shorter(M)
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        is_disjunct(M, 2, shorter=bad)
+    # the argument and enumeration checks run first
+    with pytest.raises(InvalidParameterError, match="^e must be"):
+        is_disjunct(M, 2, e=-1, shorter=bad)
+    with pytest.raises(SizeExceededError, match="enumeration"):
+        is_disjunct(M, 2, budget=10, shorter=bad)
 
 
 class TestSimulate:

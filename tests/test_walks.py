@@ -526,6 +526,20 @@ class TestBoundChecks:
          "start must be an integer, got 1.7"),
         (lambda g: edge_walk_design(g, 10, 3, 0, start=True),
          "start must be an integer, got True"),
+        (lambda g: random_walk(g, 0, "3", trial_rng(0, 0)),
+         "steps must be an integer, got '3'"),
+        (lambda g: random_walk(g, 0, 2.5, trial_rng(0, 0)),
+         "steps must be an integer, got 2.5"),
+        (lambda g: random_walk(g, 0, True, trial_rng(0, 0)),
+         "steps must be an integer, got True"),
+        (lambda g: random_walk(g, 0, -1, trial_rng(0, 0)),
+         "steps must be >= 0, got -1"),
+        (lambda g: walk_to_sink(g, 0, "1", trial_rng(0, 0)),
+         "sink must be an integer, got '1'"),
+        (lambda g: walk_to_sink(g, 0, 1.0, trial_rng(0, 0)),
+         "sink must be an integer, got 1.0"),
+        (lambda g: walk_to_sink(g, 0, True, trial_rng(0, 0)),
+         "sink must be an integer, got True"),
     ], ids=["early-text-k", "early-negative-k", "tail-text-k", "text-i",
             "float-j", "text-t_mix", "float-min_count", "zero-min_count",
             "early-text-designated", "early-float-designated",
@@ -533,7 +547,9 @@ class TestBoundChecks:
             "design-float-designated", "walk-float-start", "walk-bool-start",
             "sink-text-start", "sink-float-start", "hit-float-start",
             "hit-text-start", "hit-bool-start", "design-float-start",
-            "design-bool-start"])
+            "design-bool-start", "walk-text-steps", "walk-float-steps",
+            "walk-bool-steps", "walk-negative-steps", "sink-text-sink",
+            "sink-float-sink", "sink-bool-sink"])
     def test_bad_arguments_rejected(self, k8, call, message):
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             call(k8)
