@@ -61,6 +61,10 @@ from walktest.walks import (
 )
 
 
+# trials per sweep point, in quick mode too: success_sweep needs at least 30
+SWEEP_TRIALS = 30
+
+
 def log(msg: str) -> None:
     print(msg, flush=True)
 
@@ -206,7 +210,6 @@ def main() -> int:
                     help="fewer trials (sanity pass, not for freezing)")
     args = ap.parse_args()
     trials = 4000 if args.quick else 20000
-    sweep_trials = 15 if args.quick else 30
     tomo_seeds = 8 if args.quick else 30
 
     t0 = time.time()
@@ -215,7 +218,7 @@ def main() -> int:
     log(f"  -> kappa_t = {kt}")
 
     log("[2/5] kappa_m (auto-sized families, 95% points)")
-    km = calibrate_kappa_m(kt, sweep_trials)
+    km = calibrate_kappa_m(kt, SWEEP_TRIALS)
     log(f"  -> kappa_m = {km:.4f}")
 
     log("[3/5] kappa_e (noisy localization convergence)")

@@ -343,7 +343,12 @@ def success_sweep(
     columns before it stay private as rows are added.  The node budget
     applies to each call and counts only the columns that call searches, so
     a prefix may fit the budget where a search from column 0 would exceed
-    it, and then neither raises nor degrades."""
+    it, and then neither raises nor degrades.
+
+    Trial t's graph, matrix, planted set and noise come from child seeds
+    (t, 0) to (t, 3).  Each is drawn only when read: a complete or cycle
+    graph takes no seed, and the planted set is drawn when the trial is
+    tallied for recovery, so a disjunct scan draws none."""
     _check_success(success)
     m_grid = sorted(int(m) for m in m_grid)
     if not m_grid or m_grid[0] < 0:
@@ -363,14 +368,13 @@ def success_sweep(
     cache: dict = {}
 
     def build(trial: int):
-        """Matrix, planted set, and parameters of one trial, plus the
-        graph regenerations it took."""
-        gseed = _child_seed(seed, trial, 0)
-        mseed = _child_seed(seed, trial, 1)
-        dseed = _child_seed(seed, trial, 2)
+        """Matrix and parameters of one trial, plus the graph regenerations
+        it took."""
         if deterministic and cache:
             g, params, r = cache["g"], cache["params"], 0
         else:
+            # complete and cycle graphs read no seed
+            gseed = 0 if deterministic else _child_seed(seed, trial, 0)
             g, r = graph_from_config(graph_config, gseed)
             params = measured_design_parameters(g, d, eta, constants)
             if deterministic:
@@ -381,14 +385,14 @@ def success_sweep(
             t = params.walk_length(design_id)
         else:
             t = None
-        M = build_design(g, design_id, m_max, mseed, t=t, designated=designated,
-                         sink=sink)
-        rng = trial_rng(dseed, 0)
+        M = build_design(g, design_id, m_max, _child_seed(seed, trial, 1), t=t,
+                         designated=designated, sink=sink)
+        return M, params, r
+
+    def tally_recovery(trial: int, M, params) -> None:
+        rng = trial_rng(_child_seed(seed, trial, 2), 0)
         planted = tuple(sorted(rng.choice(M.columns, size=min(d, len(M.columns)),
                                           replace=False).tolist()))
-        return M, planted, params, r
-
-    def tally_recovery(trial: int, M, planted, params) -> None:
         nseed = _child_seed(seed, trial, 3)
         y = simulate_tests(M, planted, noise=noise, rng=trial_rng(nseed, 0))
         # noise-inflated designs decode with the tolerance their surplus buys
@@ -398,7 +402,7 @@ def success_sweep(
             wins[m] += int(ok)
 
     for trial in range(trials):
-        M, planted, params, r = build(trial)
+        M, params, r = build(trial)
         regens += r
         params_sample = params
         if mode in ("auto", "disjunct"):
@@ -417,8 +421,8 @@ def success_sweep(
                 mode = "recovery"  # degraded for this and all later trials
                 wins.update(dict.fromkeys(m_grid, 0))
                 for past in range(trial):
-                    tally_recovery(past, *build(past)[:3])
-        tally_recovery(trial, M, planted, params)
+                    tally_recovery(past, *build(past)[:2])
+        tally_recovery(trial, M, params)
     points = [_rate_point(m, wins[m], trials) for m in m_grid]
     result = SweepResult(axis="m", points=points, metadata={
         "graph": dict(graph_config), "design": design_id, "d": d, "eta": eta,

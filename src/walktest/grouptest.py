@@ -13,12 +13,13 @@ The search runs each column's candidates by descending overlap; those
 orders are sorted a block of overlap rows at a time (see
 ``_Columns.by_overlap``).
 
-One branch-and-bound search serves the decision, the margin and the witness.
-The decision stops at the first set that leaves at most e private rows; the
+One branch-and-bound search serves the decision and the margin.  The
+decision stops at the first set that leaves at most e private rows; the
 margin tightens its limit to the least count found.  The lexicographically
-first witness is built slot by slot: each slot takes the smallest later
-column for which the search, run on the columns after it, still finds a
-violation.
+first witness is built slot by slot: each slot but the last two takes the
+smallest later column for which the search, run on the columns after it,
+still finds a violation, and the last two are the first pair of a table
+that counts the rows each pair of later columns leaves (``_lex_witness``).
 
 The decision settles a column at its root when the column's weight less its
 d largest overlaps exceeds e.  That is the search's first bound test, so the
@@ -123,8 +124,10 @@ class NoiseModel:
 
     @classmethod
     def adversarial(cls, flips) -> "NoiseModel":
-        out = tuple(sorted(set(int(i) for i in flips)))
-        return cls(kind="adversarial", flips=out)
+        flips = _id_list("flips", "row", flips)
+        for i in flips:
+            _check_int("flip index", i)
+        return cls(kind="adversarial", flips=tuple(sorted({int(i) for i in flips})))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +194,10 @@ def _as_defectives(M: MeasurementMatrix, defectives) -> tuple[int, ...]:
             )
         items = defectives.items
     else:
-        items = tuple(int(x) for x in defectives)
-    items = tuple(sorted(set(items)))
+        items = _id_list("defectives", "item", defectives)
+    for x in items:
+        _check_int("defective item", x)
+    items = tuple(sorted({int(x) for x in items}))
     strip = set(M.stripped)
     for x in items:
         if not 0 <= x < M.n_items:
@@ -271,8 +276,10 @@ class _Columns:
     pairwise overlap counts (-1 on the diagonal)."""
 
     def __init__(self, At: np.ndarray):
-        # At holds one column per row (callers pass dense().T[cols]), so
-        # packing and the product read contiguous rows
+        # At holds one column per row (callers pass dense().T[cols], a
+        # copy), so packing and the product read contiguous rows; the
+        # witness reads it again (see _lex_witness)
+        self.At = At
         self.nc, self.m = At.shape
         packed = np.packbits(At, axis=1, bitorder="little")
         self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -427,20 +434,33 @@ def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
 
 def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, ...], int]:
     """Lexicographically first violating d-set for column j0 (a violation
-    must exist), filled slot by slot.  Returns (local ids, private count)."""
+    must exist).  Returns (local ids, private count).
+
+    At d = 1 it is the first other column that leaves at most e rows.  Else
+    every slot but the last two takes the smallest later column for which
+    the search, run on the columns after it, still finds a violation; the
+    last two come from one pair table over the columns after those: cell
+    (a, b) of ``Z @ Z.T``, with Z the columns' misses on the rows of j0 that
+    the earlier slots leave, counts the rows neither a nor b covers, and the
+    first cell a < b (neither j0) of at most e is the pair."""
     bits, col0 = cs.bits, cs.bits[j0]
-    order, prefix = cs.by_overlap(j0)
-    ov = cs.overlap[j0].tolist()
+    if d_eff == 1:
+        for c in range(cs.nc):
+            priv = (col0 & ~bits[c]).bit_count()
+            if c != j0 and priv <= e:
+                return (c,), priv
+        raise RuntimeError("witness extraction failed after positive decision")
     chosen: list[int] = []
     cov = 0
-    for r in range(d_eff - 1, -1, -1):
+    if d_eff > 2:
+        order, prefix = cs.by_overlap(j0)
+        ov = cs.overlap[j0].tolist()
+    for r in range(d_eff - 1, 1, -1):
         for c in range(chosen[-1] + 1 if chosen else 0, cs.nc):
             ncov = cov | bits[c]
             # r more columns cover at most the r largest overlaps
             if c == j0 or (col0 & ~ncov).bit_count() - prefix[r] > e:
                 continue
-            if r == 0:
-                break
             later = [k for k in order if k > c]
             if len(later) >= r and _search(
                     bits, col0, later, [0, *accumulate(ov[k] for k in later)],
@@ -450,7 +470,21 @@ def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, 
             raise RuntimeError("witness extraction failed after positive decision")
         chosen.append(c)
         cov = ncov
-    return tuple(chosen), (col0 & ~cov).bit_count()
+    first = chosen[-1] + 1 if chosen else 0
+    rows = cs.At[j0] & ~cs.At[chosen].any(axis=0)
+    Z = (~cs.At[first:, rows]).astype(np.float32)
+    # counts are at most m, exact in float32 below 2**24
+    left = Z @ Z.T
+    ok = left <= e
+    np.fill_diagonal(ok, False)
+    if j0 >= first:
+        ok[j0 - first] = ok[:, j0 - first] = False
+    # the table is symmetric, so its first cell of at most e, in row-major
+    # order, lies above the diagonal
+    a, b = divmod(int(ok.argmax()), len(ok))
+    if not ok[a, b]:
+        raise RuntimeError("witness extraction failed after positive decision")
+    return (*chosen, first + a, first + b), int(left[a, b])
 
 
 def is_disjunct(

@@ -1,7 +1,9 @@
 """Desk-scale experiments: sweeps, scaling, verification, tomography."""
 
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,28 @@ class TestMeasuredParams:
         assert p.T == 5
 
 
+def degrade_matches_recovery(monkeypatch, cfg):
+    """An auto sweep whose certifier overflows on its 7th call, several
+    trials in, against a recovery sweep with the same seed."""
+    calls = []
+
+    def overflow_late(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= 7:
+            raise SizeExceededError("over budget", limit=0)
+        return is_disjunct(*args, **kwargs)
+
+    grid = [0, 20, 40]
+    rec = success_sweep(cfg, 1, 2, 0.0, grid, trials=30, seed=6,
+                        success="recovery")
+    monkeypatch.setattr(experiments, "is_disjunct", overflow_late)
+    auto = success_sweep(cfg, 1, 2, 0.0, grid, trials=30, seed=6)
+    assert len(calls) == 7
+    assert auto.metadata["degraded"]
+    assert auto.points == rec.points
+    assert auto.metadata["graph_regens"] == rec.metadata["graph_regens"]
+
+
 class TestSuccessSweep:
     def test_auto_disjunct_monotone(self):
         sw = success_sweep(ER64, 1, 2, 0.0, [0, 30, 60, 120, 200],
@@ -142,25 +166,35 @@ class TestSuccessSweep:
             success_sweep(ER64, 1, 1, 0.0, [4, 8], 30, 0, success="bogus")
 
     def test_degrade_replays_earlier_trials(self, monkeypatch):
-        # the certifier overflows on its 7th call, several trials in
-        calls = []
+        degrade_matches_recovery(monkeypatch,
+                                 {"family": "erdos-renyi", "n": 24, "p": 0.4})
 
-        def overflow_late(*args, **kwargs):
-            calls.append(1)
-            if len(calls) >= 7:
-                raise SizeExceededError("over budget", limit=0)
-            return is_disjunct(*args, **kwargs)
+    def test_degrade_replays_earlier_trials_on_complete_graph(self, monkeypatch):
+        # complete-graph trials draw no graph seed, and no planted set until
+        # the degrade replays them
+        degrade_matches_recovery(monkeypatch, {"family": "complete", "n": 16})
 
-        cfg = {"family": "erdos-renyi", "n": 24, "p": 0.4}
-        grid = [0, 20, 40]
-        rec = success_sweep(cfg, 1, 2, 0.0, grid, trials=30, seed=6,
-                            success="recovery")
-        monkeypatch.setattr(experiments, "is_disjunct", overflow_late)
-        auto = success_sweep(cfg, 1, 2, 0.0, grid, trials=30, seed=6)
-        assert len(calls) == 7
-        assert auto.metadata["degraded"]
-        assert auto.points == rec.points
-        assert auto.metadata["graph_regens"] == rec.metadata["graph_regens"]
+    def test_disjunct_sweep_draws_only_matrix_seeds(self, monkeypatch):
+        # a disjunct scan reads no planted set, and a complete graph no seed
+        keys = []
+
+        def counting(seed, *key):
+            keys.append(key)
+            return _child_seed(seed, *key)
+
+        monkeypatch.setattr(experiments, "_child_seed", counting)
+        success_sweep({"family": "complete", "n": 16}, 1, 2, 0.0, [20, 40, 60],
+                      trials=30, seed=3, success="disjunct")
+        assert keys == [(t, 1) for t in range(30)]
+
+    def test_calibration_sweeps_have_enough_trials(self):
+        spec = importlib.util.spec_from_file_location(
+            "calibrate", Path(__file__).resolve().parents[1] / "scripts" / "calibrate.py")
+        calibrate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(calibrate)
+        sw = success_sweep({"family": "complete", "n": 8}, 1, 1, 0.0, [4, 8],
+                           calibrate.SWEEP_TRIALS, 0, success="recovery")
+        assert sw.points[0].trials == calibrate.SWEEP_TRIALS
 
     @pytest.mark.parametrize("cfg, design, d, grid", [
         ({"family": "complete", "n": 16}, 1, 2, [20, 40, 50, 60, 80]),

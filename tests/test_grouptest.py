@@ -588,6 +588,94 @@ def test_chained_certificate_matches_search_from_column_zero():
     assert min(covered) >= 10, covered
 
 
+# The witness as it was before its last two slots came from a pair table:
+# every slot takes the smallest later column for which the search, run on
+# the columns after it, still finds a violation.
+
+
+def ref_lex_witness(cs, j0, d_eff, e):
+    bits, col0 = cs.bits, cs.bits[j0]
+    order, prefix = cs.by_overlap(j0)
+    ov = cs.overlap[j0].tolist()
+    chosen = []
+    cov = 0
+    for r in range(d_eff - 1, -1, -1):
+        for c in range(chosen[-1] + 1 if chosen else 0, cs.nc):
+            ncov = cov | bits[c]
+            if c == j0 or (col0 & ~ncov).bit_count() - prefix[r] > e:
+                continue
+            if r == 0:
+                break
+            later = [k for k in order if k > c]
+            if len(later) >= r and grouptest._search(
+                    bits, col0, later, [0, *itertools.accumulate(ov[k] for k in later)],
+                    r, ncov, e + 1, e, grouptest._Budget(math.inf)) <= e:
+                break
+        else:
+            raise RuntimeError("witness extraction failed after positive decision")
+        chosen.append(c)
+        cov = ncov
+    return tuple(chosen), (col0 & ~cov).bit_count()
+
+
+@st.composite
+def witness_cases(draw):
+    """Columns as the rows of a random block, d and e.  Some columns are
+    widened to the union of others, so the first slots of a witness often
+    cover every row of its column; about half the blocks have d + 1
+    columns, so the witness is every other column."""
+    d = draw(st.integers(1, 4))
+    nc = d + 1 + draw(st.just(0) | st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    At = rng.random((nc, int(rng.integers(0, 41)))) < rng.uniform(0.1, 0.7)
+    for k in np.flatnonzero(rng.random(nc) < 0.3):
+        At[k] |= At[rng.integers(nc, size=2)].any(axis=0)
+    return At, d, draw(st.integers(0, 2))
+
+
+def test_pair_table_witness_matches_slot_search():
+    seen = []
+
+    @given(case=witness_cases())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def check(case):
+        At, d, e = case
+        cs = grouptest._Columns(At)
+        d_eff = min(d, cs.nc - 1)
+        for j0 in range(cs.nc):
+            if grouptest._search(cs.bits, cs.bits[j0], *cs.by_overlap(j0), d_eff,
+                                 0, e + 1, e, grouptest._Budget(math.inf)) > e:
+                continue
+            want = ref_lex_witness(cs, j0, d_eff, e)
+            assert grouptest._lex_witness(cs, j0, d_eff, e) == want
+            early = 0
+            for k in want[0][:-2]:
+                early |= cs.bits[k]
+            seen.append((d_eff, e, j0 == 0, j0 == cs.nc - 1, cs.nc == d + 1,
+                         d_eff > 2 and cs.bits[j0] & ~early == 0))
+
+    check()
+    # each d_eff and e, then j0 first, j0 last, d + 1 columns, and earlier
+    # slots that cover every row of j0
+    for i, values in ((0, range(1, 5)), (1, range(3))):
+        for v in values:
+            assert sum(s[i] == v for s in seen) >= 100, (i, v)
+    covered = [sum(flags) for flags in zip(*seen)][2:]
+    assert min(covered) >= 100, covered
+
+
+@given(case=chain_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_chained_witness_matches_slot_search(case):
+    M, m1, m2, d, e, exclude, _ = case
+    kw = dict(d=d, e=e, budget=math.inf, exclude_columns=exclude)
+    shorter = is_disjunct(M.prefix(m1), **kw)
+    got = is_disjunct(M.prefix(m2), shorter=shorter, **kw)
+    with mock.patch.object(grouptest, "_lex_witness", ref_lex_witness):
+        assert is_disjunct(M.prefix(m1), **kw) == shorter
+        assert is_disjunct(M.prefix(m2), shorter=shorter, **kw) == got
+
+
 @pytest.mark.parametrize("shorter, message", [
     (lambda M: is_disjunct(M.prefix(20), 1),
      "shorter certificate has d = 1, not 2"),
@@ -669,6 +757,35 @@ class TestSimulate:
         wrong = DefectiveSet(item_kind="edge", items=(1,))
         with pytest.raises(InvalidParameterError):
             simulate_tests(M, wrong)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1.5], "defective item must be an integer, got 1.5"),
+        ([True], "defective item must be an integer, got True"),
+        (["a"], "defective item must be an integer, got 'a'"),
+        ("1", "defectives must be a list of item ids, got '1'"),
+        (DefectiveSet("vertex", (2.0,)), "defective item must be an integer, got 2.0"),
+    ], ids=["float", "bool", "text", "string", "set"])
+    def test_non_integer_defectives_rejected(self, bad, message):
+        # int() would take 1.5 and True as item 1
+        M = build_design(complete_graph(8), 1, 20, 5, t=4)
+        for call in (lambda: simulate_tests(M, bad),
+                     lambda: adversarial_flip_check(M, bad, 0, [(0,)])):
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$") as ex:
+                call()
+            assert ex.value.kind == "invalid-parameter"
+        assert simulate_tests(M, [np.int64(1)]).to01() == simulate_tests(M, [1]).to01()
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1.7], "flip index must be an integer, got 1.7"),
+        ([True], "flip index must be an integer, got True"),
+        (["a"], "flip index must be an integer, got 'a'"),
+        (3, "flips must be a list of row ids, got 3"),
+    ], ids=["float", "bool", "text", "scalar"])
+    def test_non_integer_flips_rejected(self, bad, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$") as ex:
+            NoiseModel.adversarial(bad)
+        assert ex.value.kind == "invalid-parameter"
+        assert NoiseModel.adversarial(np.array([4, 1])).flips == (1, 4)
 
     def test_noise_model_validation(self):
         with pytest.raises(InvalidParameterError):
