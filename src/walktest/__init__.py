@@ -89,7 +89,7 @@ from .grouptest import (
     write_outcomes,
     read_outcomes,
 )
-from .rng import master_rng, trial_rng, spawn_rngs
+from .rng import master_rng, trial_rng
 
 __version__ = "0.1.0"
 
@@ -109,5 +109,4 @@ from .experiments import (  # noqa: E402
     fixed_input_experiment,
     verification_suite,
     tomography_demo,
-    mann_kendall_confidence,
 )

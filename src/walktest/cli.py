@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .designs import build_design, read_matrix, write_matrix
-from .errors import (InvalidParameterError, WalktestError, parse_errors,
-                     read_json, write_json)
+from .errors import (InvalidParameterError, WalktestError, _check_int, _is_int,
+                     _is_real, parse_errors, read_json, write_json)
 from .experiments import (
     _check_success,
-    _pinned_degree,
+    _mixing_grid,
     check_graph_config,
     fixed_input_experiment,
     graph_from_config,
@@ -48,7 +48,6 @@ from .graphs import (
 )
 from .grouptest import (
     NoiseModel,
-    _is_real,
     decode_cover,
     decode_threshold,
     is_disjunct,
@@ -59,7 +58,6 @@ from .grouptest import (
 from .mixing import default_delta, mixing_time
 from .rng import trial_rng
 from .walks import (
-    _is_int,
     early_visit_check,
     hit_avoid_probability,
     hit_before_sink_probability,
@@ -150,11 +148,7 @@ def _int_list(text: str | None, option: str) -> list[int]:
 def _int_param(p: dict, key: str) -> int:
     if key not in p:
         raise InvalidParameterError(f'--params needs key "{key}"')
-    try:
-        return int(p[key])
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
-            f'--params "{key}" must be an integer, got {p[key]!r}') from None
+    return _check_int(f'--params "{key}"', p[key])
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +239,6 @@ def _cmd_design(args) -> int:
         if t is None and args.design in (1, 2):
             t = params.walk_length(args.design)
         _note(args, f"auto parameters: {params.as_dict()}")
-    if args.design in (1, 2) and t is None:
-        raise InvalidParameterError(
-            f"design {args.design} needs --t (or --auto)")
     M = build_design(g, args.design, m, args.seed, t=t,
                      designated=designated, sink=args.sink, cap=args.cap,
                      start=args.start, lazy=args.lazy)
@@ -347,11 +338,14 @@ _CONFIG_KEYS = {
     "tomo": (("graph", "source"),
              ("seed", "graph_file", "congested", "q", "t", "m", "confidence")),
 }
-# Values _cmd_experiment converts with int() or float(), where present.
+# The type of each config value, where present; the library checks ranges.
 _CONFIG_VALUES = {
-    **dict.fromkeys(("design", "d", "trials", "source", "seed"),
+    **dict.fromkeys(("design", "d", "trials", "source", "seed", "sink", "t", "m"),
                     (_is_int, "an integer")),
     **dict.fromkeys(("eta", "budget", "q", "confidence"), (_is_real, "a number")),
+    **dict.fromkeys(("m_grid", "n_grid", "congested", "designated"),
+                    (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                     "a list of integers")),
 }
 
 
@@ -396,18 +390,18 @@ def _cmd_experiment(args) -> int:
     cfg = run.read_input(args.config, functools.partial(read_json, what="config"))
     noise = _check_config(cfg, args.kind)
     if args.kind == "mixing":
-        _pinned_degree(cfg["family"], cfg.get("degree_rule", "6logn"))
+        _mixing_grid(cfg["family"], cfg["n_grid"], cfg.get("degree_rule", "6logn"))
     if "graph_file" in cfg:
         run.read_input(cfg["graph_file"])
     os.makedirs(args.out, exist_ok=True)
     results_csv = os.path.join(args.out, "results.csv")
     extra: dict = {}
     kind = args.kind
-    seed = int(cfg.get("seed", args.seed))
+    seed = cfg.get("seed", args.seed)
     if kind == "sweep":
         res = success_sweep(
-            cfg["graph"], int(cfg["design"]), int(cfg["d"]),
-            float(cfg.get("eta", 0.0)), cfg["m_grid"], int(cfg["trials"]),
+            cfg["graph"], cfg["design"], cfg["d"],
+            float(cfg.get("eta", 0.0)), cfg["m_grid"], cfg["trials"],
             seed, noise=noise, success=cfg.get("success", "auto"),
             budget=float(cfg.get("budget", 1e8)), t_override=cfg.get("t"),
             sink=cfg.get("sink"), designated=cfg.get("designated", ()))
@@ -422,8 +416,8 @@ def _cmd_experiment(args) -> int:
                      bound_respected=res.bound_respected())
     elif kind == "fixed-input":
         res = fixed_input_experiment(
-            cfg["graph"], int(cfg["design"]), int(cfg["d"]), cfg["m_grid"],
-            int(cfg["trials"]), seed, budget=float(cfg.get("budget", 1e9)))
+            cfg["graph"], cfg["design"], cfg["d"], cfg["m_grid"],
+            cfg["trials"], seed, budget=float(cfg.get("budget", 1e9)))
         _write_csv(results_csv, res.recovery.csv_rows())
         _write_csv(os.path.join(args.out, "disjunct.csv"),
                    res.disjunct.csv_rows())
@@ -432,7 +426,7 @@ def _cmd_experiment(args) -> int:
                      disjunct_m_at_95=res.disjunct.threshold(0.95))
     elif kind == "verify":
         g, regens = _experiment_graph(cfg, seed)
-        res = verification_suite(g, int(cfg["d"]), int(cfg["trials"]), seed)
+        res = verification_suite(g, cfg["d"], cfg["trials"], seed)
         _write_csv(results_csv, res.csv_rows())
         extra = dict(res.metadata, passed=res.passed, graph_regens=regens)
         for line in res.lines:
@@ -440,7 +434,7 @@ def _cmd_experiment(args) -> int:
     else:  # tomo
         g, regens = _experiment_graph(cfg, seed)
         res = tomography_demo(
-            g, int(cfg["source"]), cfg.get("congested", []),
+            g, cfg["source"], cfg.get("congested", []),
             float(cfg.get("q", 0.0)), seed, t=cfg.get("t"), m=cfg.get("m"),
             confidence=float(cfg.get("confidence", 0.99)))
         _write_csv(results_csv, res.csv_rows())

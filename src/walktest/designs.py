@@ -28,7 +28,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .calibration import CALIBRATED, ScaleConstants
-from .errors import GenerationFailureError, InvalidParameterError, read_json, write_json
+from .errors import (GenerationFailureError, InvalidParameterError, _as_count,
+                     _check_id, _check_int, _check_number, _id_list, read_json,
+                     write_json)
 from .graphs import Graph
 from .rng import trial_rng
 from .walks import (
@@ -141,16 +143,17 @@ def design_parameters(
     """
     if constants is None:
         constants = CALIBRATED
+    _check_int("n", n)
+    _check_int("d", d)
+    D, T = _as_count("D", D, 1), _as_count("T", T, 1)
+    _check_number("c", c)
+    _check_number("eta", eta)
     if not 1 <= d < n:
         raise InvalidParameterError(f"need 1 <= d < n, got d={d}, n={n}")
     if not 0.0 <= eta < 1.0:
         raise InvalidParameterError(f"eta must be in [0, 1), got {eta}")
-    if T < 1:
-        raise InvalidParameterError(f"mixing time must be >= 1, got {T}")
-    if c < 1.0:
+    if not c >= 1.0:
         raise InvalidParameterError(f"degree ratio must be >= 1, got {c}")
-    if D < 1:
-        raise InvalidParameterError(f"minimum degree must be >= 1, got {D}")
     x = math.log(n / d)
     kt, km, ke, kD = (constants.kappa_t, constants.kappa_m,
                       constants.kappa_e, constants.kappa_D)
@@ -221,8 +224,7 @@ class MeasurementMatrix:
 
     def prefix(self, m: int) -> "MeasurementMatrix":
         """First m rows as a view of this array (rows are bit-identical)."""
-        if not 0 <= m <= self.m:
-            raise InvalidParameterError(f"prefix length {m} out of range")
+        _check_id("prefix length", m, self.m + 1)
         return replace(self, pools=self.pools[:m], design={**self.design, "m": m})
 
 
@@ -255,8 +257,7 @@ def _walk_pools(g: Graph, rule: StartRule, m: int, t: int, seed: int,
     Sets the flat cells ``item + row * n_items`` of ``pools`` from the
     walks' step-major arrays, ``_SCATTER_ROWS`` rows at a time; only lazy
     edge walks hold -1 stays to drop."""
-    if m < 0 or t < 0:
-        raise InvalidParameterError("m and t must be nonnegative")
+    m, t = _as_count("m", m, 0), _as_count("t", t, 0)
     n_items = g.edge_count if edges else g.n
     pools = np.zeros((m, n_items), dtype=bool)
     cells = pools.reshape(-1)
@@ -277,10 +278,8 @@ def _walk_pools(g: Graph, rule: StartRule, m: int, t: int, seed: int,
 def _sink_pools(g: Graph, rule: StartRule, sink: int, cap: int, m: int,
                 seed: int, lazy: bool, edges: bool) -> np.ndarray:
     """Mark the vertices (or edges) of each walk to ``sink`` in its row."""
-    if not 0 <= sink < g.n:
-        raise InvalidParameterError(f"sink {sink} out of range")
-    if m < 0:
-        raise InvalidParameterError("m must be nonnegative")
+    _check_id("sink", sink, g.n)
+    cap, m = _as_count("cap", cap, 0), _as_count("m", m, 0)
     pools = np.zeros((m, g.edge_count if edges else g.n), dtype=bool)
     for base, take in _sink_chunks(g, m, edges):
         visited, capped, rngs = sink_walk_batch(g, rule, sink, cap, take, seed,
@@ -313,8 +312,7 @@ def _start_from_json(obj: dict) -> StartRule:
 def _check_designated(g: Graph, designated) -> tuple[int, ...]:
     out = _designated(designated)
     for v in out:
-        if not 0 <= v < g.n:
-            raise InvalidParameterError(f"designated vertex {v} out of range")
+        _check_id("designated vertex", v, g.n)
     if len(set(out)) != len(out):
         raise InvalidParameterError("designated vertices must be distinct")
     return out
@@ -416,6 +414,7 @@ def build_design(
     lazy: bool = False,
 ) -> MeasurementMatrix:
     """Uniform entry point used by the CLI; dispatches on design id 1-4."""
+    _check_int("design_id", design_id)
     if design_id in (1, 2) and t is None:
         raise InvalidParameterError(f"design {design_id} needs a walk length t")
     if design_id in (3, 4) and sink is None:
@@ -492,18 +491,12 @@ def matrix_from_json(obj: dict) -> MeasurementMatrix:
                                                       "stripped", "rows"))
     if kind not in ("vertex", "edge"):
         raise InvalidParameterError(f"bad item_kind {kind!r}")
-    for key in ("n_items", "seed"):
-        if type(obj[key]) is not int:
-            raise InvalidParameterError(f"{key} must be an integer, got {obj[key]!r}")
-    if n_items < 0:
-        raise InvalidParameterError(f"n_items must be >= 0, got {n_items}")
+    _as_count("n_items", n_items, 0)
+    _check_int("seed", obj["seed"])
     if not isinstance(obj["design"], dict):
         raise InvalidParameterError("design must be a JSON object")
-    if not isinstance(stripped, list) or set(map(type, stripped)) - {int}:
-        raise InvalidParameterError("stripped must be a list of integers")
-    for x in stripped:
-        if not 0 <= x < n_items:
-            raise InvalidParameterError(f"stripped item {x} out of range")
+    for x in _id_list("stripped", "integers", stripped):
+        _check_id("stripped item", x, n_items)
     if not isinstance(rows, list) or set(map(type, rows)) - {list}:
         raise InvalidParameterError("rows must be a list of lists")
     flat = list(itertools.chain.from_iterable(rows))

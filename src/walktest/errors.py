@@ -1,16 +1,27 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the argument checks.
 
 Every error raised by the library derives from WalktestError so the CLI can
-map domain failures to exit code 1 with a JSON diagnostic.  ``write_json``
-writes every JSON file the library and the CLI write (matrices, graphs,
-outcomes, manifests) and ``read_json`` reads them back; ``parse_errors``
-reports a file that is not UTF-8 or not JSON as an InvalidParameterError.
+map domain failures to exit code 1 with a JSON diagnostic.  A bad argument
+to a public function raises InvalidParameterError, never a bare TypeError
+or ValueError.
+
+The check helpers below are the one place that decides what a valid
+argument is: an integer is a Python or numpy int but not a bool, a number
+an integer or float, an id an integer below a limit, and an id list any
+iterable but a string.  Range checks particular to one function stay in it.
+
+``write_json`` writes every JSON file the library and the CLI write
+(matrices, graphs, outcomes, manifests) and ``read_json`` reads them back;
+``parse_errors`` reports a file that is not UTF-8 or not JSON as an
+InvalidParameterError.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class WalktestError(Exception):
@@ -72,6 +83,54 @@ class InfeasibleError(WalktestError):
     """No parameter value satisfies the requested constraints."""
 
     kind = "infeasible"
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _check_int(what: str, x) -> int:
+    """``x`` as a Python int, after checking that it is an integer."""
+    # an exact int first: the common case, and ids are checked one by one
+    if type(x) is not int and not _is_int(x):
+        raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _as_count(what: str, x, least: int) -> int:
+    """``x`` as a Python int, after checking that it is an integer of at
+    least ``least``."""
+    if _check_int(what, x) < least:
+        raise InvalidParameterError(f"{what} must be >= {least}, got {x}")
+    return int(x)
+
+
+def _check_number(what: str, x) -> None:
+    """Reject a non-number; a nan passes here and fails the caller's range
+    test, which every comparison with nan does."""
+    if not _is_real(x):
+        raise InvalidParameterError(f"{what} must be a number, got {x!r}")
+
+
+def _check_id(what: str, x, limit: int) -> int:
+    """``x`` as a Python int, after checking that it is an integer in
+    [0, limit)."""
+    x = _check_int(what, x)
+    if not 0 <= x < limit:
+        raise InvalidParameterError(f"{what} {x} out of range")
+    return x
+
+
+def _id_list(what: str, of: str, xs) -> tuple:
+    """``xs`` as a tuple, after checking that it is a list of ``of`` (the
+    elements are the caller's to check), not a string or a scalar."""
+    if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
+        raise InvalidParameterError(f"{what} must be a list of {of}, got {xs!r}")
+    return tuple(xs)
 
 
 def write_json(path, obj, indent: int | None = None) -> None:

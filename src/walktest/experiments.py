@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import (
-    CALIBRATED,
     HIT_AVOID_FLOOR_BETA,
     SINK_HIT_FLOOR_BETA,
     TAIL_K_FACTOR,
@@ -28,9 +27,11 @@ from .designs import (
     design_parameters,
     edge_walk_design,
 )
-from .errors import GenerationFailureError, InvalidParameterError, SizeExceededError
+from .errors import (GenerationFailureError, InvalidParameterError,
+                     SizeExceededError, _as_count, _check_id, _check_int, _id_list)
 from .graphs import (
     Graph,
+    _check_family,
     complete_graph,
     cycle_graph,
     degree_uniformity,
@@ -49,7 +50,7 @@ from .grouptest import (
     simulate_tests,
 )
 from .mixing import conductance_lower_bound, conductance_mixing_bound, mixing_time
-from .rng import trial_rng
+from .rng import _seed_sequence, trial_rng
 from .walks import (
     StartRule,
     _estimate,
@@ -78,7 +79,6 @@ __all__ = [
     "fixed_input_experiment",
     "verification_suite",
     "tomography_demo",
-    "mann_kendall_confidence",
 ]
 
 
@@ -203,43 +203,44 @@ class TomographyReport:
 
 
 def _child_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=tuple(key))
-               .generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
-# The key each random family's config needs besides "family" and "n".
-_FAMILY_KEY = {"erdos-renyi": "p", "random-regular": "degree"}
+# The keys each family's config needs besides "family".
+_FAMILY_KEYS = {"complete": ("n",), "cycle": ("n",), "erdos-renyi": ("n", "p"),
+                "random-regular": ("n", "degree")}
 
 
 def check_graph_config(cfg) -> None:
     """Raise InvalidParameterError unless ``cfg`` is a graph config object
-    of a known family that has the key its family reads."""
+    of a known family that has the keys its family reads, with values its
+    generator takes."""
     if not isinstance(cfg, dict):
         raise InvalidParameterError("graph config must be a JSON object")
     family = cfg.get("family")
-    if family not in ("complete", "cycle", *_FAMILY_KEY):
+    if family not in _FAMILY_KEYS:
         raise InvalidParameterError(f"unknown graph family {family!r}")
-    key = _FAMILY_KEY.get(family)
-    if key is not None and key not in cfg:
-        raise InvalidParameterError(f'{family} graph config needs key "{key}"')
+    for key in _FAMILY_KEYS[family]:
+        if key not in cfg:
+            raise InvalidParameterError(f'{family} graph config needs key "{key}"')
+    _check_family(family, cfg["n"], p=cfg.get("p"), degree=cfg.get("degree"))
 
 
 def graph_from_config(cfg: dict, seed: int, attempts: int = 50) -> tuple[Graph, int]:
     """Build a graph from a config dict, regenerating random families until
     connected and non-bipartite.  Returns (graph, regeneration count)."""
     check_graph_config(cfg)
-    family = cfg.get("family")
-    n = int(cfg.get("n", 0))
+    family, n = cfg["family"], cfg["n"]
     if family == "complete":
         return complete_graph(n), 0
     if family == "cycle":
         return cycle_graph(n), 0
-    for attempt in range(attempts):
+    for attempt in range(_as_count("attempts", attempts, 1)):
         gseed = _child_seed(seed, attempt)
         if family == "erdos-renyi":
             g = erdos_renyi_graph(n, float(cfg["p"]), gseed)
         else:
-            g = random_regular_graph(n, int(cfg["degree"]), gseed)
+            g = random_regular_graph(n, cfg["degree"], gseed)
         if g.connected and not g.bipartite:
             return g, attempt
     raise GenerationFailureError(
@@ -350,13 +351,15 @@ def success_sweep(
     graph takes no seed, and the planted set is drawn when the trial is
     tallied for recovery, so a disjunct scan draws none."""
     _check_success(success)
-    m_grid = sorted(int(m) for m in m_grid)
-    if not m_grid or m_grid[0] < 0:
-        raise InvalidParameterError("m grid must be nonnegative")
+    check_graph_config(graph_config)
+    m_grid = sorted(_as_count("m_grid value", m, 0)
+                    for m in _id_list("m_grid", "row counts", m_grid))
+    if not m_grid:
+        raise InvalidParameterError("m_grid must not be empty")
     dups = sorted({m for m, nxt in zip(m_grid, m_grid[1:]) if m == nxt})
     if dups:
         raise InvalidParameterError(f"m grid repeats value(s) {dups}")
-    if trials < 30:
+    if _check_int("trials", trials) < 30:
         raise InvalidParameterError(
             f"sweeps need at least 30 trials per point, got {trials}")
     mode = success
@@ -364,7 +367,7 @@ def success_sweep(
     wins = {m: 0 for m in m_grid}
     regens = 0
     params_sample = None
-    deterministic = graph_config.get("family") in ("complete", "cycle")
+    deterministic = graph_config["family"] in ("complete", "cycle")
     cache: dict = {}
 
     def build(trial: int):
@@ -434,21 +437,32 @@ def success_sweep(
     return result
 
 
-def _pinned_degree(family: str, degree_rule: str) -> int | None:
-    """The degree ``degree_rule`` pins (None for "6logn"), after checking
-    it and ``family``."""
+def _mixing_grid(family: str, n_grid, degree_rule: str) -> list[dict]:
+    """The graph config of each grid size, ascending, after checking
+    ``family``, ``degree_rule`` and every size, so that no size fails after
+    others were computed.  A size must be at least 2, where ln n > 0."""
     if family not in ("erdos-renyi", "random-regular", "cycle"):
         raise InvalidParameterError(
             "mixing family must be erdos-renyi, random-regular or cycle, "
             f"got {family!r}")
-    if degree_rule == "6logn":
-        return None
-    rule, _, D = str(degree_rule).partition(":")
-    if rule != "fixed" or not D.isdecimal() or int(D) < 1:
-        raise InvalidParameterError(
-            f'degree rule must be "6logn" or "fixed:D" with D >= 1, got '
-            f"{degree_rule!r}")
-    return int(D)
+    pinned = None
+    if degree_rule != "6logn":
+        rule, _, D = str(degree_rule).partition(":")
+        if rule != "fixed" or not D.isdecimal() or int(D) < 1:
+            raise InvalidParameterError(
+                f'degree rule must be "6logn" or "fixed:D" with D >= 1, got '
+                f"{degree_rule!r}")
+        pinned = int(D)
+    sizes = sorted(_as_count("n_grid value", n, 2)
+                   for n in _id_list("n_grid", "graph sizes", n_grid))
+    if not sizes:
+        raise InvalidParameterError("n_grid must not be empty")
+    cfgs = []
+    for n in sizes:
+        D = pinned or math.ceil(6.0 * math.log(n))
+        cfgs.append({"family": family, "n": n, "p": min(D / n, 1.0), "degree": D})
+        check_graph_config(cfgs[-1])
+    return cfgs
 
 
 def mixing_scaling(
@@ -463,11 +477,9 @@ def mixing_scaling(
     degree_rule "6logn" gives average degree 6 ln n (edge probability
     6 ln n / n); "fixed:D" pins the degree.  The cycle family is the slow
     control and is only meaningful with lazy=True."""
-    pinned = _pinned_degree(family, degree_rule)
     rows = []
-    for idx, n in enumerate(sorted(int(x) for x in n_grid)):
-        D = pinned or math.ceil(6.0 * math.log(n))
-        cfg = {"family": family, "n": n, "p": min(D / n, 1.0), "degree": D}
+    for idx, cfg in enumerate(_mixing_grid(family, n_grid, degree_rule)):
+        n = cfg["n"]
         g, regens = graph_from_config(cfg, _child_seed(seed, idx))
         rep = mixing_time(g, lazy=lazy)
         bound = None
@@ -519,28 +531,24 @@ def fixed_input_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.edge_count == g.n * (g.n - 1) // 2
-
-
 def verification_suite(
     g: Graph,
     d: int,
     trials: int,
     seed: int,
     constants: ScaleConstants | None = None,
-    influence_trials: int | None = None,
 ) -> VerificationReport:
     """One pass/fail line per probability claim on a single graph.
 
     Exact checks carry zero tolerance; Monte Carlo floors use the frozen
     calibration constants; the sink-symmetry check runs only on complete
-    graphs where the closed form 1/((d+1)(d+2)) applies."""
-    if constants is None:
-        constants = CALIBRATED
+    graphs where the closed form 1/((d+1)(d+2)) applies.  The sink checks
+    draw d + 2 distinct vertices, so d is at most n - 2."""
     lines: list[CheckLine] = []
     uni = degree_uniformity(g)
     c, n = uni.ratio, g.n
+    if _as_count("d", d, 1) > n - 2:
+        raise InvalidParameterError(f"need d <= n - 2, got d={d}, n={n}")
     T = mixing_time(g).steps
     params = measured_design_parameters(g, d, constants=constants, t_mix=T)
     t1 = params.t1
@@ -593,7 +601,7 @@ def verification_suite(
         note=f"k={k_early}, bound k/min_degree"))
 
     # influence of a later position on an earlier one
-    itrials = influence_trials or min(10 * trials, 1_000_000)
+    itrials = min(10 * trials, 1_000_000)
     infl = influence_check(g, T, 2 * T, itrials, _child_seed(seed, 4))
     lines.append(CheckLine(
         name="influence", status="pass" if infl.holds else "fail",
@@ -630,7 +638,7 @@ def verification_suite(
         note=f"min over 5 (sink, v, A) draws, |A|={d}"))
 
     # symmetry closed form, complete graphs only
-    if _is_complete(g) and n >= d + 2:
+    if g.edge_count == n * (n - 1) // 2:  # complete
         pick = rng.choice(n, size=d + 2, replace=False)
         u, v, avoid = int(pick[0]), int(pick[1]), [int(x) for x in pick[2:]]
         est = hit_before_sink_probability(g, v, avoid, u, "vertex", strials,
@@ -666,27 +674,23 @@ def tomography_demo(
     m: int | None = None,
     confidence: float = 0.99,
     constants: ScaleConstants | None = None,
-    safety: float = 2.0,
 ) -> TomographyReport:
     """Probe-walk congestion localization on one graph.
 
     Probes are fixed-length walks from ``source``; a probe "returns" iff
     its route avoids every congested edge.  With flip noise the walk length
     is raised so that every edge collects enough tests to clear the decoder
-    threshold: each stationary step crosses a given edge with rate 1/|E|,
-    so hitting mass pi needs about -ln(1-pi)*|E| steps."""
-    congested = tuple(sorted(set(int(e) for e in congested)))
-    for e in congested:
-        if not 0 <= e < g.edge_count:
-            raise InvalidParameterError(f"edge id {e} out of range")
-    if not 0 <= source < g.n:
-        raise InvalidParameterError(f"source {source} out of range")
-    if not 0.0 <= q < 0.5:
-        raise InvalidParameterError(f"flip probability must be in [0, 1/2), got {q}")
+    threshold, with a safety factor of 2: each stationary step crosses a
+    given edge with rate 1/|E|, so hitting mass pi needs about
+    -ln(1-pi)*|E| steps."""
+    congested = tuple(sorted({_check_id("edge id", e, g.edge_count)
+                              for e in _id_list("congested", "edge ids", congested)}))
+    _check_id("source", source, g.n)
+    noise = NoiseModel.flip(q)  # q = 0 draws no flips
     d = max(len(congested), 1)
     params = measured_design_parameters(g, d, constants=constants)
-    m_base = int(m) if m is not None else params.m2
-    t_base = int(t) if t is not None else params.t2
+    m_base = params.m2 if m is None else _as_count("m", m, 0)
+    t_base = params.t2 if t is None else _as_count("t", t, 0)
     eta, tau = 0.0, 0
     mm, tt = m_base, t_base
     if q > 0.0:
@@ -697,11 +701,10 @@ def tomography_demo(
         mm = math.ceil(m_base / (1.0 - eta) ** 2)
         tau = binomial_quantile(mm, q, confidence)
         if t is None:
-            pi_target = min((2 * tau + 1) * safety / (mm * (1.0 - 2.0 * q)), 0.5)
+            pi_target = min((2 * tau + 1) * 2.0 / (mm * (1.0 - 2.0 * q)), 0.5)
             t_noise = math.ceil(-math.log1p(-pi_target) * g.edge_count)
             tt = max(t_base, t_noise)
     M = edge_walk_design(g, m=mm, t=tt, seed=_child_seed(seed, 0), start=source)
-    noise = NoiseModel.flip(q) if q > 0 else NoiseModel.noiseless()
     y = simulate_tests(M, congested, noise=noise, rng=trial_rng(_child_seed(seed, 1), 0))
     if q > 0.0:
         decoded = decode_threshold(M, y, tau=tau, d=d)
@@ -720,36 +723,3 @@ def tomography_demo(
         walk_length=tt, tau=tau, eta=eta, per_link=per_link,
         metadata={"n": g.n, "edges": g.edge_count, "q": q, "seed": seed,
                   "source": source, "confidence": confidence})
-
-
-# ---------------------------------------------------------------------------
-# trend statistic
-# ---------------------------------------------------------------------------
-
-
-def mann_kendall_confidence(values) -> float:
-    """Confidence that the sequence trends upward (normal approximation of
-    the Mann-Kendall statistic with tie correction): 0.5 is trendless, 1 is
-    surely increasing."""
-    x = list(values)
-    n = len(x)
-    if n < 3:
-        raise InvalidParameterError("trend test needs at least 3 points")
-    s = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            s += (x[j] > x[i]) - (x[j] < x[i])
-    counts: dict = {}
-    for v in x:
-        counts[v] = counts.get(v, 0) + 1
-    tie_term = sum(t * (t - 1) * (2 * t + 5) for t in counts.values())
-    var = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
-    if var == 0:
-        return 0.5
-    if s > 0:
-        z = (s - 1) / math.sqrt(var)
-    elif s < 0:
-        z = (s + 1) / math.sqrt(var)
-    else:
-        z = 0.0
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))

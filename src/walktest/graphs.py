@@ -30,6 +30,11 @@ from .errors import (
     NonMixingGraphError,
     NumericFailureError,
     SizeExceededError,
+    _as_count,
+    _check_id,
+    _check_int,
+    _check_number,
+    _id_list,
     parse_errors,
     write_json,
 )
@@ -79,15 +84,14 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        if n < 1:
-            raise InvalidParameterError(f"need at least one vertex, got n={n}")
+        _as_count("n", n, 1)
         seen: set[tuple[int, int]] = set()
-        for uv in edges:
-            if len(uv) != 2:
-                raise InvalidParameterError(f"edge {uv!r} is not a pair")
-            u, v = int(uv[0]), int(uv[1])
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameterError(f"edge ({u},{v}) out of range for n={n}")
+        for uv in _id_list("edges", "vertex pairs", edges):
+            try:
+                u, v = uv
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"edge {uv!r} is not a pair") from None
+            u, v = _check_id("vertex", u, n), _check_id("vertex", v, n)
             if u == v:
                 raise InvalidParameterError(f"self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
@@ -126,10 +130,6 @@ class Graph:
         nbrs, eids, bounds = flat.tolist(), eid.tolist(), ptr.tolist()
         return tuple((tuple(nbrs[a:b]), tuple(eids[a:b]))
                      for a, b in zip(bounds, bounds[1:]))
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(nbrs for nbrs, _ in self.moves)
 
     @cached_property
     def mixing_reports(self) -> dict:
@@ -223,16 +223,38 @@ class Distribution:
 # ---------------------------------------------------------------------------
 
 
+# The least n each generator takes.
+_MIN_N = {"complete": 2, "cycle": 3, "erdos-renyi": 2, "random-regular": 2}
+
+
+def _check_family(family: str, n, p=None, degree=None) -> None:
+    """Raise unless the generator of ``family`` takes ``n`` and, for the
+    random families, ``p`` or ``degree``; graph configs are checked here too."""
+    _check_int("n", n)
+    if n < _MIN_N[family]:
+        raise InvalidParameterError(
+            f"{family} graph needs n >= {_MIN_N[family]}, got {n}")
+    if family == "erdos-renyi":
+        _check_number("edge probability", p)
+        if not 0.0 < p <= 1.0:
+            raise InvalidParameterError(f"edge probability must be in (0, 1], got {p}")
+    elif family == "random-regular":
+        _check_int("degree", degree)
+        if not 0 < degree < n:
+            raise InvalidParameterError(
+                f"need 0 < degree < n, got degree={degree}, n={n}")
+        if (n * degree) % 2:
+            raise InvalidParameterError(f"n*degree must be even, got {n}*{degree}")
+
+
 def complete_graph(n: int) -> Graph:
-    if n < 2:
-        raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
+    _check_family("complete", n)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n=n, edge_list=tuple(edges))
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise InvalidParameterError(f"cycle needs n >= 3, got {n}")
+    _check_family("cycle", n)
     edges = sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n))
     return Graph(n=n, edge_list=tuple(edges))
 
@@ -243,28 +265,23 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     Same (n, p, seed) -> identical graph; pairs are drawn in lexicographic
     order from the master stream of ``seed``.
     """
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got {n}")
-    if not (0.0 < p <= 1.0):
-        raise InvalidParameterError(f"edge probability must be in (0, 1], got {p}")
+    _check_family("erdos-renyi", n, p=p)
     hits = np.flatnonzero(master_rng(seed).random(n * (n - 1) // 2) < p)
     us, vs = np.triu_indices(n, 1)  # the pairs in lexicographic order
     return Graph(n=n, edge_list=tuple(zip(us[hits].tolist(), vs[hits].tolist())))
 
 
-def random_regular_graph(n: int, degree: int, seed: int, restarts: int = 1000) -> Graph:
+def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     """Random simple ``degree``-regular graph by stub matching.
 
     Pairs stubs uniformly at random, rejecting self-loops and duplicate
     edges locally; a stuck tail (no acceptable pair left) restarts the whole
-    matching.  Output is near-uniform conditioned on success.
+    matching, up to 1000 times.  Output is near-uniform conditioned on
+    success.
     """
-    if not (0 < degree < n):
-        raise InvalidParameterError(f"need 0 < degree < n, got degree={degree}, n={n}")
-    if (n * degree) % 2:
-        raise InvalidParameterError(f"n*degree must be even, got {n}*{degree}")
+    _check_family("random-regular", n, degree=degree)
     rng = master_rng(seed)
-    for _ in range(restarts):
+    for _ in range(1000):
         stubs = np.repeat(np.arange(n), degree)
         rng.shuffle(stubs)
         stubs = list(stubs)
@@ -289,7 +306,7 @@ def random_regular_graph(n: int, degree: int, seed: int, restarts: int = 1000) -
         if not stubs:
             return Graph(n=n, edge_list=tuple(sorted(edges)))
     raise GenerationFailureError(
-        f"no simple {degree}-regular graph on {n} vertices in {restarts} restarts"
+        f"no simple {degree}-regular graph on {n} vertices in 1000 restarts"
     )
 
 
@@ -328,6 +345,7 @@ def conductance_exact(g: Graph, limit: int = CONDUCTANCE_N_LIMIT) -> float:
     degrees).  At a tie vol(S) = |E| both S and its complement qualify and
     both are scanned.  Hard-capped at ``limit`` vertices.
     """
+    limit = _as_count("limit", limit, 0)
     if not g.connected:
         raise InvalidParameterError("conductance needs a connected graph")
     if g.n > limit:
@@ -359,14 +377,13 @@ def conductance_exact(g: Graph, limit: int = CONDUCTANCE_N_LIMIT) -> float:
     return best
 
 
-def second_eigenvalue(
-    g: Graph, tol: float = 1e-9, max_iter: int = 200_000
-) -> float:
+def second_eigenvalue(g: Graph) -> float:
     """Second-largest |eigenvalue| of the walk operator.
 
     Power iteration on the squared, deflated symmetrized operator
     N = D^{-1/2} A D^{-1/2}: squaring merges +/- pairs so bipartite spectra
-    converge; deflation removes the top eigenvector sqrt(deg).
+    converge; deflation removes the top eigenvector sqrt(deg).  It stops at
+    a residual of 1e-9, or fails after 200,000 steps.
     """
     if not g.connected:
         raise InvalidParameterError("second_eigenvalue needs a connected graph")
@@ -394,7 +411,7 @@ def second_eigenvalue(
         raise NumericFailureError("degenerate start vector")
     x /= norm
     theta = 0.0
-    for _ in range(max_iter):
+    for _ in range(200_000):
         z = N @ (N @ x)
         z -= v1 * (v1 @ x)
         theta = float(x @ z)
@@ -403,11 +420,10 @@ def second_eigenvalue(
         if nz == 0.0:
             return 0.0  # operator annihilates the complement: all other eigenvalues 0
         x = z / nz
-        if resid <= tol:
+        if resid <= 1e-9:
             return float(np.sqrt(max(theta, 0.0)))
     raise NumericFailureError(
-        f"power iteration did not reach residual {tol} in {max_iter} steps"
-    )
+        "power iteration did not reach residual 1e-09 in 200000 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +438,6 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(doc: dict) -> Graph:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise InvalidParameterError('graph JSON needs keys "n" and "edges"')
-    if not isinstance(doc["n"], int):
-        raise InvalidParameterError('"n" must be an integer')
-    if not isinstance(doc["edges"], list):
-        raise InvalidParameterError('"edges" must be a list of pairs')
     return Graph.from_edges(doc["n"], doc["edges"])
 
 

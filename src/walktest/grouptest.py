@@ -42,10 +42,15 @@ from .errors import (
     InfeasibleError,
     InvalidParameterError,
     SizeExceededError,
+    _as_count,
+    _check_id,
+    _check_int,
+    _check_number,
+    _id_list,
+    _is_real,
     read_json,
     write_json,
 )
-from .walks import _as_count, _check_int, _id_list
 
 __all__ = [
     "DefectiveSet",
@@ -86,15 +91,6 @@ class DefectiveSet:
     oversized: bool = False
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-
-def _check_number(what: str, q) -> None:
-    if not _is_real(q):
-        raise InvalidParameterError(f"{what} probability must be a number, got {q!r}")
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Outcome corruption: none, symmetric flips, one-sided dilution, or an
@@ -110,24 +106,22 @@ class NoiseModel:
 
     @classmethod
     def flip(cls, q: float) -> "NoiseModel":
-        _check_number("flip", q)
+        _check_number("flip probability", q)
         if not 0.0 <= q < 0.5:
             raise InvalidParameterError(f"flip probability must be in [0, 1/2), got {q}")
         return cls(kind="flip", q=float(q))
 
     @classmethod
     def dilution(cls, q: float) -> "NoiseModel":
-        _check_number("dilution", q)
+        _check_number("dilution probability", q)
         if not 0.0 <= q <= 1.0:
             raise InvalidParameterError(f"dilution probability must be in [0, 1], got {q}")
         return cls(kind="dilution", q=float(q))
 
     @classmethod
     def adversarial(cls, flips) -> "NoiseModel":
-        flips = _id_list("flips", "row", flips)
-        for i in flips:
-            _check_int("flip index", i)
-        return cls(kind="adversarial", flips=tuple(sorted({int(i) for i in flips})))
+        flips = {_check_int("flip index", i) for i in _id_list("flips", "row ids", flips)}
+        return cls(kind="adversarial", flips=tuple(sorted(flips)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,14 +188,10 @@ def _as_defectives(M: MeasurementMatrix, defectives) -> tuple[int, ...]:
             )
         items = defectives.items
     else:
-        items = _id_list("defectives", "item", defectives)
-    for x in items:
-        _check_int("defective item", x)
-    items = tuple(sorted({int(x) for x in items}))
+        items = _id_list("defectives", "item ids", defectives)
+    items = tuple(sorted({_check_id("defective item", x, M.n_items) for x in items}))
     strip = set(M.stripped)
     for x in items:
-        if not 0 <= x < M.n_items:
-            raise InvalidParameterError(f"defective item {x} out of range")
         if x in strip:
             raise InvalidParameterError(f"defective item {x} is a stripped column")
     return items
@@ -233,8 +223,7 @@ def simulate_tests(
         bits = bits ^ (rng.random(M.m) < noise.q)
     elif noise.kind == "adversarial":
         for idx in noise.flips:
-            if not 0 <= idx < M.m:
-                raise InvalidParameterError(f"flip index {idx} out of range")
+            _check_id("flip index", idx, M.m)
         bits = bits.copy()
         if noise.flips:
             bits[list(noise.flips)] ^= True
@@ -342,12 +331,8 @@ def _root_slack(cs: _Columns, r: int, start: int = 0):
 
 
 def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
-    excl = _id_list("exclude_columns", "column", exclude_columns)
-    for x in excl:
-        _check_int("excluded column", x)
-        if not 0 <= x < M.n_items:
-            raise InvalidParameterError(f"excluded column {x} out of range")
-    excl = {int(x) for x in excl}
+    excl = {_check_id("excluded column", x, M.n_items)
+            for x in _id_list("exclude_columns", "column ids", exclude_columns)}
     return [c for c in M.columns if c not in excl]
 
 
@@ -636,6 +621,8 @@ def _decode(M: MeasurementMatrix, counts: np.ndarray, tau: int,
             d: int | None) -> DefectiveSet:
     """The items in at most ``tau`` negative tests, from their ``counts``;
     the cover rule is tau 0, as no count is negative."""
+    if d is not None:
+        _check_int("d", d)
     items = tuple(c for c in M.columns if counts[c] <= tau)
     oversized = d is not None and len(items) > d
     return DefectiveSet(item_kind=M.item_kind, items=items, oversized=oversized)
@@ -653,8 +640,10 @@ def adversarial_flip_check(
     Returns (patterns checked, patterns decoded exactly).  Uses the same
     negative-count rule as decode_threshold, vectorized across patterns."""
     items = _as_defectives(M, planted)
+    tau, limit = _as_count("tau", tau, 0), _as_count("limit", limit, 0)
     base = simulate_tests(M, items).bits
-    pat_list = [tuple(p) for p in patterns]
+    pat_list = [_id_list("flip pattern", "row ids", p)
+                for p in _id_list("patterns", "flip patterns", patterns)]
     if len(pat_list) > limit:
         raise SizeExceededError("too many flip patterns",
                                 needed=len(pat_list), limit=limit)
@@ -665,8 +654,7 @@ def adversarial_flip_check(
         if len(p) != width:
             raise InvalidParameterError("flip patterns must share one size")
         for idx in p:
-            if not 0 <= idx < M.m:
-                raise InvalidParameterError(f"flip index {idx} out of range")
+            _check_id("flip index", idx, M.m)
     P = len(pat_list)
     Y = np.tile(base, (P, 1))
     if width:
@@ -689,10 +677,11 @@ def adversarial_flip_check(
 
 def binomial_quantile(m: int, q: float, confidence: float) -> int:
     """Smallest k with P(Binomial(m, q) <= k) >= confidence, exactly."""
-    if m < 0:
-        raise InvalidParameterError(f"m must be >= 0, got {m}")
+    m = _as_count("m", m, 0)
+    _check_number("q", q)
     if not 0.0 <= q < 1.0:
         raise InvalidParameterError(f"q must be in [0, 1), got {q}")
+    _check_number("confidence", confidence)
     if not 0.0 < confidence <= 1.0:
         raise InvalidParameterError(
             f"confidence must be in (0, 1], got {confidence}")
@@ -725,19 +714,17 @@ def eta_for_flip_noise(
 
     Infeasible when the needed surplus 2k+1 exceeds m (more tolerated flips
     than tests), in particular for confidence 1 with q > 0."""
-    if not 0.0 <= q < 0.5:
-        raise InvalidParameterError(f"q must be in [0, 1/2), got {q}")
-    if m < 1:
-        raise InvalidParameterError(f"m must be >= 1, got {m}")
+    NoiseModel.flip(q)  # checks q
+    m = _as_count("m", m, 1)
+    k = binomial_quantile(m, q, confidence)  # validates confidence
+    params0 = design_parameters(n, d, D=1, c=1.0, T=1, eta=0.0,
+                                constants=constants)  # validates n, d
     if q == 0.0:
         return FlipNoisePlan(eta=0.0, e=0, tau=0, quantile=0, m=m)
-    k = binomial_quantile(m, q, confidence)
     target = 2 * k + 1
     if target > m:
         raise InfeasibleError(
             f"tolerating {k} flips needs a surplus of {target} > m = {m} tests")
-    params0 = design_parameters(n, d, D=1, c=1.0, T=1, eta=0.0,
-                                constants=constants)  # validates n, d
     ke = params0.constants.kappa_e
     x = math.log(n / d)
     y = target / (ke * d * x)
@@ -770,7 +757,7 @@ def flip_noise_plan(
     raises the flip quantile, which may raise eta; iterate until stable.
     Diverges (tolerance growing slower than the quantile) when the surplus
     multiplier is too small for 2*q*m_base; capped to keep that case fast."""
-    m_cur = m_base
+    m_cur = m_base = _as_count("m_base", m_base, 1)
     ceiling = max(1_000_000, 100 * m_base)
     for _ in range(60):
         plan = eta_for_flip_noise(q, m_cur, confidence, n, d, constants)

@@ -18,6 +18,8 @@ from .errors import (
     NonMixingGraphError,
     NumericFailureError,
     SizeExceededError,
+    _as_count,
+    _check_number,
 )
 from .graphs import (
     CONDUCTANCE_N_LIMIT,
@@ -92,11 +94,12 @@ def mixing_time(
         raise DegenerateGraphError("mixing undefined without edges")
     if delta is None:
         delta = default_delta(g)
+    _check_number("delta", delta)
     if not (0.0 < delta < 1.0):
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
-    key = (float(delta), bool(lazy), max_steps)
+    key = (float(delta), bool(lazy), _as_count("max_steps", max_steps, 1))
     if key not in g.mixing_reports:
-        g.mixing_reports[key] = _dense_mixing_time(g, key[0], lazy, max_steps)
+        g.mixing_reports[key] = _dense_mixing_time(g, key[0], lazy, key[2])
     return g.mixing_reports[key]
 
 
@@ -146,10 +149,12 @@ def conductance_mixing_bound(
         raise NonMixingGraphError("graph is disconnected")
     if delta is None:
         delta = default_delta(g)
+    _check_number("delta", delta)
     if not (0.0 < delta < 1.0):
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
     if phi is None:
         phi = conductance_lower_bound(g)
+    _check_number("phi", phi)
     if not (0.0 < phi <= 1.0):
         raise InvalidParameterError(f"conductance bound must be in (0,1], got {phi}")
     rep = degree_uniformity(g)

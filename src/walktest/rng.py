@@ -23,7 +23,10 @@ that path, and the first row of each further block about 1.5 times.
 ``spawn()`` and ``generate_state()`` as that SeedSequence does, building it
 only when asked.  A negative seed or index, an index of 2**32 or more (a
 multi-word spawn key) and any non-integer input take the SeedSequence path
-itself, so they give the same streams and raise the same errors as before.
+itself: an index of 2**32 or more gives its SeedSequence stream, and the
+others raise InvalidParameterError from ``_seed_sequence``, which builds
+every SeedSequence the library seeds from (``master_rng`` and
+``experiments._child_seed`` too).
 
 Short fixed-length walks need no Generator per row.  ``_block_outputs``
 returns the raw outputs 1..k of a run of rows in one numpy pass: after
@@ -46,7 +49,9 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
-__all__ = ["trial_rng", "spawn_rngs", "master_rng"]
+from .errors import _as_count
+
+__all__ = ["trial_rng", "master_rng"]
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
@@ -85,9 +90,18 @@ def _jump_table(count: int) -> tuple[np.ndarray, ...]:
 _JUMPS = _jump_table(_MAX_OUTPUTS)
 
 
+def _seed_sequence(seed, *key) -> SeedSequence:
+    """``SeedSequence(seed, spawn_key=key)``, after checking that the seed
+    and each key word are integers of 0 or more."""
+    _as_count("seed", seed, 0)
+    for i in key:
+        _as_count("index", i, 0)
+    return SeedSequence(seed, spawn_key=key)
+
+
 def master_rng(seed: int) -> np.random.Generator:
     """Generator for whole-run draws (not tied to a trial index)."""
-    return np.random.default_rng(SeedSequence(seed))
+    return np.random.default_rng(_seed_sequence(seed))
 
 
 @functools.lru_cache(maxsize=64)
@@ -243,9 +257,4 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
         s, i = int(seed), int(index)
         words = _block_state(s, i // _BLOCK)[i % _BLOCK]
         return Generator(PCG64(_RowSeedSequence(seed, index, words)))
-    return np.random.default_rng(SeedSequence(seed, spawn_key=(index,)))
-
-
-def spawn_rngs(seed: int, n: int, start: int = 0) -> list[np.random.Generator]:
-    """Streams for trials start..start+n-1 (batch form of trial_rng)."""
-    return [trial_rng(seed, i) for i in range(start, start + n)]
+    return np.random.default_rng(_seed_sequence(seed, index))

@@ -54,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGraphError, InvalidParameterError
+from .errors import (DegenerateGraphError, InvalidParameterError, _as_count,
+                     _check_id, _check_int, _id_list, _is_int)
 from .graphs import Graph, degree_uniformity
 from .mixing import mixing_time
 from .rng import _BLOCK, _block_draws, _in_block_domain, trial_rng
@@ -123,19 +124,15 @@ class StartRule:
 
     @classmethod
     def fixed(cls, vertex: int) -> "StartRule":
-        _check_int("start", vertex)
-        return cls(kind="fixed", vertex=int(vertex))
+        return cls(kind="fixed", vertex=_check_int("start", vertex))
 
     def validate(self, g: Graph) -> None:
         if self.kind not in ("uniform", "round-robin", "designated-uniform", "fixed"):
             raise InvalidParameterError(f"unknown start rule {self.kind!r}")
         for v in self.designated:
-            if not 0 <= v < g.n:
-                raise InvalidParameterError(f"designated vertex {v} out of range")
-        if self.kind == "fixed" and not (
-            self.vertex is not None and 0 <= self.vertex < g.n
-        ):
-            raise InvalidParameterError(f"fixed start {self.vertex} out of range")
+            _check_id("designated vertex", v, g.n)
+        if self.kind == "fixed":
+            _check_id("fixed start", self.vertex, g.n)
 
     @property
     def consumes_rng(self) -> bool:
@@ -284,8 +281,7 @@ def fixed_walk_batch(
     """
     _require_walkable(g)
     rule.validate(g)
-    if steps < 0 or trials < 0:
-        raise InvalidParameterError("steps and trials must be nonnegative")
+    steps, trials = _as_count("steps", steps, 0), _as_count("trials", trials, 0)
     U = np.empty((steps, trials), dtype=np.float64)  # U[j]: step j's draws
     if (trials >= _BLOCK_MIN_ROWS and steps <= _BLOCK_MAX_STEPS
             and _in_block_domain(seed, index_base, trials)):
@@ -329,6 +325,7 @@ def random_walk(
     rule = _as_start_rule(start)
     rule.validate(g)
     steps = _as_count("steps", steps, 0)
+    index = _as_count("index", index, 0)
     verts = [rule.resolve(index, rng, g.n)]
     eids: list[int] = []
     _scalar_steps(g.moves, rng.random(steps), lazy, -1, verts, eids)  # no sink
@@ -369,12 +366,11 @@ def walk_to_sink(
 ) -> Walk:
     """Walk until first arrival at ``sink`` (or the step cap, default n^3)."""
     _require_walkable(g)
-    _check_int("sink", sink)
-    if not 0 <= sink < g.n:
-        raise InvalidParameterError(f"sink {sink} out of range")
+    _check_id("sink", sink, g.n)
     rule = _as_start_rule(start)
     rule.validate(g)
     cap = _as_count("cap", g.n ** 3 if cap is None else cap, 0)
+    index = _as_count("index", index, 0)
     v0 = rule.resolve(index, rng, g.n)
     verts, eids, term = _sink_walk_steps(g, v0, sink, cap, rng, lazy=lazy)
     return Walk(vertices=tuple(verts), edges=tuple(eids), terminated_by=term)
@@ -402,10 +398,8 @@ def sink_walk_batch(
     """
     _require_walkable(g)
     rule.validate(g)
-    if not 0 <= sink < g.n:
-        raise InvalidParameterError(f"sink {sink} out of range")
-    if cap < 0 or trials < 0:
-        raise InvalidParameterError("cap and trials must be nonnegative")
+    _check_id("sink", sink, g.n)
+    cap, trials = _as_count("cap", cap, 0), _as_count("trials", trials, 0)
     visited = np.zeros((trials, g.edge_count if edges else g.n), dtype=bool)
     capped = np.zeros(trials, dtype=bool)
     rngs = [trial_rng(seed, index_base + i) for i in range(trials)]
@@ -480,45 +474,17 @@ def _estimate(hits: int, trials: int, cap_exceeded: int = 0) -> Estimate:
                     cap_exceeded=cap_exceeded)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _check_int(what: str, x) -> None:
-    if not _is_int(x):
-        raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
-
-
-def _as_count(what: str, x, least: int) -> int:
-    """``x`` as a Python int, after checking that it is an integer (numpy
-    integers pass, ``bool`` fails) of at least ``least``."""
-    _check_int(what, x)
-    if x < least:
-        raise InvalidParameterError(f"{what} must be >= {least}, got {x}")
-    return int(x)
-
-
-def _id_list(what: str, kind: str, xs) -> tuple:
-    if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
-        raise InvalidParameterError(
-            f"{what} must be a list of {kind} ids, got {xs!r}")
-    return tuple(xs)
-
-
 def _check_items(g: Graph, kind: str, items) -> None:
     limit = g.n if kind == "vertex" else g.edge_count
     for x in items:
         if not _is_int(x):
             raise InvalidParameterError(f"{kind} id {x!r} is not an integer")
-        if not 0 <= x < limit:
-            raise InvalidParameterError(f"{kind} id {x} out of range")
+        _check_id(f"{kind} id", x, limit)
 
 
 def _designated(designated) -> tuple[int, ...]:
-    des = _id_list("designated", "vertex", designated)
-    for v in des:
-        _check_int("designated vertex", v)
-    return tuple(int(v) for v in des)
+    return tuple(_check_int("designated vertex", v)
+                 for v in _id_list("designated", "vertex ids", designated))
 
 
 def _avoid_ids(g: Graph, kind: str, item, avoid) -> list[int]:
@@ -526,7 +492,7 @@ def _avoid_ids(g: Graph, kind: str, item, avoid) -> list[int]:
     ``item`` as ids of ``kind``."""
     if kind not in ("vertex", "edge"):
         raise InvalidParameterError(f"kind must be vertex or edge, got {kind!r}")
-    avoid = _id_list("avoid", kind, avoid)
+    avoid = _id_list("avoid", f"{kind} ids", avoid)
     _check_items(g, kind, (item, *avoid))
     if item in avoid:
         raise InvalidParameterError("item cannot be in its own avoid set")
@@ -617,11 +583,9 @@ def hit_before_sink_probability(
     first reaching ``sink``.  Cap-exceeded walks count as misses and are
     reported in the estimate."""
     avoid = _avoid_ids(g, kind, item, avoid)
-    _check_int("sink", sink)
+    _check_id("sink", sink, g.n)
     if kind == "vertex" and (item == sink or sink in avoid):
         raise InvalidParameterError("sink cannot be the item or avoided")
-    if not 0 <= sink < g.n:
-        raise InvalidParameterError(f"sink {sink} out of range")
     trials = _as_count("trials", trials, 1)
     rule = _as_start_rule(start)
     cap = _as_count("cap", g.n ** 3 if cap is None else cap, 0)

@@ -325,7 +325,10 @@ class TestUnparsableValues:
         ('{"v": 3}', '"steps"'),
         ('{"v": 3, "steps": null}', '"steps"'),
         ('{"v": 3, "steps": [1]}', '"steps"'),
-    ], ids=["no-v", "text-v", "no-steps", "null-steps", "list-steps"])
+        ('{"v": 1.9, "steps": 5}', '"v"'),
+        ('{"v": "3", "steps": 5}', '"v"'),
+    ], ids=["no-v", "text-v", "no-steps", "null-steps", "list-steps", "float-v",
+            "numeric-text-v"])
     def test_walk_stats_params(self, graph_file, capsys, params, key):
         code, out, err = run(capsys, "walk-stats", "--graph", str(graph_file),
                              "--quantity", "pi", "--params", params,
@@ -449,7 +452,11 @@ class TestExperimentCommand:
         ({"family": "banana", "n_grid": [8]}, "'banana'"),
         ({"family": "random-regular", "n_grid": [8], "degree_rule": "fixed:x"},
          "'fixed:x'"),
-    ], ids=["complete", "unknown", "text-degree"])
+        ({"family": "random-regular", "n_grid": [16, 32, 17],
+          "degree_rule": "fixed:3"}, "n*degree must be even, got 17*3"),
+        ({"family": "cycle", "n_grid": [8, 2], "lazy": True},
+         "cycle graph needs n >= 3, got 2"),
+    ], ids=["complete", "unknown", "text-degree", "odd-degree-sum", "small-cycle"])
     def test_bad_mixing_family_or_degree_is_reported_before_output(
             self, tmp_path, capsys, config, named):
         cfg = tmp_path / "cfg.json"
@@ -526,11 +533,20 @@ class TestExperimentCommand:
         ("tomo", {"trials": 30}, 'tomo config has unknown key "trials"'),
         ("mixing", {"noise": {"kind": "flip", "q": 0.1}},
          'mixing config has unknown key "noise"'),
+        ("tomo", {"t": "x"}, 'tomo config "t" must be an integer, got \'x\''),
+        ("tomo", {"congested": [1.7]},
+         'tomo config "congested" must be a list of integers, got [1.7]'),
+        ("sweep", {"m_grid": [10, 2.5]},
+         'sweep config "m_grid" must be a list of integers, got [10, 2.5]'),
+        ("sweep", {"sink": "x"}, 'sweep config "sink" must be an integer, got \'x\''),
+        ("mixing", {"n_grid": [16, "x"]},
+         'mixing config "n_grid" must be a list of integers, got [16, \'x\']'),
     ], ids=["text-design", "text-trials", "text-number-trials", "float-d",
             "text-eta", "null-budget", "unknown-success", "bool-trials",
             "text-d", "text-q", "float-source", "text-confidence", "text-seed",
             "misspelt-key", "sweep-graph-file", "fixed-input-eta",
-            "verify-m-grid", "tomo-trials", "mixing-noise"])
+            "verify-m-grid", "tomo-trials", "mixing-noise", "text-t",
+            "float-congested", "float-m-grid", "text-sink", "text-n-grid"])
     def test_bad_config_value_is_reported_before_output(
             self, tmp_path, capsys, kind, change, message):
         graph = {"family": "erdos-renyi", "n": 64, "p": 0.3}

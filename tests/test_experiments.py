@@ -4,6 +4,7 @@ import importlib.util
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -18,7 +19,6 @@ from walktest.experiments import (
     _child_seed,
     fixed_input_experiment,
     graph_from_config,
-    mann_kendall_confidence,
     measured_design_parameters,
     mixing_scaling,
     success_sweep,
@@ -256,6 +256,23 @@ class TestMixingScaling:
         with pytest.raises(InvalidParameterError, match=re.escape(named)):
             mixing_scaling(family, [64, 128], seed=0, degree_rule=rule)
 
+    @pytest.mark.parametrize("family, grid, rule, named", [
+        ("random-regular", [16, 32, 17], "fixed:3", "got 17*3"),
+        ("random-regular", [32, 16], "6logn", "degree=17, n=16"),
+        ("cycle", [8, 2], "6logn", "got 2"),
+        ("erdos-renyi", [8, 1], "6logn", "got 1"),
+        ("erdos-renyi", [8, 2.5], "6logn", "got 2.5"),
+        ("erdos-renyi", [8, True], "6logn", "got True"),
+        ("erdos-renyi", [], "6logn", "empty"),
+        ("erdos-renyi", 8, "6logn", "got 8"),
+    ], ids=["odd-degree-sum", "degree-above-n", "small-cycle", "one-vertex",
+            "float-size", "bool-size", "empty", "scalar"])
+    def test_grid_checked_before_any_graph(self, family, grid, rule, named):
+        with mock.patch.object(experiments, "graph_from_config",
+                               side_effect=AssertionError("graph built")):
+            with pytest.raises(InvalidParameterError, match=re.escape(named)):
+                mixing_scaling(family, grid, seed=0, degree_rule=rule)
+
     def test_csv_shape(self):
         res = mixing_scaling("cycle", [8], seed=0, lazy=True)
         assert res.csv_rows()[0] == ["n", "t_mix", "t_over_ln_n", "bound",
@@ -286,6 +303,12 @@ class TestVerificationSuite:
     CHECKS = {"stationary-bounds", "visit-floor", "visit-tail", "early-visit",
               "influence", "hit-avoid-floor", "sink-hit-floor",
               "sink-symmetry"}
+
+    @pytest.mark.parametrize("d", [15, 16])
+    def test_sink_checks_need_d_plus_two_vertices(self, k16, d):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"need d <= n - 2, got d={d}, n=16")):
+            verification_suite(k16, d, trials=30, seed=5)
 
     def test_complete_16_all_pass(self, k16):
         rep = verification_suite(k16, 2, trials=3_000, seed=5)
@@ -342,22 +365,3 @@ class TestTomography:
             tomography_demo(er64, 0, (10**6,), 0.0, seed=0)
         with pytest.raises(InvalidParameterError):
             tomography_demo(er64, 0, (), 0.5, seed=0)
-
-
-class TestMannKendall:
-    def test_monotone_sequences(self):
-        up = mann_kendall_confidence(range(20))
-        down = mann_kendall_confidence(range(20, 0, -1))
-        assert up > 0.99
-        assert down < 0.01
-        assert up + down == pytest.approx(1.0)
-
-    def test_constant_is_trendless(self):
-        assert mann_kendall_confidence([5] * 10) == 0.5
-
-    def test_ties_still_trend(self):
-        assert mann_kendall_confidence([1, 1, 2, 2, 3, 3]) > 0.9
-
-    def test_needs_three_points(self):
-        with pytest.raises(InvalidParameterError):
-            mann_kendall_confidence([1, 2])

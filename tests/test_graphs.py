@@ -119,8 +119,8 @@ class TestGraphValue:
 
     def test_adjacency_symmetric(self, er64):
         for u in range(er64.n):
-            for v in er64.adjacency[u]:
-                assert u in er64.adjacency[v]
+            for v in er64.moves[u][0]:
+                assert u in er64.moves[v][0]
 
     @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (4, 0), (0, 4), (2, 2),
                                       (0, 2)])
@@ -206,7 +206,7 @@ def test_graph_invariants_random(case):
     assert len(adj_flat) == 2 * g.edge_count
     for u in range(n):
         nbrs = adj_flat[adj_ptr[u]:adj_ptr[u + 1]]
-        assert sorted(nbrs.tolist()) == sorted(g.adjacency[u])
+        assert sorted(nbrs.tolist()) == sorted(g.moves[u][0])
     ref = reference_structure(n, g.edge_list)
     assert [a.tolist() for a in g.csr] == list(ref["csr"])
     assert g.degrees.tolist() == ref["degrees"]

@@ -2,6 +2,7 @@
 and the block streams of short walks against trial_rng."""
 
 import pickle
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walktest import walks
+from walktest.errors import InvalidParameterError
 from walktest.rng import (
     _block_draws,
     _block_outputs,
     _in_block_domain,
     _mulhi64,
-    spawn_rngs,
+    master_rng,
     trial_rng,
 )
 
@@ -62,10 +64,21 @@ def test_numpy_and_bool_integers(seed, index):
     (1.5, 0), (0, 2.0), ("7", 0), (None, 0.5),
 ])
 def test_invalid_inputs_raise_as_seed_sequence_does(seed, index):
-    with pytest.raises(Exception) as want:
+    """Where SeedSequence rejects a seed or index, trial_rng raises an
+    invalid-parameter error, a ValueError as SeedSequence's are."""
+    with pytest.raises((TypeError, ValueError)):
         reference(seed, index)
-    with pytest.raises(want.type):
+    with pytest.raises(InvalidParameterError):
         trial_rng(seed, index)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"), ("7", "seed must be an integer"),
+])
+def test_master_rng_rejects_seeds_seed_sequence_would_not_take(seed, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        master_rng(seed)
 
 
 def test_seed_seq_answers_like_seed_sequence():
@@ -102,14 +115,6 @@ def test_rows_do_not_share_state():
     a, b = trial_rng(21, 5), trial_rng(21, 5)
     a.random(100)
     assert b.bit_generator.state == reference(21, 5).bit_generator.state
-
-
-@pytest.mark.parametrize("seed, n, start", [(0, 5, 0), (42, 70, 30), (2**40, 3, 200)])
-def test_spawn_rngs_equals_seed_sequence_children(seed, n, start):
-    children = np.random.SeedSequence(seed).spawn(start + n)[start:]
-    got = spawn_rngs(seed, n, start)
-    assert [g.bit_generator.state for g in got] == \
-        [np.random.default_rng(c).bit_generator.state for c in children]
 
 
 # --- block streams: _block_outputs and _block_draws against trial_rng rows --
