@@ -110,8 +110,8 @@ def _as_count(what: str, x, least: int) -> int:
 
 
 def _check_number(what: str, x) -> None:
-    """Reject a non-number; a nan passes here and fails the caller's range
-    test, which every comparison with nan does."""
+    """Reject a non-number.  A nan passes here and fails the caller's range
+    test, since every comparison with nan is false."""
     if not _is_real(x):
         raise InvalidParameterError(f"{what} must be a number, got {x!r}")
 
