@@ -29,6 +29,7 @@ from .errors import (InvalidParameterError, WalktestError, _check_int, _is_int,
 from .experiments import (
     _check_success,
     _mixing_grid,
+    _sweep_grid,
     check_graph_config,
     fixed_input_experiment,
     graph_from_config,
@@ -391,6 +392,9 @@ def _cmd_experiment(args) -> int:
     noise = _check_config(cfg, args.kind)
     if args.kind == "mixing":
         _mixing_grid(cfg["family"], cfg["n_grid"], cfg.get("degree_rule", "6logn"))
+    elif args.kind == "sweep":
+        _sweep_grid(cfg["graph"], cfg["m_grid"], cfg["trials"],
+                    cfg.get("success", "auto"))
     if "graph_file" in cfg:
         run.read_input(cfg["graph_file"])
     os.makedirs(args.out, exist_ok=True)

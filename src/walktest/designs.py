@@ -109,15 +109,17 @@ class DesignParams:
         return out
 
     def walk_length(self, design_id: int) -> int:
-        if design_id not in (1, 2):
+        if _check_int("design_id", design_id) not in (1, 2):
             raise InvalidParameterError("walk_length applies to designs 1 and 2")
         return self.t1 if design_id == 1 else self.t2
 
     def rows(self, design_id: int, noisy: bool | None = None) -> int:
-        if design_id not in (1, 2, 3, 4):
+        if _check_int("design_id", design_id) not in (1, 2, 3, 4):
             raise InvalidParameterError(f"unknown design id {design_id}")
         if noisy is None:
             noisy = self.eta > 0
+        elif not isinstance(noisy, (bool, np.bool_)):
+            raise InvalidParameterError(f"noisy must be a bool, got {noisy!r}")
         key = f"m{design_id}_noisy" if noisy else f"m{design_id}"
         return getattr(self, key)
 
@@ -282,16 +284,16 @@ def _sink_pools(g: Graph, rule: StartRule, sink: int, cap: int, m: int,
     cap, m = _as_count("cap", cap, 0), _as_count("m", m, 0)
     pools = np.zeros((m, g.edge_count if edges else g.n), dtype=bool)
     for base, take in _sink_chunks(g, m, edges):
-        visited, capped, rngs = sink_walk_batch(g, rule, sink, cap, take, seed,
-                                                lazy=lazy, edges=edges,
-                                                index_base=base)
+        visited, capped, rngs = sink_walk_batch(g, rule, [(sink, seed, base, take)],
+                                                cap, lazy=lazy, edges=edges)
         pools[base:base + take] = visited
         # the batch made each row's first walk; capped rows retry on its stream
         for r in np.flatnonzero(capped).tolist():
             i, rng = base + r, rngs[r]
             for _ in range(MAX_WALK_ATTEMPTS - 1):
-                verts, eids, term = _sink_walk_steps(g, rule.resolve(i, rng, g.n),
-                                                     sink, cap, rng, lazy=lazy)
+                v0 = rule._resolve(i, rng, g.n)
+                verts, eids, term = _sink_walk_steps(g, v0, sink, cap, rng,
+                                                     lazy=lazy)
                 if term == "sink-reached":
                     break
             else:

@@ -28,7 +28,8 @@ from .designs import (
     edge_walk_design,
 )
 from .errors import (GenerationFailureError, InvalidParameterError,
-                     SizeExceededError, _as_count, _check_id, _check_int, _id_list)
+                     SizeExceededError, _as_count, _check_id, _check_int,
+                     _check_number, _id_list)
 from .graphs import (
     Graph,
     _check_family,
@@ -54,8 +55,8 @@ from .rng import _seed_sequence, trial_rng
 from .walks import (
     StartRule,
     _estimate,
+    _sink_hits,
     hit_avoid_probability,
-    hit_before_sink_probability,
     hit_probability,
     early_visit_check,
     influence_check,
@@ -103,6 +104,7 @@ class SweepResult:
 
     def threshold(self, level: float = 0.95):
         """Smallest swept value whose success rate reaches ``level``."""
+        _check_number("level", level)
         for p in self.points:
             if p.success_rate >= level:
                 return p.value
@@ -307,6 +309,25 @@ def _check_success(success) -> None:
             f'success must be "auto", "disjunct" or "recovery", got {success!r}')
 
 
+def _sweep_grid(graph_config, m_grid, trials, success) -> list[int]:
+    """The grid of a sweep, ascending, after the checks that need no graph:
+    ``success``, the graph config, every grid value, no repeats, and at
+    least 30 trials."""
+    _check_success(success)
+    check_graph_config(graph_config)
+    m_grid = sorted(_as_count("m_grid value", m, 0)
+                    for m in _id_list("m_grid", "row counts", m_grid))
+    if not m_grid:
+        raise InvalidParameterError("m_grid must not be empty")
+    dups = sorted({m for m, nxt in zip(m_grid, m_grid[1:]) if m == nxt})
+    if dups:
+        raise InvalidParameterError(f"m grid repeats value(s) {dups}")
+    if _check_int("trials", trials) < 30:
+        raise InvalidParameterError(
+            f"sweeps need at least 30 trials per point, got {trials}")
+    return m_grid
+
+
 def success_sweep(
     graph_config: dict,
     design_id: int,
@@ -350,18 +371,7 @@ def success_sweep(
     (t, 0) to (t, 3).  Each is drawn only when read: a complete or cycle
     graph takes no seed, and the planted set is drawn when the trial is
     tallied for recovery, so a disjunct scan draws none."""
-    _check_success(success)
-    check_graph_config(graph_config)
-    m_grid = sorted(_as_count("m_grid value", m, 0)
-                    for m in _id_list("m_grid", "row counts", m_grid))
-    if not m_grid:
-        raise InvalidParameterError("m_grid must not be empty")
-    dups = sorted({m for m, nxt in zip(m_grid, m_grid[1:]) if m == nxt})
-    if dups:
-        raise InvalidParameterError(f"m grid repeats value(s) {dups}")
-    if _check_int("trials", trials) < 30:
-        raise InvalidParameterError(
-            f"sweeps need at least 30 trials per point, got {trials}")
+    m_grid = _sweep_grid(graph_config, m_grid, trials, success)
     mode = success
     m_max = m_grid[-1]
     wins = {m: 0 for m in m_grid}
@@ -622,27 +632,29 @@ def verification_suite(
         measured=worst, bound=avoid_bound,
         note=f"min over 10 (v, A) draws, |A|={d}, t={t1}"))
 
-    # sink-terminated hit floor
+    # sink-terminated hit floor, and the symmetry closed form on complete
+    # graphs; the estimators read no rng, so every pick comes first and all
+    # the sink walks run as one batch
     sink_bound = SINK_HIT_FLOOR_BETA / (c ** 8 * d * d * T ** 4)
     strials = min(trials, 20_000)
-    worst_s = 1.0
-    for k in range(5):
+    complete = g.edge_count == n * (n - 1) // 2
+    seeds = [_child_seed(seed, 6, k) for k in range(5)]
+    if complete:
+        seeds.append(_child_seed(seed, 7))
+    queries = []  # (v, A, sink u, seed) of each draw
+    for qseed in seeds:
         pick = rng.choice(n, size=d + 2, replace=False)
-        u, v, avoid = int(pick[0]), int(pick[1]), [int(x) for x in pick[2:]]
-        est = hit_before_sink_probability(g, v, avoid, u, "vertex", strials,
-                                          _child_seed(seed, 6, k))
-        worst_s = min(worst_s, est.value)
+        queries.append((int(pick[1]), [int(x) for x in pick[2:]], int(pick[0]),
+                        qseed))
+    ests = _sink_hits(g, "vertex", strials, StartRule.uniform(), n ** 3, False,
+                      queries)
+    worst_s = min(est.value for est in ests[:5])
     lines.append(CheckLine(
         name="sink-hit-floor", status="pass" if worst_s >= sink_bound else "fail",
         measured=worst_s, bound=sink_bound,
         note=f"min over 5 (sink, v, A) draws, |A|={d}"))
-
-    # symmetry closed form, complete graphs only
-    if g.edge_count == n * (n - 1) // 2:  # complete
-        pick = rng.choice(n, size=d + 2, replace=False)
-        u, v, avoid = int(pick[0]), int(pick[1]), [int(x) for x in pick[2:]]
-        est = hit_before_sink_probability(g, v, avoid, u, "vertex", strials,
-                                          _child_seed(seed, 7))
+    if complete:
+        est = ests[5]
         target = 1.0 / ((d + 1) * (d + 2))
         ratio = est.value / target
         lines.append(CheckLine(

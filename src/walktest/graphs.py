@@ -168,6 +168,7 @@ class Graph:
         return self._bfs[1]
 
     def edge_id(self, u: int, v: int) -> int:
+        u, v = _check_int("u", u), _check_int("v", v)
         if 0 <= u < self.n and 0 <= v < self.n:
             nbrs, eids = self.moves[u]
             k = bisect_left(nbrs, v)
@@ -191,6 +192,8 @@ class UniformityReport:
 
     def is_uniform_for(self, min_degree: int, ratio: float) -> bool:
         """Does every degree lie in [min_degree, ratio * min_degree]?"""
+        _check_int("min_degree", min_degree)
+        _check_number("ratio", ratio)
         return self.min_degree >= min_degree and self.max_degree <= ratio * min_degree
 
 
@@ -215,7 +218,10 @@ class Distribution:
         return self.probs.size
 
     def __getitem__(self, i: int) -> float:
-        return float(self.probs[i])
+        return float(self.probs[_check_id("index", i, self.probs.size)])
+
+    def __iter__(self):
+        return iter(self.probs.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -30,22 +30,30 @@ in numpy and replays the rare rows numpy's bounded draw might reject through
 every other call builds per-row Generators, ``_FILL_ROWS`` rows at a time
 through a small row-major buffer whose transpose is copied in, and that
 path is the block path's oracle.  ``sink_walk_batch`` serves the sink
-estimator and designs 3 and 4: per 64-step block, each active row draws its
-next ``random(64)`` block, ``_lockstep`` takes up to 64 steps of all of them
-(a row that reaches the sink keeps stepping to the block's end), and then
-the steps after each row's first arrival are dropped and the rows still
-walking are kept.  At each block boundary, the first included, fewer than
-``_LOCKSTEP_MIN_ROWS`` active rows finish one by one through
-``_sink_walk_steps`` on their own streams; that threshold is the measured
-point where a lockstep step over few rows costs more than their scalar
-steps.  The scalar walks (``random_walk``, one ``_scalar_steps`` call, and
-``_sink_walk_steps``, one call per ``random(64)`` block) are the oracles of
-the batch engines and the replay path of ``verify_rows``.
+estimator and designs 3 and 4.  It takes its rows as segments, each with its
+own sink, seed, ``index_base`` and row count, so every row carries its own
+sink; row i of a segment walks on ``trial_rng(seed, index_base + i)``.  Per
+64-step block, each active row draws its next ``random(64)`` block,
+``_lockstep`` takes up to 64 steps of all of them (a row that reaches its
+sink keeps stepping to the block's end), and then the steps after each row's
+first arrival are dropped and the rows still walking are kept.  At each
+block boundary, the first included, fewer than ``_LOCKSTEP_MIN_ROWS`` active
+rows finish one by one through ``_sink_walk_steps`` on their own streams and
+sinks; that threshold is the measured point where a lockstep step over few
+rows costs more than their scalar steps.  The scalar walks
+(``random_walk``, one ``_scalar_steps`` call, and ``_sink_walk_steps``, one
+call per ``random(64)`` block) are the oracles of the batch engines and the
+replay path of ``verify_rows``.
 
 Estimators.  The fixed-walk statistics read their chunks from one loop,
 ``_fixed_walks``.  ``_hit_estimate`` holds the one hit-and-avoid rule:
 ``hit_probability`` is its empty avoid set, and ``early_visit_check`` its
-(k - 1)-step walk.  ``_sigma`` is the one binomial standard error.
+(k - 1)-step walk.  ``_sink_hits`` holds the one hit-before-sink rule for
+any number of (item, avoid, sink, seed) queries: their rows are the segments
+of one row sequence, cut into ``_sink_chunks`` chunks of one query's size,
+so ``verification_suite`` steps all its sink draws through one lockstep loop
+and ``hit_before_sink_probability`` is its one-query call.  ``_sigma`` is the
+one binomial standard error.
 """
 
 from __future__ import annotations
@@ -139,6 +147,13 @@ class StartRule:
         return self.kind in ("uniform", "designated-uniform")
 
     def resolve(self, index: int, rng: np.random.Generator, n: int) -> int:
+        """The start of row ``index`` among ``n`` vertices, drawing from
+        ``rng`` if the rule draws."""
+        return self._resolve(_as_count("index", index, 0), rng,
+                             _as_count("n", n, 1))
+
+    def _resolve(self, index: int, rng: np.random.Generator, n: int) -> int:
+        """:meth:`resolve` on arguments the engines have checked."""
         if self.kind == "uniform":
             return int(rng.integers(n))
         if self.kind == "round-robin":
@@ -300,7 +315,7 @@ def fixed_walk_batch(
             for k in range(rows):
                 i = index_base + r0 + k
                 rng = trial_rng(seed, i)
-                starts[r0 + k] = rule.resolve(i, rng, g.n)
+                starts[r0 + k] = rule._resolve(i, rng, g.n)
                 if steps:
                     rng.random(out=buf[k])
             U[:, r0:r0 + rows] = buf[:rows].T
@@ -326,7 +341,7 @@ def random_walk(
     rule.validate(g)
     steps = _as_count("steps", steps, 0)
     index = _as_count("index", index, 0)
-    verts = [rule.resolve(index, rng, g.n)]
+    verts = [rule._resolve(index, rng, g.n)]
     eids: list[int] = []
     _scalar_steps(g.moves, rng.random(steps), lazy, -1, verts, eids)  # no sink
     return Walk(vertices=tuple(verts), edges=tuple(eids), terminated_by="length-reached")
@@ -371,7 +386,7 @@ def walk_to_sink(
     rule.validate(g)
     cap = _as_count("cap", g.n ** 3 if cap is None else cap, 0)
     index = _as_count("index", index, 0)
-    v0 = rule.resolve(index, rng, g.n)
+    v0 = rule._resolve(index, rng, g.n)
     verts, eids, term = _sink_walk_steps(g, v0, sink, cap, rng, lazy=lazy)
     return Walk(vertices=tuple(verts), edges=tuple(eids), terminated_by=term)
 
@@ -379,42 +394,51 @@ def walk_to_sink(
 def sink_walk_batch(
     g: Graph,
     rule: StartRule,
-    sink: int,
+    segments,
     cap: int,
-    trials: int,
-    seed: int,
     lazy: bool = False,
     edges: bool = False,
-    index_base: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, list[np.random.Generator]]:
-    """Visited items of ``trials`` walks to ``sink``, stepped in lockstep.
+    """Visited items of walks to per-segment sinks, stepped in lockstep.
 
-    Returns (visited (trials, n or |E|) bool, capped (trials,) bool, rngs):
-    row i marks the vertices (or traversed edges) of the walk driven by
-    ``rngs[i] = trial_rng(seed, index_base + i)``, up to and including its
-    first arrival at ``sink``; ``capped`` marks walks stopped by ``cap``.
-    Rows, cap flags and the final state of every Generator equal what
-    ``_sink_walk_steps`` gives on that row's stream.
+    ``segments`` lists (sink, seed, index_base, rows); each segment's rows
+    follow those of the segment before it, and its row i is the walk to
+    ``sink`` driven by ``trial_rng(seed, index_base + i)``.  Returns
+    (visited (rows, n or |E|) bool, capped (rows,) bool, rngs): a row marks
+    the vertices (or traversed edges) of its walk up to and including its
+    first arrival at its sink, ``capped`` marks walks stopped by ``cap``, and
+    ``rngs`` holds the rows' Generators.  Rows, cap flags and the final state
+    of every Generator equal what ``_sink_walk_steps`` gives on that row's
+    stream, whatever the other segments.
     """
     _require_walkable(g)
     rule.validate(g)
-    _check_id("sink", sink, g.n)
-    cap, trials = _as_count("cap", cap, 0), _as_count("trials", trials, 0)
+    rngs, starts, sinks = [], [], []
+    for sink, seed, index_base, rows in segments:
+        sink = _check_id("sink", sink, g.n)
+        index_base = _as_count("index_base", index_base, 0)
+        for i in range(index_base, index_base + _as_count("rows", rows, 0)):
+            rng = trial_rng(seed, i)
+            rngs.append(rng)
+            starts.append(rule._resolve(i, rng, g.n))
+            sinks.append(sink)
+    cap = _as_count("cap", cap, 0)
+    trials = len(rngs)
     visited = np.zeros((trials, g.edge_count if edges else g.n), dtype=bool)
     capped = np.zeros(trials, dtype=bool)
-    rngs = [trial_rng(seed, index_base + i) for i in range(trials)]
-    cur = np.array([rule.resolve(index_base + i, rng, g.n)
-                    for i, rng in enumerate(rngs)], dtype=np.int64)
+    cur = np.array(starts, dtype=np.int64)
+    sinks = np.array(sinks, dtype=np.int64)
     if not edges:
         visited[np.arange(trials), cur] = True
-    rows = np.flatnonzero(cur != sink)  # the active walks
+    rows = np.flatnonzero(cur != sinks)  # the active walks
     cur = cur[rows]
     done = 0  # steps taken by every active walk
     while rows.size:
         if rows.size < _LOCKSTEP_MIN_ROWS:
             for r, v in zip(rows.tolist(), cur.tolist()):
-                verts, eids, term = _sink_walk_steps(g, v, sink, cap - done,
-                                                     rngs[r], lazy=lazy)
+                verts, eids, term = _sink_walk_steps(g, v, int(sinks[r]),
+                                                     cap - done, rngs[r],
+                                                     lazy=lazy)
                 visited[r, eids if edges else verts] = True
                 capped[r] = term == "cap-exceeded"
             break
@@ -430,7 +454,7 @@ def sink_walk_batch(
         E = np.empty((s, rows.size), dtype=np.int64) if edges else None
         _lockstep(g, U[:, :s].T, V, E, lazy)
         done += s
-        hit = V[1:] == sink
+        hit = V[1:] == sinks[rows]
         arrived = hit.any(axis=0)
         # each walk's steps up to its first arrival; the rest are discarded
         keep = np.arange(s)[:, None] <= np.where(arrived, hit.argmax(axis=0), s)
@@ -589,18 +613,37 @@ def hit_before_sink_probability(
     trials = _as_count("trials", trials, 1)
     rule = _as_start_rule(start)
     cap = _as_count("cap", g.n ** 3 if cap is None else cap, 0)
+    return _sink_hits(g, kind, trials, rule, cap, lazy,
+                      [(item, avoid, sink, seed)])[0]
+
+
+def _sink_hits(g, kind, trials, rule, cap, lazy, queries) -> list[Estimate]:
+    """The :func:`hit_before_sink_probability` estimate of each checked
+    query (item, avoid, sink, seed), ``trials`` walks each.  The queries'
+    rows run as the segments of one row sequence, cut into chunks of one
+    query's chunk size, so K queries take one lockstep batch per chunk."""
     edges = kind == "edge"
-    hits = capped = 0
-    for base, take in _sink_chunks(g, trials, edges):
-        visited, cap_rows, _ = sink_walk_batch(g, rule, sink, cap, take, seed,
-                                               lazy=lazy, edges=edges,
-                                               index_base=base)
-        good = visited[:, item] & ~cap_rows
-        if avoid:
-            good &= ~visited[:, avoid].any(axis=1)
-        hits += int(good.sum())
-        capped += int(cap_rows.sum())
-    return _estimate(hits, trials, cap_exceeded=capped)
+    hits, capped = [0] * len(queries), [0] * len(queries)
+    for base, take in _sink_chunks(g, len(queries) * trials, edges):
+        segs, r = [], base  # (query, first trial, rows) of each segment
+        while r < base + take:
+            q, i = divmod(r, trials)
+            segs.append((q, i, min(trials - i, base + take - r)))
+            r += segs[-1][2]
+        visited, cap_rows, _ = sink_walk_batch(
+            g, rule, [(queries[q][2], queries[q][3], i, rows)
+                      for q, i, rows in segs], cap, lazy=lazy, edges=edges)
+        at = 0
+        for q, _, rows in segs:
+            item, avoid = queries[q][:2]
+            seen, stopped = visited[at:at + rows], cap_rows[at:at + rows]
+            good = seen[:, item] & ~stopped
+            if avoid:
+                good &= ~seen[:, avoid].any(axis=1)
+            hits[q] += int(good.sum())
+            capped[q] += int(stopped.sum())
+            at += rows
+    return [_estimate(h, trials, cap_exceeded=c) for h, c in zip(hits, capped)]
 
 
 # ---------------------------------------------------------------------------

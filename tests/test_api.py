@@ -9,6 +9,9 @@ only a WalktestError may escape.  An integer argument named in its row's
 every one but [] and [-1], since those may be valid or fail range checks
 only; so no ``int()`` reads 1.5 or True as 1.
 
+Each public method (and ``__getitem__``) of such a class has a row too, whose
+``self`` is a small instance; ``self`` is never probed.
+
 Arguments that take library objects, numpy Generators or file paths are left
 out.  No row names ``seed``: ``trial_rng`` reads a bool seed as numpy does,
 on a cached path whose speed the walk engines rest on, so seeds are checked
@@ -58,6 +61,13 @@ K5 = {"family": "complete", "n": 5}
 EST = dict(g=G, item=0, kind="vertex", steps=3, trials=10, seed=1, start=0,
            lazy=False)
 EST_INTS = "item steps trials start"
+PARAMS = designs.design_parameters(10, 2, 3, 1.0, 2)
+SWEEP = experiments.success_sweep(K5, 1, 1, 0.0, [4, 8], 30, 1, t_override=3)
+MIXING = experiments.mixing_scaling("random-regular", [6, 8], 1,
+                                    degree_rule="fixed:3")
+REPORT = experiments.verification_suite(G, 1, 30, 1)
+TOMO = experiments.tomography_demo(G, 0, [1], 0.05, 1, t=3, m=30,
+                                   confidence=0.9)
 
 
 def row(fn, ints="", id="", **args):
@@ -79,6 +89,11 @@ ROWS = [
     row(graphs.write_graph, g=G, path=File("out.json"), format="json"),
     row(graphs.graph_to_json, g=G),
     row(graphs.graph_from_json, doc={"n": 3, "edges": [[0, 1]]}),
+    row(Graph.edge_id, "u v", self=G, u=0, v=1),
+    row(graphs.UniformityReport.is_uniform_for, "min_degree",
+        self=graphs.degree_uniformity(G), min_degree=4, ratio=1.0),
+    row(graphs.Distribution.__getitem__, "i",
+        self=graphs.stationary_distribution(G), i=0),
     # mixing
     row(mixing.transition_matrix, g=G, lazy=False),
     row(mixing.default_delta, g=G),
@@ -91,6 +106,9 @@ ROWS = [
     row(StartRule.round_robin, "designated", designated=[0, 1]),
     row(StartRule.designated_uniform, "designated", designated=[0, 1]),
     row(StartRule.fixed, "vertex", vertex=0),
+    row(StartRule.validate, self=StartRule.uniform(), g=G),
+    row(StartRule.resolve, "index n", self=StartRule.round_robin([0, 1]),
+        index=0, rng=GEN, n=5),
     row(walks.random_walk, "start steps index", g=G, start=0, steps=3, rng=GEN,
         lazy=False, index=0),
     row(walks.walk_to_sink, "start sink cap index", g=G, start=0, sink=1,
@@ -110,6 +128,13 @@ ROWS = [
     # designs
     row(designs.design_parameters, "n d D T", n=10, d=2, D=3, c=1.0, T=2,
         eta=0.0, constants=CALIBRATED),
+    row(designs.DesignParams.as_dict, self=PARAMS),
+    row(designs.DesignParams.walk_length, "design_id", self=PARAMS,
+        design_id=1),
+    row(designs.DesignParams.rows, "design_id", self=PARAMS, design_id=1,
+        noisy=None),
+    row(MeasurementMatrix.dense, self=M),
+    row(MeasurementMatrix.prefix, "m", self=M, m=4),
     row(designs.vertex_walk_design, "designated m t", g=G, designated=[0], m=6,
         t=3, seed=1, lazy=False),
     row(designs.edge_walk_design, "m t start", g=G, m=6, t=3, seed=1, start=0,
@@ -134,6 +159,7 @@ ROWS = [
     row(NoiseModel.flip, q=0.1),
     row(NoiseModel.dilution, q=0.1),
     row(NoiseModel.adversarial, "flips", flips=[0]),
+    row(OutcomeVector.to01, self=Y),
     row(grouptest.simulate_tests, "defectives", M=M, defectives=[1],
         noise=NOISELESS, rng=GEN),
     row(grouptest.is_disjunct, "d e exclude_columns", M=M, d=1, e=0,
@@ -174,6 +200,13 @@ ROWS = [
     row(experiments.tomography_demo, "source congested t m", g=G, source=0,
         congested=[1], q=0.05, seed=1, t=3, m=30, confidence=0.9,
         constants=CALIBRATED),
+    row(experiments.SweepResult.threshold, self=SWEEP, level=0.95),
+    row(experiments.SweepResult.csv_rows, self=SWEEP),
+    row(experiments.MixingScalingResult.band, self=MIXING),
+    row(experiments.MixingScalingResult.bound_respected, self=MIXING),
+    row(experiments.MixingScalingResult.csv_rows, self=MIXING),
+    row(experiments.VerificationReport.csv_rows, self=REPORT),
+    row(experiments.TomographyReport.csv_rows, self=TOMO),
     # rng
     row(rng.trial_rng, seed=1, index=2),
     row(rng.master_rng, seed=1),
@@ -187,7 +220,8 @@ def _name(fn) -> str:
 
 def _public_calls():
     """Every function in the modules' ``__all__``, and every public
-    classmethod of a class there that the module defines."""
+    classmethod, public method and ``__getitem__`` of a class there that the
+    module defines."""
     for mod in MODULES:
         for name in mod.__all__:
             obj = getattr(mod, name)
@@ -195,7 +229,9 @@ def _public_calls():
                 yield obj
             elif inspect.isclass(obj) and obj.__module__ == mod.__name__:
                 for attr, member in vars(obj).items():
-                    if isinstance(member, classmethod) and not attr.startswith("_"):
+                    if attr.startswith("_") and attr != "__getitem__":
+                        continue
+                    if isinstance(member, classmethod) or inspect.isfunction(member):
                         yield getattr(obj, attr)
 
 
@@ -240,7 +276,7 @@ def test_bad_arguments_raise_walktest_errors(r, files):
     r.fn(**args)  # the row itself is valid
     problems = []
     for key, value in r.args.items():
-        if isinstance(value, (File, *OBJECTS)):
+        if key == "self" or isinstance(value, (File, *OBJECTS)):
             continue
         for bad in _probes(value):
             try:

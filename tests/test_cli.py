@@ -470,6 +470,27 @@ class TestExperimentCommand:
         assert named in diag["message"]
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"trials": 10}, "sweeps need at least 30 trials per point, got 10"),
+        ({"m_grid": [60, 8, 60]}, "m grid repeats value(s) [60]"),
+        ({"m_grid": []}, "m_grid must not be empty"),
+        ({"m_grid": [8, -1]}, "m_grid value must be >= 0, got -1"),
+    ], ids=["few-trials", "repeated-m", "empty-grid", "negative-m"])
+    def test_bad_sweep_grid_is_reported_before_output(self, tmp_path, capsys,
+                                                      change, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(
+            {"graph": {"family": "complete", "n": 8}, "design": 1, "d": 1,
+             "m_grid": [4, 8], "trials": 30}, **change)))
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, "experiment", "--kind", "sweep",
+                             "--config", str(cfg), "--out", str(outdir))
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert diag["message"] == message
+        assert not outdir.exists()
+
     def test_text_designated_vertex_is_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -232,6 +232,13 @@ class TestStationary:
         mu = stationary_distribution(k16)
         assert all(mu[v] == 1 / 16 for v in range(16))
 
+    def test_iterates_and_rejects_bad_indices(self, k16):
+        mu = stationary_distribution(k16)
+        assert list(mu) == [1 / 16] * 16
+        for bad in (16, -1, "x", True, 1.0):
+            with pytest.raises(InvalidParameterError):
+                mu[bad]
+
     def test_bipartite_needs_lazy(self, c6):
         with pytest.raises(NonMixingGraphError):
             stationary_distribution(c6)

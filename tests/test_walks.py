@@ -321,17 +321,86 @@ class TestSinkWalkBatch:
         with mock.patch.object(walks, "_LOCKSTEP_MIN_ROWS",
                                1 if lockstep_only else _K):
             visited, capped, rngs = sink_walk_batch(
-                g, rule, sink, cap, trials, seed, lazy=lazy, edges=edges,
-                index_base=index_base)
+                g, rule, [(sink, seed, index_base, trials)], cap, lazy=lazy,
+                edges=edges)
         assert visited.shape == (trials, g.edge_count if edges else g.n)
-        for i in range(trials):
-            rng = trial_rng(seed, index_base + i)
-            w = walk_to_sink(g, rule, sink, rng, cap=cap, lazy=lazy,
-                             index=index_base + i)
+        _assert_rows_replay(g, rule, (visited, capped, rngs), cap, lazy, edges,
+                            [(sink, seed, index_base, trials)])
+
+    @given(graph=st.sampled_from(range(len(_SINK_GRAPHS))),
+           start=st.sampled_from(["uniform", "fixed", "round-robin",
+                                  "designated-uniform"]),
+           vertex=st.integers(0, 5),
+           segments=st.lists(st.tuples(
+               st.integers(0, 5), st.integers(0, 2**32 - 1),
+               st.sampled_from([0, 61, 1000]),
+               st.sampled_from([0, 1, _K - 1, _K, 2 * _K + 1])),
+               min_size=1, max_size=4),
+           cap=st.sampled_from([0, 1, 63, 64, 65]),
+           lazy=st.booleans(), edges=st.booleans(), lockstep_only=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_segments_match_scalar_replay(self, graph, start, vertex, segments,
+                                          cap, lazy, edges, lockstep_only):
+        """Each segment's rows walk to its own sink on its own streams, as
+        if it were stepped alone."""
+        g = _SINK_GRAPHS[graph]
+        rule = _start_rule(start, vertex)
+        with mock.patch.object(walks, "_LOCKSTEP_MIN_ROWS",
+                               1 if lockstep_only else _K):
+            batch = sink_walk_batch(g, rule, segments, cap, lazy=lazy,
+                                    edges=edges)
+        assert len(batch[2]) == sum(rows for *_, rows in segments)
+        _assert_rows_replay(g, rule, batch, cap, lazy, edges, segments)
+
+
+def _assert_rows_replay(g, rule, batch, cap, lazy, edges, segments):
+    """Every row of a ``sink_walk_batch`` result against a ``walk_to_sink``
+    replay on its segment's sink and its own stream."""
+    visited, capped, rngs = batch
+    r = 0
+    for sink, seed, index_base, rows in segments:
+        for i in range(index_base, index_base + rows):
+            rng = trial_rng(seed, i)
+            w = walk_to_sink(g, rule, sink, rng, cap=cap, lazy=lazy, index=i)
             items = w.edges if edges else w.vertices
-            assert np.flatnonzero(visited[i]).tolist() == sorted(set(items))
-            assert capped[i] == (w.terminated_by == "cap-exceeded")
-            assert rngs[i].bit_generator.state == rng.bit_generator.state
+            assert np.flatnonzero(visited[r]).tolist() == sorted(set(items))
+            assert capped[r] == (w.terminated_by == "cap-exceeded")
+            assert rngs[r].bit_generator.state == rng.bit_generator.state
+            r += 1
+    assert r == len(rngs)
+
+
+class TestSinkHits:
+    """K queries in one batch against K one-query estimates."""
+
+    @given(graph=st.sampled_from(range(len(_SINK_GRAPHS))),
+           kind=st.sampled_from(["vertex", "edge"]), lazy=st.booleans(),
+           trials=st.sampled_from([1, 5, 7, 13]),
+           chunk=st.sampled_from([1, 3, 7, 1000]),
+           cap=st.sampled_from([0, 1, 5, 64, 65, None]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_queries_match_one_query_calls(self, graph, kind, lazy, trials,
+                                           chunk, cap, seed, data):
+        g = _SINK_GRAPHS[graph]
+        limit = g.n if kind == "vertex" else g.edge_count
+        queries = []
+        for k in range(data.draw(st.integers(1, 4))):
+            sink = data.draw(st.integers(0, g.n - 1))
+            ids = [x for x in range(limit) if kind == "edge" or x != sink]
+            item, *avoid = data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                                              max_size=3, unique=True))
+            queries.append((item, avoid, sink, seed + k))
+        cap = g.n ** 3 if cap is None else cap
+        # a chunk of ``chunk`` rows, so chunks cut the queries' rows apart
+        items = g.edge_count if kind == "edge" else g.n
+        with mock.patch.object(walks, "_CHUNK_ELEMS", chunk * (items + 2049)):
+            got = walks._sink_hits(g, kind, trials, StartRule.uniform(), cap,
+                                   lazy, queries)
+        want = [hit_before_sink_probability(g, item, avoid, sink, kind, trials,
+                                            qseed, cap=cap, lazy=lazy)
+                for item, avoid, sink, qseed in queries]
+        assert got == want
 
 
 class TestEstimators:
