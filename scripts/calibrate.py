@@ -76,7 +76,8 @@ def calibrate_kappa_t(trials: int) -> float:
     target = 1.0 / (d + 1)
     chosen = None
     for kt in (1.0, 1.5, 2.0, 2.5, 3.0):
-        t1 = max(math.ceil(kt * g.n / (1.0 * d * T)), 2 * T + 1)
+        t1 = design_parameters(n=g.n, d=d, D=g.n - 1, c=1.0, T=T,
+                               constants=ScaleConstants(kappa_t=kt)).t1
         pi = hit_probability(g, 5, "vertex", t1, trials, 1234).value
         log(f"  kappa_t={kt}: t1={t1} pi={pi:.3f} (target {target:.3f})")
         if chosen is None and pi >= target:

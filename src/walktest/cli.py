@@ -27,10 +27,6 @@ from .designs import build_design, read_matrix, write_matrix
 from .errors import (InvalidParameterError, WalktestError, _check_int, _is_int,
                      _is_real, parse_errors, read_json, write_json)
 from .experiments import (
-    _check_success,
-    _mixing_grid,
-    _sweep_grid,
-    check_graph_config,
     fixed_input_experiment,
     graph_from_config,
     measured_design_parameters,
@@ -102,10 +98,15 @@ class _Run:
         self.parameters = params
         self.seed = params.get("seed")
 
-    def read_input(self, path: str, read=None):
-        """``read(path)``, with the file's digest recorded for the manifest."""
-        value = read(path) if read else None
-        self.inputs[path] = _sha256(path)
+    def read_input(self, path: str, read):
+        """``read(path)``, with the file's digest recorded for the manifest;
+        a file that cannot be opened or read is an invalid parameter."""
+        try:
+            value = read(path)
+            self.inputs[path] = _sha256(path)
+        except OSError as exc:
+            raise InvalidParameterError(
+                f"cannot read {path}: {exc.strerror or exc}") from None
         return value
 
     def manifest(self) -> dict:
@@ -200,7 +201,10 @@ def _cmd_walk_stats(args) -> int:
         raise InvalidParameterError("--params must be a JSON object")
     need = functools.partial(_int_param, p)
     kind = p.get("kind", "vertex")
-    lazy = bool(p.get("lazy", False))
+    lazy = p.get("lazy", False)
+    if not isinstance(lazy, bool):
+        raise InvalidParameterError(
+            f'--params "lazy" must be a boolean, got {lazy!r}')
     q = args.quantity
     if q == "pi":
         rep = hit_probability(g, need("v"), kind, need("steps"),
@@ -216,13 +220,15 @@ def _cmd_walk_stats(args) -> int:
                                           lazy=lazy)
     elif q == "visits":
         rep = visit_count_tail_check(g, need("v"), need("steps"),
-                                     need("k"), args.trials, args.seed)
+                                     need("k"), args.trials, args.seed,
+                                     lazy=lazy)
     elif q == "early":
         rep = early_visit_check(g, need("v"), need("k"), args.trials,
-                                args.seed, designated=p.get("designated", ()))
+                                args.seed, designated=p.get("designated", ()),
+                                lazy=lazy)
     else:  # influence; argparse allows no other quantity
         rep = influence_check(g, need("i"), need("j"), args.trials,
-                              args.seed, t_mix=p.get("t_mix"))
+                              args.seed, t_mix=p.get("t_mix"), lazy=lazy)
     report = dataclasses.asdict(rep)
     report["quantity"] = q
     _print_report(report, run)
@@ -315,9 +321,9 @@ def _cmd_check_disjunct(args) -> int:
     return _EXIT_OK
 
 
-def _experiment_graph(cfg: dict, seed: int):
+def _experiment_graph(run: _Run, cfg: dict, seed: int):
     if "graph_file" in cfg:
-        return read_graph(cfg["graph_file"]), 0
+        return run.read_input(cfg["graph_file"], read_graph), 0
     return graph_from_config(cfg["graph"], seed)
 
 
@@ -347,13 +353,15 @@ _CONFIG_VALUES = {
     **dict.fromkeys(("m_grid", "n_grid", "congested", "designated"),
                     (lambda v: isinstance(v, list) and all(map(_is_int, v)),
                      "a list of integers")),
+    "lazy": (lambda v: isinstance(v, bool), "a boolean"),
+    "graph_file": (lambda v: isinstance(v, str), "a string"),
 }
 
 
 def _check_config(cfg, kind: str) -> NoiseModel | None:
     """Reject a config that lacks a key its kind reads, holds a key its kind
-    does not read, or holds a value of the wrong type, before any output;
-    return the config's noise model."""
+    does not read, or holds a value of the wrong type; return the config's
+    noise model.  The experiment checks ranges and graph configs itself."""
     if not isinstance(cfg, dict):
         raise InvalidParameterError("experiment config must be a JSON object")
     keys, optional = _CONFIG_KEYS[kind]
@@ -369,10 +377,6 @@ def _check_config(cfg, kind: str) -> NoiseModel | None:
         if key in cfg and not check(cfg[key]):
             raise InvalidParameterError(
                 f'{kind} config "{key}" must be {what}, got {cfg[key]!r}')
-    if kind == "sweep":
-        _check_success(cfg.get("success", "auto"))
-    if "graph" in keys:
-        check_graph_config(cfg["graph"])
     nspec = cfg.get("noise")
     if not nspec:
         return None
@@ -390,16 +394,7 @@ def _cmd_experiment(args) -> int:
     run = _Run("experiment", args)
     cfg = run.read_input(args.config, functools.partial(read_json, what="config"))
     noise = _check_config(cfg, args.kind)
-    if args.kind == "mixing":
-        _mixing_grid(cfg["family"], cfg["n_grid"], cfg.get("degree_rule", "6logn"))
-    elif args.kind == "sweep":
-        _sweep_grid(cfg["graph"], cfg["m_grid"], cfg["trials"],
-                    cfg.get("success", "auto"))
-    if "graph_file" in cfg:
-        run.read_input(cfg["graph_file"])
-    os.makedirs(args.out, exist_ok=True)
-    results_csv = os.path.join(args.out, "results.csv")
-    extra: dict = {}
+    tables: dict = {}  # CSV file name -> rows
     kind = args.kind
     seed = cfg.get("seed", args.seed)
     if kind == "sweep":
@@ -409,47 +404,47 @@ def _cmd_experiment(args) -> int:
             seed, noise=noise, success=cfg.get("success", "auto"),
             budget=float(cfg.get("budget", 1e8)), t_override=cfg.get("t"),
             sink=cfg.get("sink"), designated=cfg.get("designated", ()))
-        _write_csv(results_csv, res.csv_rows())
         extra = res.metadata
     elif kind == "mixing":
         res = mixing_scaling(cfg["family"], cfg["n_grid"], seed,
                              degree_rule=cfg.get("degree_rule", "6logn"),
-                             lazy=bool(cfg.get("lazy", False)))
-        _write_csv(results_csv, res.csv_rows())
+                             lazy=cfg.get("lazy", False))
         extra = dict(res.metadata, band=res.band(),
                      bound_respected=res.bound_respected())
     elif kind == "fixed-input":
-        res = fixed_input_experiment(
+        fx = fixed_input_experiment(
             cfg["graph"], cfg["design"], cfg["d"], cfg["m_grid"],
             cfg["trials"], seed, budget=float(cfg.get("budget", 1e9)))
-        _write_csv(results_csv, res.recovery.csv_rows())
-        _write_csv(os.path.join(args.out, "disjunct.csv"),
-                   res.disjunct.csv_rows())
-        extra = dict(res.metadata, gamma=res.gamma, m_full=res.m_full,
-                     recovery_m_at_95=res.recovery.threshold(0.95),
-                     disjunct_m_at_95=res.disjunct.threshold(0.95))
+        res = fx.recovery
+        tables["disjunct.csv"] = fx.disjunct.csv_rows()
+        extra = dict(fx.metadata, gamma=fx.gamma, m_full=fx.m_full,
+                     recovery_m_at_95=fx.recovery.threshold(0.95),
+                     disjunct_m_at_95=fx.disjunct.threshold(0.95))
     elif kind == "verify":
-        g, regens = _experiment_graph(cfg, seed)
+        g, regens = _experiment_graph(run, cfg, seed)
         res = verification_suite(g, cfg["d"], cfg["trials"], seed)
-        _write_csv(results_csv, res.csv_rows())
         extra = dict(res.metadata, passed=res.passed, graph_regens=regens)
         for line in res.lines:
             _note(args, f"{line.name}: {line.status}")
     else:  # tomo
-        g, regens = _experiment_graph(cfg, seed)
+        g, regens = _experiment_graph(run, cfg, seed)
         res = tomography_demo(
             g, cfg["source"], cfg.get("congested", []),
             float(cfg.get("q", 0.0)), seed, t=cfg.get("t"), m=cfg.get("m"),
             confidence=float(cfg.get("confidence", 0.99)))
-        _write_csv(results_csv, res.csv_rows())
         extra = dict(res.metadata, exact=res.exact, probes=res.probes,
                      walk_length=res.walk_length, tau=res.tau, eta=res.eta,
                      identified=list(res.identified), graph_regens=regens)
+    tables["results.csv"] = res.csv_rows()
+    # --out is made only now, so a failed experiment leaves no directory
+    os.makedirs(args.out, exist_ok=True)
+    for name, rows in tables.items():
+        _write_csv(os.path.join(args.out, name), rows)
     manifest = run.manifest()
     manifest["config"] = cfg
     manifest["results"] = extra
     write_json(os.path.join(args.out, "manifest.json"), manifest, indent=2)
-    _note(args, f"wrote {results_csv}")
+    _note(args, f"wrote {os.path.join(args.out, 'results.csv')}")
     return _EXIT_OK
 
 

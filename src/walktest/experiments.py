@@ -303,17 +303,13 @@ def _prefix_recovery_success(
 # ---------------------------------------------------------------------------
 
 
-def _check_success(success) -> None:
-    if success not in ("auto", "disjunct", "recovery"):
-        raise InvalidParameterError(
-            f'success must be "auto", "disjunct" or "recovery", got {success!r}')
-
-
 def _sweep_grid(graph_config, m_grid, trials, success) -> list[int]:
     """The grid of a sweep, ascending, after the checks that need no graph:
     ``success``, the graph config, every grid value, no repeats, and at
     least 30 trials."""
-    _check_success(success)
+    if success not in ("auto", "disjunct", "recovery"):
+        raise InvalidParameterError(
+            f'success must be "auto", "disjunct" or "recovery", got {success!r}')
     check_graph_config(graph_config)
     m_grid = sorted(_as_count("m_grid value", m, 0)
                     for m in _id_list("m_grid", "row counts", m_grid))

@@ -1,15 +1,29 @@
 """Command line surface: pipeline, exit codes, manifests, determinism."""
 
+import dataclasses
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from walktest.cli import _build_parser, main
 from walktest.designs import read_matrix
-from walktest.graphs import read_graph, write_graph
+from walktest.graphs import complete_graph, read_graph, write_graph
 from walktest.grouptest import NoiseModel, simulate_tests, write_outcomes
 from walktest.rng import trial_rng
+from walktest.walks import (
+    early_visit_check,
+    hit_avoid_probability,
+    hit_before_sink_probability,
+    hit_probability,
+    influence_check,
+    visit_count_tail_check,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -136,6 +150,35 @@ class TestWalkStats:
             main(["walk-stats", "--graph", str(graph_file),
                   "--quantity", "bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("quantity, params, call", [
+        ("pi", {"v": 3, "steps": 6},
+         lambda g: hit_probability(g, 3, "vertex", 6, 400, 0, lazy=True)),
+        ("piA", {"v": 3, "avoid": [5], "steps": 6},
+         lambda g: hit_avoid_probability(g, 3, [5], "vertex", 6, 400, 0,
+                                         lazy=True)),
+        ("piSink", {"v": 3, "avoid": [5], "sink": 1},
+         lambda g: hit_before_sink_probability(g, 3, [5], 1, "vertex", 400, 0,
+                                               lazy=True)),
+        ("visits", {"v": 3, "steps": 12, "k": 1},
+         lambda g: visit_count_tail_check(g, 3, 12, 1, 400, 0, lazy=True)),
+        ("early", {"v": 3, "k": 4},
+         lambda g: early_visit_check(g, 3, 4, 400, 0, lazy=True)),
+        # j - i = 8 clears K8's lazy mixing time, 7
+        ("influence", {"i": 1, "j": 9},
+         lambda g: influence_check(g, 1, 9, 400, 0, lazy=True)),
+    ], ids=["pi", "piA", "piSink", "visits", "early", "influence"])
+    def test_lazy_reaches_every_quantity(self, tmp_path, capsys, quantity,
+                                         params, call):
+        graph = tmp_path / "k8.json"
+        write_graph(complete_graph(8), graph)
+        code, out, _ = run(capsys, "walk-stats", "--graph", str(graph),
+                           "--quantity", quantity, "--trials", "400",
+                           "--params", json.dumps(dict(params, lazy=True)))
+        assert code == 0
+        report = load_json(out)
+        del report["manifest"], report["quantity"]
+        assert report == dataclasses.asdict(call(complete_graph(8)))
 
 
 class TestPipeline:
@@ -346,9 +389,11 @@ class TestUnparsableValues:
         ("influence", '{"i": 1, "j": 5, "t_mix": "x"}', "'x'"),
         ("early", '{"v": 3, "k": 2, "designated": ["x"]}', "'x'"),
         ("early", '{"v": 3, "k": 2, "designated": [1.7]}', "1.7"),
+        ("pi", '{"v": 3, "steps": 3, "lazy": "false"}', "'false'"),
+        ("visits", '{"v": 3, "steps": 3, "k": 1, "lazy": 1}', '"lazy"'),
     ], ids=["piA-text-avoid", "piA-float-item", "piSink-text-item",
             "piSink-text-cap", "influence-text-t_mix", "early-text-designated",
-            "early-float-designated"])
+            "early-float-designated", "text-lazy", "integer-lazy"])
     def test_walk_stats_optional_params(self, tmp_path, capsys, quantity,
                                         params, named):
         graph = tmp_path / "k8.json"
@@ -389,6 +434,39 @@ class TestUnparsableValues:
         assert diag["kind"] == "invalid-parameter"
         assert option in diag["message"] and repr(value) in diag["message"]
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("option", ["--graph", "--matrix", "--outcomes",
+                                        "--config", "graph_file"])
+    def test_missing_input_file_is_reported(self, graph_file, tmp_path, capsys,
+                                            option):
+        missing = str(tmp_path / "missing.json")
+        mat, outdir = tmp_path / "M.json", tmp_path / "out"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "1",
+            "--d", "1", "--m", "12", "--t", "8", "--out", str(mat))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph_file": missing, "d": 1, "trials": 10}))
+        argv = {
+            "--graph": ["mix", "--graph", missing],
+            "--matrix": ["check-disjunct", "--matrix", missing, "--d", "1"],
+            "--outcomes": ["decode", "--matrix", str(mat), "--outcomes", missing],
+            "--config": ["experiment", "--kind", "verify", "--config", missing,
+                         "--out", str(outdir)],
+            "graph_file": ["experiment", "--kind", "verify", "--config",
+                           str(cfg), "--out", str(outdir)],
+        }[option]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert diag["message"] == f"cannot read {missing}: No such file or directory"
+        assert not outdir.exists()
+
+    def test_directory_as_input_file_is_reported(self, tmp_path, capsys):
+        code, out, err = run(capsys, "mix", "--graph", str(tmp_path))
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert diag["message"] == f"cannot read {tmp_path}: Is a directory"
 
     def test_noise_range_keeps_its_own_message(self, graph_file, tmp_path,
                                                 capsys):
@@ -562,12 +640,39 @@ class TestExperimentCommand:
         ("sweep", {"sink": "x"}, 'sweep config "sink" must be an integer, got \'x\''),
         ("mixing", {"n_grid": [16, "x"]},
          'mixing config "n_grid" must be a list of integers, got [16, \'x\']'),
+        ("mixing", {"lazy": "false"},
+         'mixing config "lazy" must be a boolean, got \'false\''),
+        ("verify", {"graph_file": 0},
+         'verify config "graph_file" must be a string, got 0'),
+        ("tomo", {"graph_file": 123},
+         'tomo config "graph_file" must be a string, got 123'),
+        # checked by the experiment, which runs before --out is made
+        ("verify", {"graph": {"family": "complete", "n": 4}, "d": 3},
+         "need d <= n - 2, got d=3, n=4"),
+        ("verify", {"graph": {"family": "cycle", "n": 8}},
+         "graph is bipartite; use lazy=True"),
+        ("tomo", {"graph": {"family": "complete", "n": 6}, "source": 99},
+         "source 99 out of range"),
+        ("tomo", {"graph": {"family": "complete", "n": 6}, "congested": [999]},
+         "edge id 999 out of range"),
+        ("sweep", {"graph": {"family": "complete", "n": 8}, "design": 7, "d": 1},
+         "unknown design id 7"),
+        ("sweep", {"graph": {"family": "complete", "n": 8}, "d": 0},
+         "need 1 <= d < n, got d=0, n=8"),
+        ("fixed-input", {"graph": {"family": "complete", "n": 8}, "design": 9,
+                         "d": 1}, "unknown design id 9"),
+        ("mixing", {"family": "cycle", "n_grid": [8, 16]},
+         "graph is bipartite; use lazy=True"),
     ], ids=["text-design", "text-trials", "text-number-trials", "float-d",
             "text-eta", "null-budget", "unknown-success", "bool-trials",
             "text-d", "text-q", "float-source", "text-confidence", "text-seed",
             "misspelt-key", "sweep-graph-file", "fixed-input-eta",
             "verify-m-grid", "tomo-trials", "mixing-noise", "text-t",
-            "float-congested", "float-m-grid", "text-sink", "text-n-grid"])
+            "float-congested", "float-m-grid", "text-sink", "text-n-grid",
+            "text-lazy", "integer-graph-file", "number-graph-file",
+            "verify-large-d", "verify-bipartite", "tomo-source-range",
+            "tomo-edge-range", "sweep-design-id", "sweep-zero-d",
+            "fixed-input-design-id", "mixing-bipartite"])
     def test_bad_config_value_is_reported_before_output(
             self, tmp_path, capsys, kind, change, message):
         graph = {"family": "erdos-renyi", "n": 64, "p": 0.3}
@@ -584,7 +689,8 @@ class TestExperimentCommand:
                              "--config", str(cfg), "--out", str(outdir))
         assert (code, out) == (1, "")
         diag = load_json(err)
-        assert diag["kind"] == "invalid-parameter"
+        assert diag["kind"] == ("non-mixing-graph" if "bipartite" in message
+                                else "invalid-parameter")
         assert diag["message"] == message
         assert not outdir.exists()
 
@@ -713,3 +819,20 @@ class TestTopLevel:
         assert exc.value.code == 0
         capsys.readouterr()
         assert pipeline() == first
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """Every walktest line of the README's CLI block exits 0, with the
+    README's example sweep config as sweep.json."""
+    text = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1)
+    config = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.json").write_text(config)
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+             if ln.strip() and not ln.lstrip().startswith("#")]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "walktest"
+        assert run(capsys, *argv[1:])[0] == 0, line
