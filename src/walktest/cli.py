@@ -109,6 +109,15 @@ class _Run:
                 f"cannot read {path}: {exc.strerror or exc}") from None
         return value
 
+    def write_output(self, path: str, write) -> None:
+        """``write(path)``; a file or directory that cannot be made or
+        written is an invalid parameter."""
+        try:
+            write(path)
+        except OSError as exc:
+            raise InvalidParameterError(
+                f"cannot write {path}: {exc.strerror or exc}") from None
+
     def manifest(self) -> dict:
         return {
             "subcommand": self.subcommand,
@@ -131,7 +140,8 @@ def _print_report(report: dict, run: _Run) -> None:
 
 
 def _sidecar(out_path: str, run: _Run) -> None:
-    write_json(out_path + ".manifest.json", run.manifest(), indent=2)
+    run.write_output(out_path + ".manifest.json",
+                     lambda path: write_json(path, run.manifest(), indent=2))
 
 
 def _note(args, msg: str) -> None:
@@ -174,7 +184,7 @@ def _cmd_gen_graph(args) -> int:
         g = random_regular_graph(args.n, args.degree, args.seed)
     _note(args, f"{args.family}: n={g.n} edges={g.edge_count} "
                 f"connected={g.connected}")
-    write_graph(g, args.out, format=args.format)
+    run.write_output(args.out, lambda path: write_graph(g, path, format=args.format))
     _sidecar(args.out, run)
     return _EXIT_OK
 
@@ -251,7 +261,7 @@ def _cmd_design(args) -> int:
                      start=args.start, lazy=args.lazy)
     _note(args, f"design {args.design}: {M.m} rows over {len(M.columns)} "
                 f"{M.item_kind} columns")
-    write_matrix(args.out, M)
+    run.write_output(args.out, lambda path: write_matrix(path, M))
     _sidecar(args.out, run)
     return _EXIT_OK
 
@@ -282,7 +292,7 @@ def _cmd_simulate(args) -> int:
         noise = _parse_noise(args.noise)
     y = simulate_tests(M, defectives, noise=noise,
                        rng=trial_rng(args.seed, 0))
-    write_outcomes(args.out, y)
+    run.write_output(args.out, lambda path: write_outcomes(path, y))
     _note(args, f"{int(np.count_nonzero(y.bits))} of {y.m} tests positive")
     _sidecar(args.out, run)
     return _EXIT_OK
@@ -437,13 +447,15 @@ def _cmd_experiment(args) -> int:
                      identified=list(res.identified), graph_regens=regens)
     tables["results.csv"] = res.csv_rows()
     # --out is made only now, so a failed experiment leaves no directory
-    os.makedirs(args.out, exist_ok=True)
+    run.write_output(args.out, lambda path: os.makedirs(path, exist_ok=True))
     for name, rows in tables.items():
-        _write_csv(os.path.join(args.out, name), rows)
+        run.write_output(os.path.join(args.out, name),
+                         functools.partial(_write_csv, rows=rows))
     manifest = run.manifest()
     manifest["config"] = cfg
     manifest["results"] = extra
-    write_json(os.path.join(args.out, "manifest.json"), manifest, indent=2)
+    run.write_output(os.path.join(args.out, "manifest.json"),
+                     lambda path: write_json(path, manifest, indent=2))
     _note(args, f"wrote {os.path.join(args.out, 'results.csv')}")
     return _EXIT_OK
 

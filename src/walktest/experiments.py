@@ -54,10 +54,10 @@ from .mixing import conductance_lower_bound, conductance_mixing_bound, mixing_ti
 from .rng import _seed_sequence, trial_rng
 from .walks import (
     StartRule,
+    _avoid_ids,
     _estimate,
+    _fixed_hits,
     _sink_hits,
-    hit_avoid_probability,
-    hit_probability,
     early_visit_check,
     influence_check,
     visit_count_tail_check,
@@ -571,15 +571,22 @@ def verification_suite(
         measured=float(mu.probs.min()), bound=1.0 / (c * n),
         note="1/(cn) <= mu(v) <= c/n, exact"))
 
-    # visit probability floor at the design walk length
+    # visit probability floor at the design walk length, and the draws of
+    # the hit-while-avoiding floor; the estimators read no rng, so every
+    # pick comes first and the 15 fixed-length walks run as one batch
     sample = {int(deg.argmin()), int(deg.argmax())}
     while len(sample) < min(5, n):
         sample.add(int(rng.integers(n)))
-    pi_min = 1.0
-    for v in sorted(sample):
-        est = hit_probability(g, v, "vertex", t1, trials,
-                              _child_seed(seed, 1, v))
-        pi_min = min(pi_min, est.value)
+    queries = [(v, _avoid_ids(g, "vertex", v, ()), _child_seed(seed, 1, v))
+               for v in sorted(sample)]
+    for k in range(10):
+        pick = rng.choice(n, size=d + 1, replace=False)
+        v, avoid = int(pick[0]), [int(x) for x in pick[1:]]
+        queries.append((v, _avoid_ids(g, "vertex", v, avoid),
+                        _child_seed(seed, 5, k)))
+    ests = _fixed_hits(g, "vertex", t1, _as_count("trials", trials, 1),
+                       StartRule.uniform(), False, queries)
+    pi_min = min(est.value for est in ests[:len(sample)])
     visit_bound = VISIT_FLOOR_BETA * t1 / (c * n * T)
     lines.append(CheckLine(
         name="visit-floor", status="pass" if pi_min >= visit_bound else "fail",
@@ -616,13 +623,7 @@ def verification_suite(
 
     # hit-while-avoiding floor
     avoid_bound = HIT_AVOID_FLOOR_BETA / (c ** 4 * d * T * T)
-    worst = 1.0
-    for k in range(10):
-        pick = rng.choice(n, size=d + 1, replace=False)
-        v, avoid = int(pick[0]), [int(x) for x in pick[1:]]
-        est = hit_avoid_probability(g, v, avoid, "vertex", t1, trials,
-                                    _child_seed(seed, 5, k))
-        worst = min(worst, est.value)
+    worst = min(est.value for est in ests[len(sample):])
     lines.append(CheckLine(
         name="hit-avoid-floor", status="pass" if worst >= avoid_bound else "fail",
         measured=worst, bound=avoid_bound,

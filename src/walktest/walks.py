@@ -17,17 +17,19 @@ walk stays when u < 1/2 and uses 2u - 1 otherwise.  It is written twice:
 ``_lockstep`` steps many rows together on a (steps, rows) array of draws,
 and ``_scalar_steps`` steps one walk on Python ints from ``Graph.moves``.
 
-``fixed_walk_batch`` gathers each row's draws into a step-major (steps,
-trials) array ``U`` and runs ``_lockstep`` once; it returns the transposes
-of the (steps + 1, trials) positions and (steps, trials) edge ids.  For
-``_BLOCK_MIN_ROWS`` (64, one stream-cache block) rows or more of walks of at
+``_fixed_rows`` takes its rows as segments, each with its own seed,
+``index_base`` and row count; it gathers each row's draws into a step-major
+(steps, trials) array ``U`` and runs ``_lockstep`` once, and returns the
+transposes of the (steps + 1, trials) positions and (steps, trials) edge
+ids.  ``fixed_walk_batch`` is its checked one-segment call.  For a segment
+of ``_BLOCK_MIN_ROWS`` (64, one stream-cache block) rows or more of walks of at
 most ``_BLOCK_MAX_STEPS`` (128) steps, with a seed of 0 or more and indices
 below 2**32, it takes each row's start draw and ``random(steps)`` block from
 ``rng._block_draws``, in slabs of ``_SLAB_DRAWS`` raw outputs, instead of
 building a Generator per row; that helper computes the rows' PCG64 outputs
 in numpy and replays the rare rows numpy's bounded draw might reject through
 ``trial_rng``.  The step bound is a measured crossover (see ``CHANGES.md``);
-every other call builds per-row Generators, ``_FILL_ROWS`` rows at a time
+every other segment builds per-row Generators, ``_FILL_ROWS`` rows at a time
 through a small row-major buffer whose transpose is copied in, and that
 path is the block path's oracle.  ``sink_walk_batch`` serves the sink
 estimator and designs 3 and 4.  It takes its rows as segments, each with its
@@ -45,14 +47,20 @@ rows costs more than their scalar steps.  The scalar walks
 call per ``random(64)`` block) are the oracles of the batch engines and the
 replay path of ``verify_rows``.
 
-Estimators.  The fixed-walk statistics read their chunks from one loop,
-``_fixed_walks``.  ``_hit_estimate`` holds the one hit-and-avoid rule:
-``hit_probability`` is its empty avoid set, and ``early_visit_check`` its
-(k - 1)-step walk.  ``_sink_hits`` holds the one hit-before-sink rule for
-any number of (item, avoid, sink, seed) queries: their rows are the segments
-of one row sequence, cut into ``_sink_chunks`` chunks of one query's size,
-so ``verification_suite`` steps all its sink draws through one lockstep loop
-and ``hit_before_sink_probability`` is its one-query call.  ``_sigma`` is the
+Estimators.  ``_fixed_hits`` holds the one hit-and-avoid rule for any
+number of (item, avoid, seed) queries: their rows are the segments of one
+row sequence, cut into ``_batch_chunks`` chunks of one query's size, and
+``_fixed_rows`` walks a chunk's segments in one lockstep loop (a chunk of
+one segment goes through ``fixed_walk_batch``, which is ``_fixed_rows`` on
+one segment).  So ``verification_suite`` steps its 15 fixed-length queries
+together, and ``_hit_estimate`` is the one-query call behind
+``hit_probability`` (its empty avoid set), ``hit_avoid_probability`` and
+``early_visit_check`` (its (k - 1)-step walk).  The other fixed-walk
+statistics read their chunks from ``_fixed_walks``.  ``_sink_hits`` holds
+the one hit-before-sink rule for any number of (item, avoid, sink, seed)
+queries, cut the same way into ``_sink_chunks`` chunks, so the suite steps
+all its sink draws through one lockstep loop and
+``hit_before_sink_probability`` is its one-query call.  ``_sigma`` is the
 one binomial standard error.
 """
 
@@ -297,28 +305,42 @@ def fixed_walk_batch(
     _require_walkable(g)
     rule.validate(g)
     steps, trials = _as_count("steps", steps, 0), _as_count("trials", trials, 0)
+    return _fixed_rows(g, rule, steps, [(seed, index_base, trials)], lazy)
+
+
+def _fixed_rows(g: Graph, rule: StartRule, steps: int, segments, lazy: bool):
+    """:func:`fixed_walk_batch` over checked ``segments`` (seed, index_base,
+    rows): each segment's rows follow those of the segment before it, and
+    its row i walks on ``trial_rng(seed, index_base + i)``.  Each segment
+    takes the block-stream or the per-row draw path on its own, and all rows
+    step in one ``_lockstep``."""
+    trials = sum(rows for _, _, rows in segments)
     U = np.empty((steps, trials), dtype=np.float64)  # U[j]: step j's draws
-    if (trials >= _BLOCK_MIN_ROWS and steps <= _BLOCK_MAX_STEPS
-            and _in_block_domain(seed, index_base, trials)):
-        width = {"uniform": g.n,
-                 "designated-uniform": len(rule.designated)}.get(rule.kind, 1)
-        slab = _SLAB_DRAWS // (steps + 1)
-        picks = np.concatenate([
-            _block_draws(seed, index_base + r, width, U[:, r:r + slab])
-            for r in range(0, trials, slab)])
-        starts = _block_starts(rule, index_base, picks)
-    else:
-        starts = np.empty(trials, dtype=np.int64)
-        buf = np.empty((min(_FILL_ROWS, trials), steps), dtype=np.float64)
-        for r0 in range(0, trials, _FILL_ROWS):
-            rows = min(_FILL_ROWS, trials - r0)
-            for k in range(rows):
-                i = index_base + r0 + k
-                rng = trial_rng(seed, i)
-                starts[r0 + k] = rule._resolve(i, rng, g.n)
-                if steps:
-                    rng.random(out=buf[k])
-            U[:, r0:r0 + rows] = buf[:rows].T
+    starts = np.empty(trials, dtype=np.int64)
+    width = {"uniform": g.n,
+             "designated-uniform": len(rule.designated)}.get(rule.kind, 1)
+    slab = _SLAB_DRAWS // (steps + 1)
+    at = 0  # the segment's first column
+    for seed, base, rows in segments:
+        if (rows >= _BLOCK_MIN_ROWS and steps <= _BLOCK_MAX_STEPS
+                and _in_block_domain(seed, base, rows)):
+            picks = np.concatenate([
+                _block_draws(seed, base + r, width,
+                             U[:, at + r:at + min(r + slab, rows)])
+                for r in range(0, rows, slab)])
+            starts[at:at + rows] = _block_starts(rule, base, picks)
+        else:
+            buf = np.empty((min(_FILL_ROWS, rows), steps), dtype=np.float64)
+            for r0 in range(0, rows, _FILL_ROWS):
+                take = min(_FILL_ROWS, rows - r0)
+                for k in range(take):
+                    i = base + r0 + k
+                    rng = trial_rng(seed, i)
+                    starts[at + r0 + k] = rule._resolve(i, rng, g.n)
+                    if steps:
+                        rng.random(out=buf[k])
+                U[:, at + r0:at + r0 + take] = buf[:take].T
+        at += rows
     verts = np.empty((steps + 1, trials), dtype=np.int32)
     eids = np.empty((steps, trials), dtype=np.int32)
     verts[0] = starts
@@ -538,6 +560,18 @@ def _sink_chunks(g: Graph, trials: int, edges: bool):
     return _batch_chunks(trials, (g.edge_count if edges else g.n) + 2048)
 
 
+def _query_segments(chunks, trials: int):
+    """Each of the row ``chunks`` of queries of ``trials`` rows each, laid end
+    to end, as its (query, first trial, rows) segments."""
+    for base, take in chunks:
+        segs, r = [], base
+        while r < base + take:
+            q, i = divmod(r, trials)
+            segs.append((q, i, min(trials - i, base + take - r)))
+            r += segs[-1][2]
+        yield segs
+
+
 def _fixed_walks(g: Graph, rule: StartRule, steps, trials, seed, lazy):
     """Each ``_batch_chunks`` chunk's (verts, eids) of ``trials`` walks."""
     for base, take in _batch_chunks(trials, steps):
@@ -550,14 +584,39 @@ def _hit_estimate(g, item, avoid, kind, steps, trials, seed, start, lazy) -> Est
     avoid = _avoid_ids(g, kind, item, avoid)
     _check_int("steps", steps)
     trials = _as_count("trials", trials, 1)
-    hits = 0
-    for verts, eids in _fixed_walks(g, _as_start_rule(start), steps, trials, seed, lazy):
+    return _fixed_hits(g, kind, steps, trials, _as_start_rule(start), lazy,
+                       [(item, avoid, seed)])[0]
+
+
+def _fixed_hits(g, kind, steps, trials, rule, lazy, queries) -> list[Estimate]:
+    """The :func:`hit_avoid_probability` estimate of each checked query
+    (item, avoid, seed), ``trials`` walks each.  The queries' rows run as the
+    segments of one row sequence, cut into chunks of one query's size, so K
+    queries take one lockstep batch per chunk; a chunk of one segment runs
+    through :func:`fixed_walk_batch`."""
+    _require_walkable(g)
+    rule.validate(g)
+    steps = _as_count("steps", steps, 0)
+    hits = [0] * len(queries)
+    for segs in _query_segments(_batch_chunks(len(queries) * trials, steps), trials):
+        if len(segs) == 1:
+            q, i, rows = segs[0]
+            verts, eids = fixed_walk_batch(g, rule, steps, rows, queries[q][2],
+                                           lazy=lazy, index_base=i)
+        else:
+            verts, eids = _fixed_rows(g, rule, steps, [
+                (queries[q][2], i, rows) for q, i, rows in segs], lazy)
         arr = verts if kind == "vertex" else eids
-        good = (arr == item).any(axis=1)
-        for a in avoid:
-            good &= ~(arr == a).any(axis=1)
-        hits += int(good.sum())
-    return _estimate(hits, trials)
+        at = 0
+        for q, _, rows in segs:
+            item, avoid = queries[q][:2]
+            seen = arr[at:at + rows]
+            good = (seen == item).any(axis=1)
+            for a in avoid:
+                good &= ~(seen == a).any(axis=1)
+            hits[q] += int(good.sum())
+            at += rows
+    return [_estimate(h, trials) for h in hits]
 
 
 def hit_probability(
@@ -624,12 +683,8 @@ def _sink_hits(g, kind, trials, rule, cap, lazy, queries) -> list[Estimate]:
     query's chunk size, so K queries take one lockstep batch per chunk."""
     edges = kind == "edge"
     hits, capped = [0] * len(queries), [0] * len(queries)
-    for base, take in _sink_chunks(g, len(queries) * trials, edges):
-        segs, r = [], base  # (query, first trial, rows) of each segment
-        while r < base + take:
-            q, i = divmod(r, trials)
-            segs.append((q, i, min(trials - i, base + take - r)))
-            r += segs[-1][2]
+    for segs in _query_segments(_sink_chunks(g, len(queries) * trials, edges),
+                                trials):
         visited, cap_rows, _ = sink_walk_batch(
             g, rule, [(queries[q][2], queries[q][3], i, rows)
                       for q, i, rows in segs], cap, lazy=lazy, edges=edges)

@@ -468,6 +468,46 @@ class TestUnparsableValues:
         assert diag["kind"] == "invalid-parameter"
         assert diag["message"] == f"cannot read {tmp_path}: Is a directory"
 
+    @pytest.mark.parametrize("command", [
+        "gen-graph", "design", "simulate", "sidecar", "experiment",
+        "experiment-csv", "experiment-manifest"])
+    def test_unwritable_output_is_reported(self, graph_file, tmp_path, capsys,
+                                           command):
+        missing = tmp_path / "no" / "such" / "out.json"
+        mat, plain, outdir = tmp_path / "M.json", tmp_path / "plain", tmp_path / "x"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "1",
+            "--d", "1", "--m", "12", "--t", "8", "--out", str(mat))
+        plain.write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "cycle", "n_grid": [8],
+                                   "lazy": True}))
+        experiment = ["experiment", "--kind", "mixing", "--config", str(cfg),
+                      "--out"]
+        gen_graph = ["gen-graph", "--family", "complete", "--n", "5", "--out"]
+        argv, target = {
+            "gen-graph": (gen_graph + [str(missing)], missing),
+            "design": (["design", "--graph", str(graph_file), "--design", "1",
+                        "--d", "1", "--m", "12", "--t", "8", "--out",
+                        str(missing)], missing),
+            "simulate": (["simulate", "--matrix", str(mat), "--defectives", "1",
+                          "--out", str(missing)], missing),
+            "sidecar": (gen_graph + [str(plain)],
+                        Path(f"{plain}.manifest.json")),
+            # makedirs makes missing parents, but none below a regular file
+            "experiment": (experiment + [str(plain / "out")], plain / "out"),
+            "experiment-csv": (experiment + [str(outdir)],
+                               outdir / "results.csv"),
+            "experiment-manifest": (experiment + [str(outdir)],
+                                    outdir / "manifest.json"),
+        }[command]
+        if command in ("sidecar", "experiment-csv", "experiment-manifest"):
+            target.mkdir(parents=True)  # a directory where a file must go
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert diag["message"].startswith(f"cannot write {target}: ")
+
     def test_noise_range_keeps_its_own_message(self, graph_file, tmp_path,
                                                 capsys):
         mat = tmp_path / "M.json"

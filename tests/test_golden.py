@@ -238,10 +238,15 @@ def _experiments():
     recovery = success_sweep({"family": "erdos-renyi", "n": 48, "p": 0.3}, 2, 2,
                              0.0, (40, 120, 240, 400), 30, 4, success="recovery")
     verify = verification_suite(complete_graph(16), 2, 100, 5)
+    # under 64 trials on a non-complete graph: sink-symmetry reads skip and
+    # every fixed-length query takes the per-row draw path; at d = 1 no
+    # floor's minimum is 0, so each line reads its estimates
+    verify_rows = verification_suite(random_regular_graph(16, 3, 5), 1, 40, 5)
     tomo = tomography_demo(g, 0, (3, 50), 0.05, 6, m=150)  # with false alarms
     return {"sweep-disjunct": disjunct.csv_rows(),
             "sweep-recovery": recovery.csv_rows(),
             "verification-suite": verify.csv_rows(),
+            "verification-suite-per-row": verify_rows.csv_rows(),
             "tomography-demo": tomo.csv_rows()}
 
 
@@ -334,6 +339,7 @@ PINNED = {
     "csv/sweep-recovery": "804f07afe4edd6751e97f86db609bf30fbaea980854c763bbb0e844666a04318",
     "csv/tomography-demo": "ba2f4a4861dbbf8e0e5b23d99847b76591627382b6194cee14e71ff8dc55a4c8",
     "csv/verification-suite": "fd282b57a9e10fc30265ac857ea13c44e3567b7f86adffa5da7b6615a731d4ba",
+    "csv/verification-suite-per-row": "3e5380b1a8b90f82c5e78bfc45bce790976165aa587daf21eddf6c55fbab865e",
     "estimate/fixed-mix": "c23624d396f0f40e0ece0693f251afdab5d8c4733a89e7a8a3da2f0801767938",
     "estimate/sink-mix": "82aa528a838674c1090c76abe7c71d9813bab641138e84a3b2aa2d7d3cc2c0c9",
     "gen-graph/json": "60a1511c58f3ca99bef15f9fa5bba72e2125ad0ce6ff2e58a6a839e5e3bebfbd",

@@ -403,6 +403,56 @@ class TestSinkHits:
         assert got == want
 
 
+class TestFixedHits:
+    """K fixed-length queries in one batch against K one-query estimates."""
+
+    @given(graph=st.sampled_from(range(len(_FIXED_GRAPHS))),
+           kind=st.sampled_from(["vertex", "edge"]), lazy=st.booleans(),
+           start=st.sampled_from(["uniform", "designated-uniform",
+                                  "round-robin", "fixed"]),
+           vertex=st.integers(0, 4), steps=st.sampled_from([0, 1, 9, _S + 1]),
+           trials=st.integers(1, 150),
+           chunk=st.sampled_from([1, 7, 64, 100, 1000]),
+           seed=st.integers(0, 2**40), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_queries_match_one_query_calls(self, graph, kind, lazy, start,
+                                           vertex, steps, trials, chunk, seed,
+                                           data):
+        g = _FIXED_GRAPHS[graph]
+        rule = _start_rule(start, vertex)
+        limit = g.n if kind == "vertex" else g.edge_count
+        queries = []
+        for k in range(data.draw(st.integers(1, 4))):
+            item, *avoid = data.draw(st.lists(st.integers(0, limit - 1),
+                                              min_size=1, max_size=3, unique=True))
+            queries.append((item, walks._avoid_ids(g, kind, item, avoid), seed + k))
+        # chunks of ``chunk`` rows cut the queries' rows apart, and segments
+        # of 64 rows or more take the block path
+        with mock.patch.object(walks, "_CHUNK_ELEMS", chunk * (steps + 1)):
+            got = walks._fixed_hits(g, kind, steps, trials, rule, lazy, queries)
+        want = [hit_avoid_probability(g, item, avoid, kind, steps, trials,
+                                      qseed, start=rule, lazy=lazy)
+                for item, avoid, qseed in queries]
+        assert got == want
+
+    @pytest.mark.parametrize("trials", [40, 130], ids=["per-row", "block"])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_batch_is_the_one_segment_call(self, trials, lazy):
+        g, rule = _FIXED_GRAPHS[0], StartRule.round_robin([1, 5, 9])
+        verts, eids = fixed_walk_batch(g, rule, 20, trials, 7, lazy=lazy,
+                                       index_base=3)
+        one = walks._fixed_rows(g, rule, 20, [(7, 3, trials)], lazy)
+        assert verts.tobytes() == one[0].tobytes()
+        assert eids.tobytes() == one[1].tobytes()
+        # segments of both paths in one batch give each segment's own rows
+        segs = [(7, 3, trials), (8, 0, 130 - trials // 2), (9, 50, 3)]
+        both = walks._fixed_rows(g, rule, 20, segs, lazy)
+        parts = [fixed_walk_batch(g, rule, 20, rows, seed, lazy=lazy,
+                                  index_base=base) for seed, base, rows in segs]
+        for got, want in zip(both, zip(*parts)):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+
 class TestEstimators:
     def test_complete_graph_closed_form(self):
         # on K_n from a uniform start, P(visit v in t steps)
