@@ -450,7 +450,7 @@ def _cmd_experiment(args) -> int:
     run.write_output(args.out, lambda path: os.makedirs(path, exist_ok=True))
     for name, rows in tables.items():
         run.write_output(os.path.join(args.out, name),
-                         functools.partial(_write_csv, rows=rows))
+                         lambda path: _write_csv(path, rows))
     manifest = run.manifest()
     manifest["config"] = cfg
     manifest["results"] = extra

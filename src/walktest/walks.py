@@ -592,11 +592,9 @@ def _fixed_hits(g, kind, steps, trials, rule, lazy, queries) -> list[Estimate]:
     """The :func:`hit_avoid_probability` estimate of each checked query
     (item, avoid, seed), ``trials`` walks each.  The queries' rows run as the
     segments of one row sequence, cut into chunks of one query's size, so K
-    queries take one lockstep batch per chunk; a chunk of one segment runs
-    through :func:`fixed_walk_batch`."""
-    _require_walkable(g)
-    rule.validate(g)
-    steps = _as_count("steps", steps, 0)
+    queries take one lockstep batch per chunk.  A chunk of one segment runs
+    through :func:`fixed_walk_batch`, which checks the graph, ``rule`` and
+    ``steps``; a batch of several segments needs them checked."""
     hits = [0] * len(queries)
     for segs in _query_segments(_batch_chunks(len(queries) * trials, steps), trials):
         if len(segs) == 1:
