@@ -9,6 +9,10 @@ in isolation and dropping a row never disturbs the others.
   id 3: walk to a sink, row = visited vertices, starts and sink stripped
   id 4: walk to a sink, row = traversed edges, nothing stripped
 
+``build_design`` is the one builder: from two facts of the id, vertex or
+edge items and fixed length or sink, it picks the start rule, stripped
+columns, step cap and pool filler once.  The named builders call it.
+
 A matrix stores one read-only boolean (m, n_items) array and nothing derived
 from it: the builders mark each walk's items straight into its row, stripped
 columns stay all false, a row prefix is a view, and the file format converts
@@ -37,6 +41,7 @@ from .walks import (
     StartRule,
     _batch_chunks,
     _designated,
+    _sink_cap,
     _sink_chunks,
     _sink_walk_steps,
     fixed_walk_batch,
@@ -114,8 +119,7 @@ class DesignParams:
         return self.t1 if design_id == 1 else self.t2
 
     def rows(self, design_id: int, noisy: bool | None = None) -> int:
-        if _check_int("design_id", design_id) not in (1, 2, 3, 4):
-            raise InvalidParameterError(f"unknown design id {design_id}")
+        _design_kind(design_id)
         if noisy is None:
             noisy = self.eta > 0
         elif not isinstance(noisy, (bool, np.bool_)):
@@ -238,18 +242,13 @@ def _row_lists(pools: np.ndarray) -> list[list[int]]:
     return [cols[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
 
-def _matrix(design_id: int, pools: np.ndarray, stripped: tuple[int, ...],
-            rule: StartRule, seed: int, lazy: bool, t=None, cap=None,
-            sink=None) -> MeasurementMatrix:
-    """Clear the stripped columns and record how the rows were built."""
-    pools[:, list(stripped)] = False
-    start = {"kind": rule.kind, "designated": list(rule.designated),
-             "vertex": rule.vertex}
-    design = {"id": design_id, "m": pools.shape[0], "t": t, "cap": cap,
-              "sink": sink, "start": start, "lazy": lazy}
-    return MeasurementMatrix(item_kind="vertex" if design_id in (1, 3) else "edge",
-                             pools=pools, stripped=stripped, design=design,
-                             seed=seed)
+def _design_kind(design_id) -> tuple[bool, bool]:
+    """The two facts a design id gives: whether its rows hold vertex items
+    (ids 1 and 3; edge items otherwise) and whether its walks run a fixed
+    length (ids 1 and 2; to a sink otherwise)."""
+    if _check_int("design_id", design_id) not in (1, 2, 3, 4):
+        raise InvalidParameterError(f"unknown design id {design_id}")
+    return design_id in (1, 3), design_id in (1, 2)
 
 
 def _walk_pools(g: Graph, rule: StartRule, m: int, t: int, seed: int,
@@ -280,8 +279,7 @@ def _walk_pools(g: Graph, rule: StartRule, m: int, t: int, seed: int,
 def _sink_pools(g: Graph, rule: StartRule, sink: int, cap: int, m: int,
                 seed: int, lazy: bool, edges: bool) -> np.ndarray:
     """Mark the vertices (or edges) of each walk to ``sink`` in its row."""
-    _check_id("sink", sink, g.n)
-    cap, m = _as_count("cap", cap, 0), _as_count("m", m, 0)
+    m = _as_count("m", m, 0)
     pools = np.zeros((m, g.edge_count if edges else g.n), dtype=bool)
     for base, take in _sink_chunks(g, m, edges):
         visited, capped, rngs = sink_walk_batch(g, rule, [(sink, seed, base, take)],
@@ -311,125 +309,93 @@ def _start_from_json(obj: dict) -> StartRule:
                      vertex=obj.get("vertex"))
 
 
-def _check_designated(g: Graph, designated) -> tuple[int, ...]:
-    out = _designated(designated)
-    for v in out:
-        _check_id("designated vertex", v, g.n)
-    if len(set(out)) != len(out):
-        raise InvalidParameterError("designated vertices must be distinct")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the four constructions
 # ---------------------------------------------------------------------------
 
 
-def vertex_walk_design(
-    g: Graph,
-    designated,
-    m: int,
-    t: int,
-    seed: int,
-    lazy: bool = False,
-) -> MeasurementMatrix:
+def build_design(g: Graph, design_id: int, m: int, seed: int, t: int | None = None,
+                 designated=(), sink: int | None = None, cap: int | None = None,
+                 start: int | None = None, lazy: bool = False) -> MeasurementMatrix:
+    """The one builder of designs 1-4: the named builders, the CLI and the
+    sweeps call it.
+
+    Vertex designs start round-robin over the distinct ``designated``
+    vertices (uniformly when there are none) and strip their columns; edge
+    designs start at ``start`` (uniformly when None).  Fixed-length designs
+    walk ``t`` steps.  Sink designs walk to ``sink``, capped at ``cap`` steps
+    (n^3 when None), and strip it from vertex rows, so it cannot be
+    designated.  Arguments a design does not read are ignored."""
+    vertex, fixed = _design_kind(design_id)
+    if fixed and t is None:
+        raise InvalidParameterError(f"design {design_id} needs a walk length t")
+    if not fixed and sink is None:
+        raise InvalidParameterError(f"design {design_id} needs a sink vertex")
+    if vertex:
+        designated = _designated(designated)
+        for v in designated:
+            _check_id("designated vertex", v, g.n)
+        if len(set(designated)) != len(designated):
+            raise InvalidParameterError("designated vertices must be distinct")
+        if not fixed and sink in designated:
+            raise InvalidParameterError("sink cannot be designated")
+        rule = StartRule.round_robin(designated) if designated else StartRule.uniform()
+    else:
+        rule = StartRule.uniform() if start is None else StartRule.fixed(start)
+        rule.validate(g)
+    if fixed:
+        cap = sink = None
+        pools = _walk_pools(g, rule, m, t, seed, lazy, edges=not vertex)
+    else:
+        _check_id("sink", sink, g.n)
+        t, cap = None, _sink_cap(g, cap)
+        pools = _sink_pools(g, rule, sink, cap, m, seed, lazy, edges=not vertex)
+    # vertex rows drop the designated starts and the sink
+    stripped = tuple(sorted({*designated, sink} - {None})) if vertex else ()
+    pools[:, list(stripped)] = False
+    design = {"id": int(design_id), "m": pools.shape[0], "t": t, "cap": cap,
+              "sink": sink, "start": {"kind": rule.kind,
+                                      "designated": list(rule.designated),
+                                      "vertex": rule.vertex}, "lazy": lazy}
+    return MeasurementMatrix(item_kind="vertex" if vertex else "edge",
+                             pools=pools, stripped=stripped, design=design,
+                             seed=seed)
+
+
+def vertex_walk_design(g: Graph, designated, m: int, t: int, seed: int,
+                       lazy: bool = False) -> MeasurementMatrix:
     """Design 1: m fixed-length walks, rows are visited vertex sets.
 
     Starts round-robin over ``designated`` (uniform when empty); designated
     columns are stripped."""
-    designated = _check_designated(g, designated)
-    rule = StartRule.round_robin(designated) if designated else StartRule.uniform()
-    pools = _walk_pools(g, rule, m, t, seed, lazy, edges=False)
-    return _matrix(1, pools, tuple(sorted(designated)), rule, seed, lazy, t=t)
+    return build_design(g, 1, m, seed, t=t, designated=designated, lazy=lazy)
 
 
-def edge_walk_design(
-    g: Graph,
-    m: int,
-    t: int,
-    seed: int,
-    start: int | None = None,
-    lazy: bool = False,
-) -> MeasurementMatrix:
+def edge_walk_design(g: Graph, m: int, t: int, seed: int, start: int | None = None,
+                     lazy: bool = False) -> MeasurementMatrix:
     """Design 2: m fixed-length walks, rows are traversed edge sets.
 
     ``start``: fixed origin vertex, or None for uniform starts."""
-    rule = StartRule.uniform() if start is None else StartRule.fixed(start)
-    rule.validate(g)
-    pools = _walk_pools(g, rule, m, t, seed, lazy, edges=True)
-    return _matrix(2, pools, (), rule, seed, lazy, t=t)
+    return build_design(g, 2, m, seed, t=t, start=start, lazy=lazy)
 
 
-def vertex_sink_design(
-    g: Graph,
-    designated,
-    sink: int,
-    m: int,
-    seed: int,
-    cap: int | None = None,
-    lazy: bool = False,
-) -> MeasurementMatrix:
+def vertex_sink_design(g: Graph, designated, sink: int, m: int, seed: int,
+                       cap: int | None = None, lazy: bool = False) -> MeasurementMatrix:
     """Design 3: m walks run until the sink, rows are visited vertex sets.
 
     Designated and sink columns are stripped.  A row whose walk hits the
     step cap is regenerated from the same stream, up to MAX_WALK_ATTEMPTS."""
-    designated = _check_designated(g, designated)
-    if sink in designated:
-        raise InvalidParameterError("sink cannot be designated")
-    cap = g.n ** 3 if cap is None else cap
-    rule = StartRule.round_robin(designated) if designated else StartRule.uniform()
-    pools = _sink_pools(g, rule, sink, cap, m, seed, lazy, edges=False)
-    return _matrix(3, pools, tuple(sorted((*designated, sink))), rule, seed,
-                   lazy, cap=cap, sink=sink)
+    return build_design(g, 3, m, seed, designated=designated, sink=sink, cap=cap,
+                        lazy=lazy)
 
 
-def edge_sink_design(
-    g: Graph,
-    sink: int,
-    m: int,
-    seed: int,
-    cap: int | None = None,
-    start: int | None = None,
-    lazy: bool = False,
-) -> MeasurementMatrix:
+def edge_sink_design(g: Graph, sink: int, m: int, seed: int, cap: int | None = None,
+                     start: int | None = None, lazy: bool = False) -> MeasurementMatrix:
     """Design 4: m walks run until the sink, rows are traversed edge sets.
 
     No columns are stripped; callers can pass sink-incident edge ids to the
     disjunctness checker's exclude list to evaluate both readings."""
-    cap = g.n ** 3 if cap is None else cap
-    rule = StartRule.uniform() if start is None else StartRule.fixed(start)
-    rule.validate(g)
-    pools = _sink_pools(g, rule, sink, cap, m, seed, lazy, edges=True)
-    return _matrix(4, pools, (), rule, seed, lazy, cap=cap, sink=sink)
-
-
-def build_design(
-    g: Graph,
-    design_id: int,
-    m: int,
-    seed: int,
-    t: int | None = None,
-    designated=(),
-    sink: int | None = None,
-    cap: int | None = None,
-    start: int | None = None,
-    lazy: bool = False,
-) -> MeasurementMatrix:
-    """Uniform entry point used by the CLI; dispatches on design id 1-4."""
-    _check_int("design_id", design_id)
-    if design_id in (1, 2) and t is None:
-        raise InvalidParameterError(f"design {design_id} needs a walk length t")
-    if design_id in (3, 4) and sink is None:
-        raise InvalidParameterError(f"design {design_id} needs a sink vertex")
-    if design_id == 1:
-        return vertex_walk_design(g, designated, m, t, seed, lazy=lazy)
-    if design_id == 2:
-        return edge_walk_design(g, m, t, seed, start=start, lazy=lazy)
-    if design_id == 3:
-        return vertex_sink_design(g, designated, sink, m, seed, cap=cap, lazy=lazy)
-    if design_id == 4:
-        return edge_sink_design(g, sink, m, seed, cap=cap, start=start, lazy=lazy)
-    raise InvalidParameterError(f"unknown design id {design_id}")
+    return build_design(g, 4, m, seed, sink=sink, cap=cap, start=start, lazy=lazy)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +413,10 @@ def verify_rows(g: Graph, M: MeasurementMatrix) -> bool:
     rule = _start_from_json(M.design["start"])
     strip = set(M.stripped)
     lazy = bool(M.design.get("lazy", False))
-    did = M.design["id"]
+    vertex, fixed = _design_kind(M.design["id"])
     for i, row in enumerate(M.rows):
         rng = trial_rng(M.seed, i)
-        if did in (1, 2):
+        if fixed:
             w = random_walk(g, rule, M.design["t"], rng, lazy=lazy, index=i)
         else:
             for _ in range(MAX_WALK_ATTEMPTS):
@@ -460,7 +426,7 @@ def verify_rows(g: Graph, M: MeasurementMatrix) -> bool:
                     break
             else:
                 return False
-        items = set(w.vertices) if did in (1, 3) else set(w.edges)
+        items = set(w.vertices) if vertex else set(w.edges)
         if tuple(sorted(items - strip)) != row:
             return False
     return True

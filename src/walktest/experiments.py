@@ -3,7 +3,9 @@ savings, the bound verification suite, and the link-tomography demo.
 
 Sweeps exploit the per-row stream contract: one matrix built at the largest
 grid size yields every smaller size as a row prefix, so success is coupled
-across the grid and monotone trends are not sampling artifacts.
+across the grid and monotone trends are not sampling artifacts.  A recovery
+sweep reads each prefix's verdict from ``grouptest._exact``, the one decode
+verdict, on cumulative negative counts (the empty prefix included).
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from .graphs import (
 from .grouptest import (
     NoiseModel,
     OutcomeVector,
+    _exact,
     binomial_quantile,
-    decode_cover,
     decode_threshold,
     eta_for_flip_noise,
     is_disjunct,
@@ -57,6 +59,7 @@ from .walks import (
     _avoid_ids,
     _estimate,
     _fixed_hits,
+    _sink_cap,
     _sink_hits,
     early_visit_check,
     influence_check,
@@ -270,32 +273,16 @@ def _rate_point(value, wins: int, trials: int) -> SweepPoint:
                       trials=trials, half_width=est.half_width)
 
 
-def _prefix_recovery_success(
-    M: MeasurementMatrix,
-    bits: np.ndarray,
-    planted: tuple[int, ...],
-    grid: list[int],
-    tau: int = 0,
-) -> list[bool]:
+def _prefix_recovery_success(M: MeasurementMatrix, bits: np.ndarray,
+                             planted: tuple[int, ...], grid: list[int],
+                             tau: int = 0) -> list[bool]:
     """Exact-decode success at every row prefix in one cumulative pass.
 
-    Uses the same negative-count rule as the decoders: defective iff at
-    most tau negative tests among the first m contain the item."""
-    A = M.dense()
-    neg = ~bits
-    counts = np.cumsum(A & neg[:, None], axis=0, dtype=np.int32)
-    cols = np.asarray(M.columns, dtype=np.int64)
-    mask = np.zeros(M.n_items, dtype=bool)
-    mask[list(planted)] = True
-    want = mask[cols]
-    out = []
-    for m in grid:
-        if m == 0:
-            out.append(len(planted) == 0 and len(cols) == 0)
-            continue
-        decoded = counts[m - 1, cols] <= tau
-        out.append(bool((decoded == want).all()))
-    return out
+    Row m of ``counts`` holds each item's negative tests among the first m
+    rows (row 0 is all zero), and ``grouptest._exact`` gives the verdict."""
+    counts = np.zeros((M.m + 1, M.n_items), dtype=np.int32)
+    np.cumsum(M.dense() & ~bits[:, None], axis=0, dtype=np.int32, out=counts[1:])
+    return _exact(M, counts[grid], planted, tau).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +630,8 @@ def verification_suite(
         pick = rng.choice(n, size=d + 2, replace=False)
         queries.append((int(pick[1]), [int(x) for x in pick[2:]], int(pick[0]),
                         qseed))
-    ests = _sink_hits(g, "vertex", strials, StartRule.uniform(), n ** 3, False,
-                      queries)
+    ests = _sink_hits(g, "vertex", strials, StartRule.uniform(), _sink_cap(g),
+                      False, queries)
     worst_s = min(est.value for est in ests[:5])
     lines.append(CheckLine(
         name="sink-hit-floor", status="pass" if worst_s >= sink_bound else "fail",
@@ -715,11 +702,7 @@ def tomography_demo(
             tt = max(t_base, t_noise)
     M = edge_walk_design(g, m=mm, t=tt, seed=_child_seed(seed, 0), start=source)
     y = simulate_tests(M, congested, noise=noise, rng=trial_rng(_child_seed(seed, 1), 0))
-    if q > 0.0:
-        decoded = decode_threshold(M, y, tau=tau, d=d)
-    else:
-        decoded = decode_cover(M, y, d=d)
-    identified = decoded.items
+    identified = decode_threshold(M, y, tau=tau, d=d).items  # q = 0: tau 0, cover
     per_link = {}
     for e in congested:
         per_link[e] = "identified" if e in identified else "missed"

@@ -26,6 +26,10 @@ d largest overlaps exceeds e.  That is the search's first bound test, so the
 root is one node of the same search: it counts against the budget as such,
 and the column's overlap row is never sorted.  The bounds come from
 ``np.partition`` over blocks of overlap rows as the loop reaches them.
+
+``_exact`` is the one decode verdict: per row of negative counts (one per
+flip pattern, or per sweep prefix), whether the threshold rule decodes
+exactly the planted set.
 """
 
 from __future__ import annotations
@@ -660,14 +664,18 @@ def adversarial_flip_check(
     if width:
         pat = np.asarray(pat_list, dtype=np.int64)
         Y[np.arange(P)[:, None], pat] ^= True
-    A = M.dense().astype(np.float32)
-    counts = (~Y).astype(np.float32) @ A
+    counts = (~Y).astype(np.float32) @ M.dense().astype(np.float32)
+    return P, int(_exact(M, counts, items, tau).sum())
+
+
+def _exact(M: MeasurementMatrix, counts: np.ndarray, planted, tau: int) -> np.ndarray:
+    """The one decode verdict: for each row of ``counts`` (negative tests
+    per item, one row per outcome vector), whether the threshold rule at
+    ``tau`` decodes exactly ``planted`` over ``M.columns``."""
     cols = np.asarray(M.columns, dtype=np.int64)
-    decoded = counts[:, cols] <= tau
-    planted_mask = np.zeros(M.n_items, dtype=bool)
-    planted_mask[list(items)] = True
-    exact = (decoded == planted_mask[cols]).all(axis=1)
-    return P, int(exact.sum())
+    want = np.zeros(M.n_items, dtype=bool)
+    want[list(planted)] = True
+    return ((counts[:, cols] <= tau) == want[cols]).all(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -174,11 +174,12 @@ def _block_outputs(seed: int, base: int, rows: int, k: int) -> np.ndarray:
     ``trial_rng(seed, base + r)``: column r is what that stream's
     ``bit_generator.random_raw(k)`` gives.
 
-    PCG64 seeding leaves row r in the state ``a**2 * X + (a + 1) * inc``, so
-    output j is the XSL-RR of the jump ``a**(j+1) * X + c(j+2) * inc``: two
-    128-bit products and a sum, in uint64 words that wrap mod 2**64.  Only
-    the carry word of the low-word products needs 32-bit limbs.  Needs
-    :func:`_in_block_domain` and ``k <= _MAX_OUTPUTS``.
+    PCG64 seeding leaves row r in the state ``a * X + (a + 1) * inc``, and
+    each output steps first, so output j is the XSL-RR of the jump
+    ``a**(j+1) * X + c(j+2) * inc``: two 128-bit products and a sum, in
+    uint64 words that wrap mod 2**64.  Only the carry word of the low-word
+    products needs 32-bit limbs.  Needs :func:`_in_block_domain` and
+    ``k <= _MAX_OUTPUTS``.
     """
     xh, xl, sh, sl = _index_state(int(seed), base, rows).T.copy()
     ih, il = sh << 1 | sl >> 63, sl << 1 | 1  # inc = initseq << 1 | 1

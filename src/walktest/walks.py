@@ -219,6 +219,11 @@ def validate_walk(g: Graph, walk: Walk, lazy: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _sink_cap(g: Graph, cap=None) -> int:
+    """A sink walk's checked step cap on ``g``: ``cap``, or n^3 when None."""
+    return _as_count("cap", g.n ** 3 if cap is None else cap, 0)
+
+
 def _require_walkable(g: Graph) -> None:
     if g.n == 0 or (g.degrees == 0).any():
         raise DegenerateGraphError("walk undefined: graph has an isolated vertex")
@@ -406,7 +411,7 @@ def walk_to_sink(
     _check_id("sink", sink, g.n)
     rule = _as_start_rule(start)
     rule.validate(g)
-    cap = _as_count("cap", g.n ** 3 if cap is None else cap, 0)
+    cap = _sink_cap(g, cap)
     index = _as_count("index", index, 0)
     v0 = rule._resolve(index, rng, g.n)
     verts, eids, term = _sink_walk_steps(g, v0, sink, cap, rng, lazy=lazy)
@@ -669,7 +674,7 @@ def hit_before_sink_probability(
         raise InvalidParameterError("sink cannot be the item or avoided")
     trials = _as_count("trials", trials, 1)
     rule = _as_start_rule(start)
-    cap = _as_count("cap", g.n ** 3 if cap is None else cap, 0)
+    cap = _sink_cap(g, cap)
     return _sink_hits(g, kind, trials, rule, cap, lazy,
                       [(item, avoid, sink, seed)])[0]
 

@@ -1,7 +1,9 @@
 """scripts/bench.py: the verdict on each end-to-end metric of a BENCH file,
 the bytecode compile before the first timed run, the metrics printed per
-pair, and the commits the file names."""
+pair, and the commits the file names; and that every span name perfbench's
+tracer builds a metric from is a public walktest binding."""
 
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -180,3 +182,25 @@ def test_checkouts_null_outside_git(tmp_path, monkeypatch):
                        "--label", "t", "--pairs", "1", "--workload", "verify"]) == 0
     doc = json.loads((sides[1] / "BENCH_t.json").read_text())
     assert doc["checkouts"] == {"parent": None, "change": None}
+
+
+def test_tracer_names_resolve_to_public_walktest_bindings():
+    # a per-layer metric whose span name no longer resolves reads None, so a
+    # rename or a new underscore in walktest must show here, not in a BENCH file
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = {*tracing._INFO_HOOKS} | {name for group in tracing.GROUPS.values()
+                                      for name in group if not name.endswith(".")}
+    unresolved = []
+    for name in sorted(names):
+        layer, *attrs = name.split(".")
+        obj = importlib.import_module(f"walktest.{layer}")
+        for attr in attrs:
+            obj = None if attr.startswith("_") else getattr(obj, attr, None)
+        if not (layer in tracing.LAYERS and callable(obj)
+                and obj.__module__ == f"walktest.{layer}"
+                and obj.__name__ == attrs[-1]):
+            unresolved.append(name)
+    assert names and not unresolved, unresolved

@@ -1,6 +1,7 @@
 """Design constructors: size formulas, row replay, stripping, file format."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -199,6 +200,55 @@ class TestBuildDesign:
             build_design(er64, 3, 5, 0)  # no sink
         with pytest.raises(InvalidParameterError):
             build_design(er64, 5, 5, 0, t=3)
+
+
+G5 = cycle_graph(5)
+
+
+def case(id, builder, *args, message, **kwargs):
+    return pytest.param(builder, args, kwargs, message, id=id)
+
+
+BUILDER_ERRORS = [
+    case("vertex-walk-no-t", vertex_walk_design, G5, [0], 4, None, 1,
+         message="design 1 needs a walk length t"),
+    case("edge-walk-no-t", edge_walk_design, G5, 4, None, 1,
+         message="design 2 needs a walk length t"),
+    case("vertex-sink-no-sink", vertex_sink_design, G5, [0], None, 4, 1,
+         message="design 3 needs a sink vertex"),
+    case("edge-sink-no-sink", edge_sink_design, G5, None, 4, 1,
+         message="design 4 needs a sink vertex"),
+    case("vertex-sink-designated", vertex_sink_design, G5, [0, 2], 2, 4, 1,
+         message="sink cannot be designated"),
+    case("build-1-no-t", build_design, G5, 1, 4, 1,
+         message="design 1 needs a walk length t"),
+    case("build-2-no-t", build_design, G5, 2, 4, 1, sink=2,
+         message="design 2 needs a walk length t"),
+    case("build-3-no-sink", build_design, G5, 3, 4, 1, t=3,
+         message="design 3 needs a sink vertex"),
+    case("build-4-no-sink", build_design, G5, 4, 4, 1,
+         message="design 4 needs a sink vertex"),
+    case("build-id-0", build_design, G5, 0, 4, 1, t=3,
+         message="unknown design id 0"),
+    case("build-id-7", build_design, G5, 7, 4, 1, message="unknown design id 7"),
+    case("build-id-text", build_design, G5, "1", 4, 1, t=3,
+         message="design_id must be an integer, got '1'"),
+    case("build-3-designated", build_design, G5, 3, 4, 1, sink=2, designated=[2],
+         message="sink cannot be designated"),
+]
+
+
+class TestBuilderErrors:
+    @pytest.mark.parametrize("builder, args, kwargs, message", BUILDER_ERRORS)
+    def test_message(self, builder, args, kwargs, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            builder(*args, **kwargs)
+
+    def test_arguments_a_design_does_not_read_are_ignored(self):
+        # edge designs take no designated starts, fixed-length ones no sink
+        assert build_design(G5, 4, 4, 1, sink=2, designated=[2, "x"]).stripped == ()
+        M = build_design(G5, 1, 4, 1, t=3, sink="x", cap="y", start="z")
+        assert (M.design["sink"], M.design["cap"]) == (None, None)
 
 
 class TestReplay:

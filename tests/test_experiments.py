@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from walktest import experiments
@@ -25,7 +26,8 @@ from walktest.experiments import (
     tomography_demo,
     verification_suite,
 )
-from walktest.grouptest import NoiseModel, is_disjunct
+from walktest.graphs import complete_graph
+from walktest.grouptest import NoiseModel, OutcomeVector, decode_cover, is_disjunct
 
 ER64 = {"family": "erdos-renyi", "n": 64, "p": 0.3}
 
@@ -135,6 +137,16 @@ class TestSuccessSweep:
                            noise=NoiseModel.flip(0.02), success="recovery")
         assert sw.metadata["params"]["e"] > 0
         assert sw.points[-1].success_rate == 1.0
+
+    def test_empty_prefix_agrees_with_the_decoder(self):
+        # with d = 2 of K4's two undesignated columns planted, the 0-row
+        # prefix decodes to every column, which is exactly the planted set
+        sw = success_sweep({"family": "complete", "n": 4}, 1, 2, 0.0, [0, 1, 5],
+                           30, 3, success="recovery", designated=[0, 1])
+        assert sw.points[0].success_rate == 1.0
+        M = build_design(complete_graph(4), 1, 0, 0, t=3, designated=[0, 1])
+        assert decode_cover(M, OutcomeVector(bits=np.zeros(0, dtype=bool))).items \
+            == (2, 3)
 
     def test_deterministic(self):
         a = success_sweep(ER64, 2, 2, 0.0, [50, 100], trials=30, seed=1,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walktest import grouptest
+from walktest import experiments, grouptest
 from walktest.designs import build_design, matrix_from_json
 from walktest.errors import (
     InfeasibleError,
@@ -919,6 +919,48 @@ def test_cover_decode_is_threshold_decode_at_zero(rows, bits, d):
     M = mk(8, rows)
     y = OutcomeVector(bits=np.array(bits[:len(rows)], dtype=bool))
     assert decode_cover(M, y, d=d) == decode_threshold(M, y, tau=0, d=d)
+
+
+@st.composite
+def decode_cases(draw):
+    """A matrix of 0-12 rows over 1-8 items, some stripped; a planted set of
+    up to every column; a tau of 0-2; outcomes with some flipped rows; and
+    a prefix grid that holds 0 and M.m."""
+    n_items, m = draw(st.integers(1, 8)), draw(st.integers(0, 12))
+    stripped = draw(st.lists(st.integers(0, n_items - 1), unique=True))
+    item = st.integers(0, n_items - 1).filter(lambda x: x not in stripped)
+    rows = draw(st.lists(st.lists(item, max_size=n_items), min_size=m,
+                         max_size=m)) if len(stripped) < n_items else [[]] * m
+    M = mk(n_items, rows, stripped)
+    planted = tuple(sorted(draw(st.lists(st.sampled_from(M.columns), unique=True))
+                           if M.columns else ()))
+    flips = draw(st.lists(st.integers(0, max(m - 1, 0)), unique=True,
+                          max_size=min(m, 3)))
+    grid = sorted({0, m, *draw(st.lists(st.integers(0, m), max_size=4))})
+    return M, planted, draw(st.integers(0, 2)), flips, grid
+
+
+@given(case=decode_cases())
+@settings(max_examples=150, deadline=None)
+def test_prefix_recovery_matches_per_prefix_decode(case):
+    M, planted, tau, flips, grid = case
+    bits = simulate_tests(M, planted, NoiseModel.adversarial(flips)).bits
+    got = experiments._prefix_recovery_success(M, bits, planted, grid, tau)
+    assert got == [decode_threshold(M.prefix(m), OutcomeVector(bits=bits[:m]),
+                                    tau).items == planted for m in grid]
+
+
+@given(case=decode_cases(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_flip_check_matches_per_pattern_decode(case, data):
+    M, planted, tau, _, _ = case
+    width = data.draw(st.integers(0, min(M.m, 3)))
+    patterns = data.draw(st.lists(st.lists(
+        st.integers(0, max(M.m - 1, 0)), min_size=width, max_size=width,
+        unique=True), max_size=6))
+    want = sum(decode_threshold(M, simulate_tests(M, planted, NoiseModel.adversarial(p)),
+                                tau).items == planted for p in patterns)
+    assert adversarial_flip_check(M, planted, tau, patterns) == (len(patterns), want)
 
 
 class TestBinomialQuantile:

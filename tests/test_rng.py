@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from walktest import walks
 from walktest.errors import InvalidParameterError
 from walktest.rng import (
+    _PCG_MULT,
     _block_draws,
     _block_outputs,
     _in_block_domain,
+    _index_state,
     _mulhi64,
     master_rng,
     trial_rng,
@@ -144,6 +146,18 @@ def test_block_outputs_match_random_raw(run, k):
     for r in range(rows):
         raw = trial_rng(seed, base + r).bit_generator.random_raw(k)
         assert got[:, r].tolist() == raw.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32, 2**40 + 3])
+@pytest.mark.parametrize("index", [0, 7, 63, 64, 1000, _EDGE - 1])
+def test_seeded_state_is_one_lcg_step_from_the_seed_words(seed, index):
+    # PCG64 seeding sets state 0, steps, adds the initial state X and steps
+    # again, which leaves a * X + (a + 1) * inc (not a**2 * X + ...)
+    xh, xl, sh, sl = (int(w) for w in _index_state(seed, index, 1)[0])
+    x, inc = xh << 64 | xl, ((sh << 64 | sl) << 1 | 1) % 2**128
+    got = trial_rng(seed, index).bit_generator.state["state"]
+    assert got == {"state": (_PCG_MULT * x + (_PCG_MULT + 1) * inc) % 2**128,
+                   "inc": inc}
 
 
 @settings(max_examples=120, deadline=None)
