@@ -52,7 +52,7 @@ from .grouptest import (
     simulate_tests,
     write_outcomes,
 )
-from .mixing import default_delta, mixing_time
+from .mixing import mixing_time
 from .rng import trial_rng
 from .walks import (
     early_visit_check,
@@ -170,6 +170,11 @@ def _int_param(p: dict, key: str) -> int:
 
 def _cmd_gen_graph(args) -> int:
     run = _Run("gen-graph", args)
+    unread = [option for option, value, family in (
+        ("--p", args.p, "erdos-renyi"), ("--degree", args.degree, "random-regular"))
+        if value is not None and args.family != family]
+    if unread:
+        raise InvalidParameterError(f"{args.family} does not read {', '.join(unread)}")
     if args.family == "complete":
         g = complete_graph(args.n)
     elif args.family == "cycle":
@@ -192,8 +197,7 @@ def _cmd_gen_graph(args) -> int:
 def _cmd_mix(args) -> int:
     run = _Run("mix", args)
     g = run.read_input(args.graph, read_graph)
-    delta = args.delta if args.delta is not None else default_delta(g)
-    rep = mixing_time(g, delta=delta, lazy=args.lazy)
+    rep = mixing_time(g, delta=args.delta, lazy=args.lazy)
     _print_report({"steps": rep.steps, "delta": rep.delta,
                    "verified_horizon": rep.verified_horizon}, run)
     return _EXIT_OK
@@ -250,9 +254,11 @@ def _cmd_design(args) -> int:
     g = run.read_input(args.graph, read_graph)
     designated = _int_list(args.designated, "--designated")
     m, t = args.m, args.t
-    if args.auto or m is None:
+    if args.auto and m is not None:
+        raise InvalidParameterError("--auto sizes m itself; omit --m or --auto")
+    if m is None:
         params = measured_design_parameters(g, args.d, args.eta)
-        m = params.rows(args.design, noisy=args.eta > 0)
+        m = params.rows(args.design)
         if t is None and args.design in (1, 2):
             t = params.walk_length(args.design)
         _note(args, f"auto parameters: {params.as_dict()}")
@@ -302,13 +308,10 @@ def _cmd_decode(args) -> int:
     run = _Run("decode", args)
     M = run.read_input(args.matrix, read_matrix)
     y = run.read_input(args.outcomes, read_outcomes)
-    rule = args.rule
-    if args.tau is not None:
-        rule = "threshold"
-    if rule == "threshold":
-        dec = decode_threshold(M, y, tau=args.tau, d=args.d)
+    if args.tau is None:
+        rule, dec = "cover", decode_cover(M, y, d=args.d)
     else:
-        dec = decode_cover(M, y, d=args.d)
+        rule, dec = "threshold", decode_threshold(M, y, tau=args.tau, d=args.d)
     _print_report({"defectives": list(dec.items), "item_kind": dec.item_kind,
                    "oversized": dec.oversized, "rule": rule,
                    "tau": args.tau}, run)
@@ -520,11 +523,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="defective budget used for auto sizing")
     p.add_argument("--eta", type=float, default=0.0,
                    help="design noise rate used for auto sizing")
-    p.add_argument("--m", type=int, help="row count (omit with --auto)")
+    p.add_argument("--m", type=int,
+                   help="row count; omitted, it is sized as by --auto")
     p.add_argument("--t", type=int, help="walk length, designs 1 and 2")
     p.add_argument("--auto", action="store_true",
                    help="size m and t from measured degree profile and "
-                        "mixing time")
+                        "mixing time (not with --m)")
     p.add_argument("--designated", help="start vertices, comma-separated "
                                         "(designs 1 and 3)")
     p.add_argument("--sink", type=int, help="sink vertex (designs 3 and 4)")
@@ -552,9 +556,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recover defectives from outcomes")
     p.add_argument("--matrix", required=True)
     p.add_argument("--outcomes", required=True)
-    p.add_argument("--rule", choices=["cover", "threshold"], default="cover")
     p.add_argument("--tau", type=int,
-                   help="negative-count threshold; implies --rule threshold")
+                   help="negative-count threshold: decode by the threshold "
+                        "rule instead of the cover rule")
     p.add_argument("--d", type=int, help="expected defective budget")
     p.set_defaults(func=_cmd_decode)
 

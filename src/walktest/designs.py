@@ -118,14 +118,10 @@ class DesignParams:
             raise InvalidParameterError("walk_length applies to designs 1 and 2")
         return self.t1 if design_id == 1 else self.t2
 
-    def rows(self, design_id: int, noisy: bool | None = None) -> int:
+    def rows(self, design_id: int) -> int:
+        """Row count of a design: the noise-inflated one when eta > 0."""
         _design_kind(design_id)
-        if noisy is None:
-            noisy = self.eta > 0
-        elif not isinstance(noisy, (bool, np.bool_)):
-            raise InvalidParameterError(f"noisy must be a bool, got {noisy!r}")
-        key = f"m{design_id}_noisy" if noisy else f"m{design_id}"
-        return getattr(self, key)
+        return getattr(self, f"m{design_id}_noisy" if self.eta > 0 else f"m{design_id}")
 
 
 def design_parameters(
@@ -325,14 +321,23 @@ def build_design(g: Graph, design_id: int, m: int, seed: int, t: int | None = No
     designs start at ``start`` (uniformly when None).  Fixed-length designs
     walk ``t`` steps.  Sink designs walk to ``sink``, capped at ``cap`` steps
     (n^3 when None), and strip it from vertex rows, so it cannot be
-    designated.  Arguments a design does not read are ignored."""
+    designated.  An argument the design does not read (``t`` of a sink
+    design, ``sink`` or ``cap`` of a fixed-length one, ``start`` of a vertex
+    design, a non-empty ``designated`` of an edge one) is refused."""
     vertex, fixed = _design_kind(design_id)
     if fixed and t is None:
         raise InvalidParameterError(f"design {design_id} needs a walk length t")
     if not fixed and sink is None:
         raise InvalidParameterError(f"design {design_id} needs a sink vertex")
+    designated = _designated(designated)
+    unread = [name for name, value, read in (
+        ("t", t, fixed), ("sink", sink, not fixed), ("cap", cap, not fixed),
+        ("start", start, not vertex), ("designated", designated or None, vertex))
+        if value is not None and not read]
+    if unread:
+        raise InvalidParameterError(
+            f"design {design_id} does not read {', '.join(unread)}")
     if vertex:
-        designated = _designated(designated)
         for v in designated:
             _check_id("designated vertex", v, g.n)
         if len(set(designated)) != len(designated):
@@ -344,11 +349,10 @@ def build_design(g: Graph, design_id: int, m: int, seed: int, t: int | None = No
         rule = StartRule.uniform() if start is None else StartRule.fixed(start)
         rule.validate(g)
     if fixed:
-        cap = sink = None
         pools = _walk_pools(g, rule, m, t, seed, lazy, edges=not vertex)
     else:
         _check_id("sink", sink, g.n)
-        t, cap = None, _sink_cap(g, cap)
+        cap = _sink_cap(g, cap)
         pools = _sink_pools(g, rule, sink, cap, m, seed, lazy, edges=not vertex)
     # vertex rows drop the designated starts and the sink
     stripped = tuple(sorted({*designated, sink} - {None})) if vertex else ()

@@ -214,6 +214,7 @@ def _child_seed(seed: int, *key: int) -> int:
 # The keys each family's config needs besides "family".
 _FAMILY_KEYS = {"complete": ("n",), "cycle": ("n",), "erdos-renyi": ("n", "p"),
                 "random-regular": ("n", "degree")}
+_GRAPH_ATTEMPTS = 50  # samples of a random family before giving up
 
 
 def check_graph_config(cfg) -> None:
@@ -231,16 +232,17 @@ def check_graph_config(cfg) -> None:
     _check_family(family, cfg["n"], p=cfg.get("p"), degree=cfg.get("degree"))
 
 
-def graph_from_config(cfg: dict, seed: int, attempts: int = 50) -> tuple[Graph, int]:
+def graph_from_config(cfg: dict, seed: int) -> tuple[Graph, int]:
     """Build a graph from a config dict, regenerating random families until
-    connected and non-bipartite.  Returns (graph, regeneration count)."""
+    connected and non-bipartite, up to ``_GRAPH_ATTEMPTS`` samples.  Returns
+    (graph, regeneration count)."""
     check_graph_config(cfg)
     family, n = cfg["family"], cfg["n"]
     if family == "complete":
         return complete_graph(n), 0
     if family == "cycle":
         return cycle_graph(n), 0
-    for attempt in range(_as_count("attempts", attempts, 1)):
+    for attempt in range(_GRAPH_ATTEMPTS):
         gseed = _child_seed(seed, attempt)
         if family == "erdos-renyi":
             g = erdos_renyi_graph(n, float(cfg["p"]), gseed)
@@ -249,7 +251,7 @@ def graph_from_config(cfg: dict, seed: int, attempts: int = 50) -> tuple[Graph, 
         if g.connected and not g.bipartite:
             return g, attempt
     raise GenerationFailureError(
-        f"no connected non-bipartite {family} sample in {attempts} attempts")
+        f"no connected non-bipartite {family} sample in {_GRAPH_ATTEMPTS} attempts")
 
 
 def measured_design_parameters(
@@ -524,26 +526,21 @@ def fixed_input_experiment(
 # ---------------------------------------------------------------------------
 
 
-def verification_suite(
-    g: Graph,
-    d: int,
-    trials: int,
-    seed: int,
-    constants: ScaleConstants | None = None,
-) -> VerificationReport:
+def verification_suite(g: Graph, d: int, trials: int, seed: int) -> VerificationReport:
     """One pass/fail line per probability claim on a single graph.
 
-    Exact checks carry zero tolerance; Monte Carlo floors use the frozen
-    calibration constants; the sink-symmetry check runs only on complete
-    graphs where the closed form 1/((d+1)(d+2)) applies.  The sink checks
-    draw d + 2 distinct vertices, so d is at most n - 2."""
+    Exact checks carry zero tolerance; the design walk length and the Monte
+    Carlo floors use the frozen calibration constants; the sink-symmetry
+    check runs only on complete graphs where the closed form
+    1/((d+1)(d+2)) applies.  The sink checks draw d + 2 distinct vertices,
+    so d is at most n - 2."""
     lines: list[CheckLine] = []
     uni = degree_uniformity(g)
     c, n = uni.ratio, g.n
     if _as_count("d", d, 1) > n - 2:
         raise InvalidParameterError(f"need d <= n - 2, got d={d}, n={n}")
     T = mixing_time(g).steps
-    params = measured_design_parameters(g, d, constants=constants, t_mix=T)
+    params = measured_design_parameters(g, d, t_mix=T)
     t1 = params.t1
     rng = trial_rng(seed, 0)
 

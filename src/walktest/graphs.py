@@ -133,7 +133,7 @@ class Graph:
 
     @cached_property
     def mixing_reports(self) -> dict:
-        """``mixing.mixing_time`` results by (delta, lazy, max_steps)."""
+        """``mixing.mixing_time`` results by (delta, lazy)."""
         return {}
 
     @cached_property
@@ -344,21 +344,21 @@ def stationary_distribution(g: Graph, lazy: bool = False) -> Distribution:
     return Distribution(deg / (2.0 * g.edge_count))
 
 
-def conductance_exact(g: Graph, limit: int = CONDUCTANCE_N_LIMIT) -> float:
+def conductance_exact(g: Graph) -> float:
     """Exact conductance by subset enumeration.
 
     Minimizes cut(S)/vol(S) over nonempty S with vol(S) <= |E| (vol = sum of
     degrees).  At a tie vol(S) = |E| both S and its complement qualify and
-    both are scanned.  Hard-capped at ``limit`` vertices.
+    both are scanned.  Hard-capped at ``CONDUCTANCE_N_LIMIT`` vertices.
     """
-    limit = _as_count("limit", limit, 0)
     if not g.connected:
         raise InvalidParameterError("conductance needs a connected graph")
-    if g.n > limit:
+    if g.n > CONDUCTANCE_N_LIMIT:
         raise SizeExceededError(
-            f"exact conductance enumerates 2^{g.n} subsets; cap is n <= {limit}",
+            f"exact conductance enumerates 2^{g.n} subsets; "
+            f"cap is n <= {CONDUCTANCE_N_LIMIT}",
             n=g.n,
-            limit=limit,
+            limit=CONDUCTANCE_N_LIMIT,
         )
     if g.n < 2 or g.edge_count == 0:
         raise DegenerateGraphError("conductance undefined without edges")

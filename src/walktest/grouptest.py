@@ -604,20 +604,13 @@ def decode_cover(M: MeasurementMatrix, y: OutcomeVector,
     return _decode(M, negative_counts(M, y), 0, d)
 
 
-def decode_threshold(M: MeasurementMatrix, y: OutcomeVector,
-                     tau: int | None = None, d: int | None = None) -> DefectiveSet:
+def decode_threshold(M: MeasurementMatrix, y: OutcomeVector, tau: int,
+                     d: int | None = None) -> DefectiveSet:
     """Defective iff at most tau negative tests contain the item.
 
     Exact for (d,e)-disjunct matrices with at most floor((e-1)/2) corrupted
-    outcomes and tau = floor((e-1)/2).  Default tau comes from the matrix's
-    recorded design parameters when present."""
+    outcomes and tau = floor((e-1)/2); tau 0 is the cover rule."""
     counts = negative_counts(M, y)
-    if tau is None:
-        e = (M.design.get("params") or {}).get("e")
-        if e is None:
-            raise InvalidParameterError(
-                "no recorded design parameters: pass tau explicitly")
-        tau = max((int(e) - 1) // 2, 0)
     return _decode(M, counts, _as_count("tau", tau, 0), d)
 
 

@@ -18,7 +18,6 @@ from .errors import (
     NonMixingGraphError,
     NumericFailureError,
     SizeExceededError,
-    _as_count,
     _check_number,
 )
 from .graphs import (
@@ -39,6 +38,8 @@ __all__ = [
     "conductance_lower_bound",
     "conductance_mixing_bound",
 ]
+
+_MAX_STEPS = 200_000  # powering gives up past this many steps
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,14 @@ def mixing_time(
     g: Graph,
     delta: float | None = None,
     lazy: bool = False,
-    max_steps: int = 200_000,
 ) -> MixingReport:
     """Point-wise mixing time by dense transition powering.
 
     Scans t = 1, 2, ...; the first t meeting the bound becomes a candidate
     and is confirmed only after every step through 2t also meets it; a
     failure inside the window restarts the search at the failure point.
-    The report is cached on the (immutable) graph per (delta, lazy,
-    max_steps); a ``delta`` of None is resolved to its default first.
+    The report is cached on the (immutable) graph per (delta, lazy); a
+    ``delta`` of None is resolved to :func:`default_delta` first.
     """
     if not g.connected:
         raise NonMixingGraphError("graph is disconnected")
@@ -97,19 +97,19 @@ def mixing_time(
     _check_number("delta", delta)
     if not (0.0 < delta < 1.0):
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
-    key = (float(delta), bool(lazy), _as_count("max_steps", max_steps, 1))
+    key = (float(delta), bool(lazy))
     if key not in g.mixing_reports:
-        g.mixing_reports[key] = _dense_mixing_time(g, key[0], lazy, key[2])
+        g.mixing_reports[key] = _dense_mixing_time(g, key[0], lazy)
     return g.mixing_reports[key]
 
 
-def _dense_mixing_time(g: Graph, delta: float, lazy: bool, max_steps: int) -> MixingReport:
+def _dense_mixing_time(g: Graph, delta: float, lazy: bool) -> MixingReport:
     mu = stationary_distribution(g, lazy=lazy).probs
     P = transition_matrix(g, lazy=lazy)
     A = P.copy()  # A = P^t
     candidate: int | None = None
     t = 1
-    while t <= max_steps:
+    while t <= _MAX_STEPS:
         dist = float(np.abs(A - mu).max())
         if dist <= delta:
             if candidate is None:
@@ -122,7 +122,7 @@ def _dense_mixing_time(g: Graph, delta: float, lazy: bool, max_steps: int) -> Mi
         t += 1
         A = A @ P
     raise NumericFailureError(
-        f"no verified mixing time within {max_steps} steps (delta={delta})"
+        f"no verified mixing time within {_MAX_STEPS} steps (delta={delta})"
     )
 
 
@@ -136,22 +136,17 @@ def conductance_lower_bound(g: Graph) -> float:
     return max((1.0 - lam) / 2.0, 0.0)
 
 
-def conductance_mixing_bound(
-    g: Graph, delta: float | None = None, phi: float | None = None
-) -> int:
+def conductance_mixing_bound(g: Graph, phi: float | None = None) -> int:
     """Upper bound on the mixing time from conductance.
 
-    Steps t with (1 - phi^2/2)^t * (max_deg/min_deg) <= delta; ``phi`` may
-    be supplied by the caller (must lower-bound the true conductance) or is
-    derived via :func:`conductance_lower_bound`.
+    Steps t with (1 - phi^2/2)^t * (max_deg/min_deg) <= delta, at the
+    :func:`default_delta` that :func:`mixing_time` uses by default; ``phi``
+    may be supplied by the caller (must lower-bound the true conductance) or
+    is derived via :func:`conductance_lower_bound`.
     """
     if not g.connected:
         raise NonMixingGraphError("graph is disconnected")
-    if delta is None:
-        delta = default_delta(g)
-    _check_number("delta", delta)
-    if not (0.0 < delta < 1.0):
-        raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
+    delta = default_delta(g)
     if phi is None:
         phi = conductance_lower_bound(g)
     _check_number("phi", phi)

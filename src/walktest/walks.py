@@ -150,18 +150,9 @@ class StartRule:
         if self.kind == "fixed":
             _check_id("fixed start", self.vertex, g.n)
 
-    @property
-    def consumes_rng(self) -> bool:
-        return self.kind in ("uniform", "designated-uniform")
-
-    def resolve(self, index: int, rng: np.random.Generator, n: int) -> int:
-        """The start of row ``index`` among ``n`` vertices, drawing from
-        ``rng`` if the rule draws."""
-        return self._resolve(_as_count("index", index, 0), rng,
-                             _as_count("n", n, 1))
-
     def _resolve(self, index: int, rng: np.random.Generator, n: int) -> int:
-        """:meth:`resolve` on arguments the engines have checked."""
+        """The start of row ``index`` among ``n`` vertices, drawing from
+        ``rng`` if the rule draws; the engines have checked the arguments."""
         if self.kind == "uniform":
             return int(rng.integers(n))
         if self.kind == "round-robin":
@@ -231,7 +222,7 @@ def _require_walkable(g: Graph) -> None:
 
 def _block_starts(rule: StartRule, base: int, picks: np.ndarray) -> np.ndarray:
     """Starts of rows base .. from each row's ``integers`` draw ``picks``
-    (0 where the rule draws nothing), as ``StartRule.resolve`` gives them."""
+    (0 where the rule draws nothing), as ``StartRule._resolve`` gives them."""
     if rule.kind == "uniform":
         return picks
     des = np.array(rule.designated or (rule.vertex,))

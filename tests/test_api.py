@@ -83,7 +83,7 @@ ROWS = [
     row(graphs.random_regular_graph, "n degree", n=6, degree=3, seed=1),
     row(graphs.degree_uniformity, g=G),
     row(graphs.stationary_distribution, g=G, lazy=False),
-    row(graphs.conductance_exact, "limit", g=G, limit=24),
+    row(graphs.conductance_exact, g=G),
     row(graphs.second_eigenvalue, g=G),
     row(graphs.read_graph, path=File("graph.json")),
     row(graphs.write_graph, g=G, path=File("out.json"), format="json"),
@@ -97,18 +97,15 @@ ROWS = [
     # mixing
     row(mixing.transition_matrix, g=G, lazy=False),
     row(mixing.default_delta, g=G),
-    row(mixing.mixing_time, "max_steps", g=G, delta=0.01, lazy=False,
-        max_steps=1000),
+    row(mixing.mixing_time, g=G, delta=0.01, lazy=False),
     row(mixing.conductance_lower_bound, g=G),
-    row(mixing.conductance_mixing_bound, g=G, delta=0.01, phi=0.5),
+    row(mixing.conductance_mixing_bound, g=G, phi=0.5),
     # walks
     row(StartRule.uniform),
     row(StartRule.round_robin, "designated", designated=[0, 1]),
     row(StartRule.designated_uniform, "designated", designated=[0, 1]),
     row(StartRule.fixed, "vertex", vertex=0),
     row(StartRule.validate, self=StartRule.uniform(), g=G),
-    row(StartRule.resolve, "index n", self=StartRule.round_robin([0, 1]),
-        index=0, rng=GEN, n=5),
     row(walks.random_walk, "start steps index", g=G, start=0, steps=3, rng=GEN,
         lazy=False, index=0),
     row(walks.walk_to_sink, "start sink cap index", g=G, start=0, sink=1,
@@ -131,8 +128,7 @@ ROWS = [
     row(designs.DesignParams.as_dict, self=PARAMS),
     row(designs.DesignParams.walk_length, "design_id", self=PARAMS,
         design_id=1),
-    row(designs.DesignParams.rows, "design_id", self=PARAMS, design_id=1,
-        noisy=None),
+    row(designs.DesignParams.rows, "design_id", self=PARAMS, design_id=1),
     row(MeasurementMatrix.dense, self=M),
     row(MeasurementMatrix.prefix, "m", self=M, m=4),
     row(designs.vertex_walk_design, "designated m t", g=G, designated=[0], m=6,
@@ -182,8 +178,8 @@ ROWS = [
     row(grouptest.read_outcomes, path=File("outcomes.json")),
     # experiments
     row(experiments.check_graph_config, cfg=K5),
-    row(experiments.graph_from_config, "attempts",
-        cfg={"family": "erdos-renyi", "n": 6, "p": 0.6}, seed=1, attempts=50),
+    row(experiments.graph_from_config,
+        cfg={"family": "erdos-renyi", "n": 6, "p": 0.6}, seed=1),
     row(experiments.measured_design_parameters, "d t_mix", g=G, d=1, eta=0.0,
         constants=CALIBRATED, t_mix=2),
     row(experiments.success_sweep, "design_id d m_grid trials t_override",
@@ -196,7 +192,7 @@ ROWS = [
         graph_config=K5, design_id=1, d=1, m_grid=[4, 8], trials=30, seed=1,
         budget=1e9, constants=CALIBRATED),
     row(experiments.verification_suite, "d trials", g=G, d=1, trials=30,
-        seed=1, constants=CALIBRATED),
+        seed=1),
     row(experiments.tomography_demo, "source congested t m", g=G, source=0,
         congested=[1], q=0.05, seed=1, t=3, m=30, confidence=0.9,
         constants=CALIBRATED),

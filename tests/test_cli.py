@@ -359,6 +359,57 @@ class TestLibraryWritesCliBytes:
         assert lib_file.read_bytes() == cli_file.read_bytes()
 
 
+class TestUnreadOptions:
+    """An option the chosen family or design does not read exits 1 with a
+    message naming it, and writes nothing."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-graph", "--family", "complete", "--n", "6", "--p", "0.3",
+          "--degree", "2"], "complete does not read --p, --degree"),
+        (["gen-graph", "--family", "cycle", "--n", "6", "--degree", "2"],
+         "cycle does not read --degree"),
+        (["gen-graph", "--family", "erdos-renyi", "--n", "6", "--p", "0.5",
+          "--degree", "2"], "erdos-renyi does not read --degree"),
+        (["gen-graph", "--family", "random-regular", "--n", "6", "--degree",
+          "2", "--p", "0.5"], "random-regular does not read --p"),
+        (["design", "--design", "2", "--d", "1", "--m", "5", "--t", "4",
+          "--designated", "0,1"], "design 2 does not read designated"),
+        (["design", "--design", "1", "--d", "1", "--m", "5", "--t", "4",
+          "--start", "3", "--sink", "2", "--cap", "9"],
+         "design 1 does not read sink, cap, start"),
+        (["design", "--design", "3", "--d", "1", "--m", "5", "--t", "4",
+          "--sink", "2"], "design 3 does not read t"),
+        (["design", "--design", "1", "--d", "2", "--m", "7", "--auto"],
+         "--auto sizes m itself; omit --m or --auto"),
+    ], ids=["complete-p-degree", "cycle-degree", "erdos-renyi-degree",
+            "random-regular-p", "design-2-designated", "design-1-sink-cap-start",
+            "design-3-t", "auto-with-m"])
+    def test_refused(self, tmp_path, capsys, argv, message):
+        graph = tmp_path / "k6.json"
+        assert run(capsys, "gen-graph", "--family", "complete", "--n", "6",
+                   "--out", str(graph))[0] == 0
+        out_file = tmp_path / "out.json"
+        if argv[0] == "design":
+            argv = [*argv, "--graph", str(graph)]
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert diag["kind"] == "invalid-parameter"
+        assert diag["message"] == message
+        assert not out_file.exists()
+
+    def test_auto_or_no_m_sizes_the_design(self, tmp_path, capsys):
+        graph = tmp_path / "k6.json"
+        run(capsys, "gen-graph", "--family", "complete", "--n", "6",
+            "--out", str(graph))
+        files = []
+        for size in (["--auto"], []):
+            files.append(tmp_path / f"M{len(files)}.json")
+            assert run(capsys, "design", "--graph", str(graph), "--design", "1",
+                       "--d", "2", *size, "--out", str(files[-1]))[0] == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+
 class TestUnparsableValues:
     """A value the CLI cannot parse exits 1 with a message naming it."""
 

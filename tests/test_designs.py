@@ -63,7 +63,6 @@ class TestParameterFormulas:
         assert p.walk_length(1) == p.t1
         assert p.walk_length(2) == p.t2
         assert p.rows(3) == p.m3_noisy  # eta > 0 defaults to noisy
-        assert p.rows(3, noisy=False) == p.m3
         with pytest.raises(InvalidParameterError):
             p.walk_length(3)
         with pytest.raises(InvalidParameterError):
@@ -244,11 +243,24 @@ class TestBuilderErrors:
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             builder(*args, **kwargs)
 
-    def test_arguments_a_design_does_not_read_are_ignored(self):
-        # edge designs take no designated starts, fixed-length ones no sink
-        assert build_design(G5, 4, 4, 1, sink=2, designated=[2, "x"]).stripped == ()
-        M = build_design(G5, 1, 4, 1, t=3, sink="x", cap="y", start="z")
-        assert (M.design["sink"], M.design["cap"]) == (None, None)
+    def test_arguments_a_design_does_not_read_are_refused(self):
+        for design_id, kwargs, unread in [
+            (3, dict(sink=2, t=3), "t"),
+            (4, dict(sink=2, t=0), "t"),
+            (1, dict(t=3, sink=2, cap=9, start=3), "sink, cap, start"),
+            (2, dict(t=3, cap=9), "cap"),
+            (3, dict(sink=2, start=0), "start"),
+            (2, dict(t=3, designated=[0, 1]), "designated"),
+            (4, dict(sink=2, designated=[2]), "designated"),
+        ]:
+            message = f"design {design_id} does not read {unread}"
+            with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+                build_design(G5, design_id, 4, 1, **kwargs)
+        # what each design reads, and an empty designated list, still build
+        assert build_design(G5, 4, 4, 1, sink=2, cap=9, start=0,
+                            designated=()).stripped == ()
+        assert build_design(G5, 3, 4, 1, sink=2, cap=9, designated=[0]).stripped \
+            == (0, 2)
 
 
 class TestReplay:

@@ -62,10 +62,11 @@ class TestGraphFromConfig:
         with pytest.raises(InvalidParameterError, match=key):
             graph_from_config(cfg, 0)
 
-    def test_regeneration_exhaustion(self):
+    def test_regeneration_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_GRAPH_ATTEMPTS", 3)
         cfg = {"family": "erdos-renyi", "n": 24, "p": 0.01}
-        with pytest.raises(GenerationFailureError):
-            graph_from_config(cfg, 0, attempts=3)
+        with pytest.raises(GenerationFailureError, match="in 3 attempts"):
+            graph_from_config(cfg, 0)
 
 
 class TestMeasuredParams:

@@ -281,7 +281,7 @@ class TestConductance:
 
     def test_size_limit(self):
         with pytest.raises(Exception):
-            conductance_exact(complete_graph(30), limit=24)
+            conductance_exact(complete_graph(30))
 
 
 class TestSpectral:

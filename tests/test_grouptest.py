@@ -833,15 +833,6 @@ class TestDecoders:
         assert decode_threshold(M, y, tau=1).items == (2, 4)
         assert decode_cover(M, y).items == (4,)
 
-    def test_threshold_default_tau_from_design(self):
-        rows = [(i,) for i in range(4)] * 5
-        M = mk(4, rows, design={"id": 0, "params": {"e": 4}})
-        y = simulate_tests(M, (1,), NoiseModel.adversarial([0]))
-        assert decode_threshold(M, y).items == (1,)
-        bare = mk(4, rows)
-        with pytest.raises(InvalidParameterError):
-            decode_threshold(bare, simulate_tests(bare, (1,)))
-
     @pytest.mark.parametrize("tau, message", [
         ("1", "tau must be an integer, got '1'"),
         (0.5, "tau must be an integer, got 0.5"),
@@ -870,9 +861,6 @@ class TestDecoders:
             with pytest.raises(InvalidParameterError,
                                match="vertex items but the matrix tests edge"):
                 decode(E, y, **kw)
-        # the kind is checked before the threshold looks for design parameters
-        with pytest.raises(InvalidParameterError, match="vertex.*edge"):
-            decode_threshold(E, y)
         # outcomes of no known kind decode on either matrix
         bare = OutcomeVector(bits=y.bits)
         assert decode_cover(V, bare).items == decode_cover(V, y).items

@@ -103,9 +103,10 @@ class TestMixingTime:
         with pytest.raises(InvalidParameterError):
             mixing_time(k16, delta=1.5)
 
-    def test_max_steps_exhausted(self):
-        with pytest.raises(NumericFailureError):
-            mixing_time(cycle_graph(7), max_steps=5)
+    def test_max_steps_exhausted(self, monkeypatch):
+        monkeypatch.setattr(mixing, "_MAX_STEPS", 5)
+        with pytest.raises(NumericFailureError, match="within 5 steps"):
+            mixing_time(cycle_graph(7))
 
     def test_smaller_delta_never_faster(self, er64):
         loose = mixing_time(er64, delta=1e-2).steps

@@ -40,7 +40,7 @@ class TestStartRule:
     def test_round_robin_cycles(self, k16):
         rule = StartRule.round_robin([3, 7, 11])
         rng = trial_rng(0, 0)
-        assert [rule.resolve(i, rng, 16) for i in range(6)] == [3, 7, 11, 3, 7, 11]
+        assert [rule._resolve(i, rng, 16) for i in range(6)] == [3, 7, 11, 3, 7, 11]
 
     def test_empty_designated_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -55,9 +55,10 @@ class TestStartRule:
             StartRule.fixed(-1).validate(k16)
 
     def test_fixed_ignores_rng(self, k16):
-        rule = StartRule.fixed(5)
-        assert not rule.consumes_rng
-        assert rule.resolve(9, trial_rng(0, 0), 16) == 5
+        rng = trial_rng(0, 0)
+        state = rng.bit_generator.state
+        assert StartRule.fixed(5)._resolve(9, rng, 16) == 5
+        assert rng.bit_generator.state == state
 
 
 class TestEngineAgreement:
@@ -248,10 +249,10 @@ class TestScalarCore:
         rule = StartRule.uniform() if start is None else StartRule.fixed(start)
         rng, ref = trial_rng(seed, 0), trial_rng(seed, 0)
         assert random_walk(g, start, steps, rng, lazy=lazy) == _ref_random_walk(
-            g, rule.resolve(0, ref, g.n), steps, ref, lazy)
+            g, rule._resolve(0, ref, g.n), steps, ref, lazy)
         assert rng.bit_generator.state == ref.bit_generator.state
         assert walk_to_sink(g, start, sink, rng, cap=cap, lazy=lazy) == _ref_sink_walk(
-            g, rule.resolve(0, ref, g.n), sink, cap, ref, lazy)
+            g, rule._resolve(0, ref, g.n), sink, cap, ref, lazy)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
