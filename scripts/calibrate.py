@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-from walktest.calibration import ScaleConstants
+from walktest.calibration import TAIL_K_FACTOR, ScaleConstants
 from walktest.designs import design_parameters
 from walktest.errors import InfeasibleError
 from walktest.experiments import (
@@ -196,7 +196,7 @@ def calibrate_betas(kappa_t: float, trials: int, sink_trials: int):
                                                  sink_trials,
                                                  _child_seed(7, k, d)).value
                 r_sink = min(r_sink, ps * (c ** 8 * d * d * T ** 4))
-        k_tail = math.ceil(8.0 * c * c * T)
+        k_tail = math.ceil(TAIL_K_FACTOR * c * c * T)
         tail = visit_count_tail_check(g, int(g.degrees.argmax()), params.t1,
                                       k_tail, trials, _child_seed(8, 0))
         tail_ok = tail_ok and tail.holds

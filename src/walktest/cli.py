@@ -23,7 +23,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .designs import build_design, read_matrix, write_matrix
+from .designs import (_design_kind, _refuse_unread, build_design, read_matrix,
+                      write_matrix)
 from .errors import (InvalidParameterError, WalktestError, _check_int, _is_int,
                      _is_real, parse_errors, read_json, write_json)
 from .experiments import (
@@ -35,14 +36,7 @@ from .experiments import (
     tomography_demo,
     verification_suite,
 )
-from .graphs import (
-    complete_graph,
-    cycle_graph,
-    erdos_renyi_graph,
-    random_regular_graph,
-    read_graph,
-    write_graph,
-)
+from .graphs import _FAMILY_PARAMS, _family_graph, read_graph, write_graph
 from .grouptest import (
     NoiseModel,
     decode_cover,
@@ -170,23 +164,15 @@ def _int_param(p: dict, key: str) -> int:
 
 def _cmd_gen_graph(args) -> int:
     run = _Run("gen-graph", args)
-    unread = [option for option, value, family in (
-        ("--p", args.p, "erdos-renyi"), ("--degree", args.degree, "random-regular"))
-        if value is not None and args.family != family]
+    reads = _FAMILY_PARAMS[args.family]
+    unread = [f"--{key}" for keys in _FAMILY_PARAMS.values() for key in keys
+              if key not in reads and getattr(args, key) is not None]
     if unread:
         raise InvalidParameterError(f"{args.family} does not read {', '.join(unread)}")
-    if args.family == "complete":
-        g = complete_graph(args.n)
-    elif args.family == "cycle":
-        g = cycle_graph(args.n)
-    elif args.family == "erdos-renyi":
-        if args.p is None:
-            raise InvalidParameterError("erdos-renyi needs --p")
-        g = erdos_renyi_graph(args.n, args.p, args.seed)
-    else:  # random-regular; argparse allows no other family
-        if args.degree is None:
-            raise InvalidParameterError("random-regular needs --degree")
-        g = random_regular_graph(args.n, args.degree, args.seed)
+    for key in reads:
+        if getattr(args, key) is None:
+            raise InvalidParameterError(f"{args.family} needs --{key}")
+    g = _family_graph(args.family, args.n, args.seed, vars(args))
     _note(args, f"{args.family}: n={g.n} edges={g.edge_count} "
                 f"connected={g.connected}")
     run.write_output(args.out, lambda path: write_graph(g, path, format=args.format))
@@ -256,10 +242,11 @@ def _cmd_design(args) -> int:
     m, t = args.m, args.t
     if args.auto and m is not None:
         raise InvalidParameterError("--auto sizes m itself; omit --m or --auto")
+    _refuse_unread(args.design, t, designated, args.sink, args.cap, args.start)
     if m is None:
         params = measured_design_parameters(g, args.d, args.eta)
         m = params.rows(args.design)
-        if t is None and args.design in (1, 2):
+        if t is None and _design_kind(args.design)[1]:
             t = params.walk_length(args.design)
         _note(args, f"auto parameters: {params.as_dict()}")
     M = build_design(g, args.design, m, args.seed, t=t,
@@ -485,9 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-graph", parents=[common],
                        help="generate a graph file")
-    p.add_argument("--family", required=True,
-                   choices=["complete", "cycle", "erdos-renyi",
-                            "random-regular"])
+    p.add_argument("--family", required=True, choices=list(_FAMILY_PARAMS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, help="edge probability (erdos-renyi)")
     p.add_argument("--degree", type=int, help="degree (random-regular)")

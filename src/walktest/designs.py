@@ -247,6 +247,18 @@ def _design_kind(design_id) -> tuple[bool, bool]:
     return design_id in (1, 3), design_id in (1, 2)
 
 
+def _refuse_unread(design_id, t, designated, sink, cap, start) -> None:
+    """Refuse what ``build_design`` says design ``design_id`` does not read."""
+    vertex, fixed = _design_kind(design_id)
+    unread = [name for name, value, read in (
+        ("t", t, fixed), ("sink", sink, not fixed), ("cap", cap, not fixed),
+        ("start", start, not vertex), ("designated", designated or None, vertex))
+        if value is not None and not read]
+    if unread:
+        raise InvalidParameterError(
+            f"design {design_id} does not read {', '.join(unread)}")
+
+
 def _walk_pools(g: Graph, rule: StartRule, m: int, t: int, seed: int,
                 lazy: bool, edges: bool) -> np.ndarray:
     """Mark the vertices (or edges) of each fixed-length walk in its row.
@@ -330,13 +342,7 @@ def build_design(g: Graph, design_id: int, m: int, seed: int, t: int | None = No
     if not fixed and sink is None:
         raise InvalidParameterError(f"design {design_id} needs a sink vertex")
     designated = _designated(designated)
-    unread = [name for name, value, read in (
-        ("t", t, fixed), ("sink", sink, not fixed), ("cap", cap, not fixed),
-        ("start", start, not vertex), ("designated", designated or None, vertex))
-        if value is not None and not read]
-    if unread:
-        raise InvalidParameterError(
-            f"design {design_id} does not read {', '.join(unread)}")
+    _refuse_unread(design_id, t, designated, sink, cap, start)
     if vertex:
         for v in designated:
             _check_id("designated vertex", v, g.n)

@@ -25,6 +25,7 @@ from .calibration import (
 from .designs import (
     DesignParams,
     MeasurementMatrix,
+    _design_kind,
     build_design,
     design_parameters,
     edge_walk_design,
@@ -33,13 +34,11 @@ from .errors import (GenerationFailureError, InvalidParameterError,
                      SizeExceededError, _as_count, _check_id, _check_int,
                      _check_number, _id_list)
 from .graphs import (
+    _FAMILY_PARAMS,
     Graph,
     _check_family,
-    complete_graph,
-    cycle_graph,
+    _family_graph,
     degree_uniformity,
-    erdos_renyi_graph,
-    random_regular_graph,
     stationary_distribution,
 )
 from .grouptest import (
@@ -211,24 +210,26 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
-# The keys each family's config needs besides "family".
-_FAMILY_KEYS = {"complete": ("n",), "cycle": ("n",), "erdos-renyi": ("n", "p"),
-                "random-regular": ("n", "degree")}
 _GRAPH_ATTEMPTS = 50  # samples of a random family before giving up
 
 
 def check_graph_config(cfg) -> None:
     """Raise InvalidParameterError unless ``cfg`` is a graph config object
-    of a known family that has the keys its family reads, with values its
-    generator takes."""
+    of a known family that has exactly the keys its family reads, with
+    values its generator takes."""
     if not isinstance(cfg, dict):
         raise InvalidParameterError("graph config must be a JSON object")
     family = cfg.get("family")
-    if family not in _FAMILY_KEYS:
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
         raise InvalidParameterError(f"unknown graph family {family!r}")
-    for key in _FAMILY_KEYS[family]:
+    keys = ("family", "n", *_FAMILY_PARAMS[family])
+    for key in keys[1:]:
         if key not in cfg:
             raise InvalidParameterError(f'{family} graph config needs key "{key}"')
+    unread = [f'"{key}"' for key in cfg if key not in keys]
+    if unread:
+        raise InvalidParameterError(
+            f"{family} graph config does not read {', '.join(unread)}")
     _check_family(family, cfg["n"], p=cfg.get("p"), degree=cfg.get("degree"))
 
 
@@ -238,16 +239,10 @@ def graph_from_config(cfg: dict, seed: int) -> tuple[Graph, int]:
     (graph, regeneration count)."""
     check_graph_config(cfg)
     family, n = cfg["family"], cfg["n"]
-    if family == "complete":
-        return complete_graph(n), 0
-    if family == "cycle":
-        return cycle_graph(n), 0
+    if not _FAMILY_PARAMS[family]:
+        return _family_graph(family, n, seed, cfg), 0
     for attempt in range(_GRAPH_ATTEMPTS):
-        gseed = _child_seed(seed, attempt)
-        if family == "erdos-renyi":
-            g = erdos_renyi_graph(n, float(cfg["p"]), gseed)
-        else:
-            g = random_regular_graph(n, cfg["degree"], gseed)
+        g = _family_graph(family, n, _child_seed(seed, attempt), cfg)
         if g.connected and not g.bipartite:
             return g, attempt
     raise GenerationFailureError(
@@ -362,7 +357,7 @@ def success_sweep(
     wins = {m: 0 for m in m_grid}
     regens = 0
     params_sample = None
-    deterministic = graph_config["family"] in ("complete", "cycle")
+    deterministic = not _FAMILY_PARAMS[graph_config["family"]]
     cache: dict = {}
 
     def build(trial: int):
@@ -371,7 +366,7 @@ def success_sweep(
         if deterministic and cache:
             g, params, r = cache["g"], cache["params"], 0
         else:
-            # complete and cycle graphs read no seed
+            # a family that reads no parameters reads no seed
             gseed = 0 if deterministic else _child_seed(seed, trial, 0)
             g, r = graph_from_config(graph_config, gseed)
             params = measured_design_parameters(g, d, eta, constants)
@@ -379,7 +374,7 @@ def success_sweep(
                 cache.update(g=g, params=params)
         if t_override is not None:
             t = t_override
-        elif design_id in (1, 2):
+        elif _design_kind(design_id)[1]:
             t = params.walk_length(design_id)
         else:
             t = None
@@ -455,7 +450,8 @@ def _mixing_grid(family: str, n_grid, degree_rule: str) -> list[dict]:
     cfgs = []
     for n in sizes:
         D = pinned or math.ceil(6.0 * math.log(n))
-        cfgs.append({"family": family, "n": n, "p": min(D / n, 1.0), "degree": D})
+        cfg = {"family": family, "n": n, "p": min(D / n, 1.0), "degree": D}
+        cfgs.append({key: cfg[key] for key in ("family", "n", *_FAMILY_PARAMS[family])})
         check_graph_config(cfgs[-1])
     return cfgs
 
@@ -497,7 +493,6 @@ def fixed_input_experiment(
     trials: int,
     seed: int,
     budget: float = 1e9,
-    constants: ScaleConstants | None = None,
 ) -> FixedInputResult:
     """Random-instance recovery versus worst-case disjunctness: two sweeps
     of one design on one graph family, at child seeds 1 and 2 of ``seed``,
@@ -507,11 +502,9 @@ def fixed_input_experiment(
     gamma = ln n / (d ln(n/d)) and the full worst-case row formula for
     comparison."""
     rec = success_sweep(graph_config, design_id, d, 0.0, m_grid, trials,
-                        _child_seed(seed, 1), success="recovery",
-                        constants=constants)
+                        _child_seed(seed, 1), success="recovery")
     dis = success_sweep(graph_config, design_id, d, 0.0, m_grid, trials,
-                        _child_seed(seed, 2), success="disjunct",
-                        budget=budget, constants=constants)
+                        _child_seed(seed, 2), success="disjunct", budget=budget)
     n = int(graph_config["n"])
     gamma = math.log(n) / (d * math.log(n / d))
     m_full = rec.metadata["params"]["m1_noisy" if design_id == 1 else "m2_noisy"]

@@ -229,8 +229,11 @@ class Distribution:
 # ---------------------------------------------------------------------------
 
 
-# The least n each generator takes.
+# The least n each family's generator takes, and the parameters it reads
+# after n; a family that reads any is random and takes a seed last.
 _MIN_N = {"complete": 2, "cycle": 3, "erdos-renyi": 2, "random-regular": 2}
+_FAMILY_PARAMS = {"complete": (), "cycle": (), "erdos-renyi": ("p",),
+                  "random-regular": ("degree",)}
 
 
 def _check_family(family: str, n, p=None, degree=None) -> None:
@@ -314,6 +317,18 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     raise GenerationFailureError(
         f"no simple {degree}-regular graph on {n} vertices in 1000 restarts"
     )
+
+
+def _family_graph(family: str, n: int, seed: int, params) -> Graph:
+    """The ``family`` graph on ``n`` vertices with the parameters in ``params``;
+    generators are called by name, so a wrapper bound over one is called."""
+    if family == "complete":
+        return complete_graph(n)
+    if family == "cycle":
+        return cycle_graph(n)
+    if family == "erdos-renyi":
+        return erdos_renyi_graph(n, params["p"], seed)
+    return random_regular_graph(n, params["degree"], seed)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ ROWS = [
         n_grid=[6, 8], seed=1, degree_rule="fixed:3", lazy=False),
     row(experiments.fixed_input_experiment, "design_id d m_grid trials",
         graph_config=K5, design_id=1, d=1, m_grid=[4, 8], trials=30, seed=1,
-        budget=1e9, constants=CALIBRATED),
+        budget=1e9),
     row(experiments.verification_suite, "d trials", g=G, d=1, trials=30,
         seed=1),
     row(experiments.tomography_demo, "source congested t m", g=G, source=0,

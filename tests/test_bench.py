@@ -1,7 +1,8 @@
 """scripts/bench.py: the verdict on each end-to-end metric of a BENCH file,
 the bytecode compile before the first timed run, the metrics printed per
 pair, and the commits the file names; and that every span name perfbench's
-tracer builds a metric from is a public walktest binding."""
+tracer builds a metric from is a public walktest binding, which the graph
+family dispatch calls."""
 
 import importlib
 import importlib.util
@@ -11,10 +12,18 @@ from pathlib import Path
 
 import pytest
 
-spec = importlib.util.spec_from_file_location(
-    "bench", Path(__file__).resolve().parents[1] / "scripts" / "bench.py")
-bench = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _load("bench", ROOT / "scripts" / "bench.py")
+tracing = _load("tracing", ROOT / "perfbench" / "tracing.py")
 
 
 def pairs(parent, change):
@@ -187,10 +196,6 @@ def test_checkouts_null_outside_git(tmp_path, monkeypatch):
 def test_tracer_names_resolve_to_public_walktest_bindings():
     # a per-layer metric whose span name no longer resolves reads None, so a
     # rename or a new underscore in walktest must show here, not in a BENCH file
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     names = {*tracing._INFO_HOOKS} | {name for group in tracing.GROUPS.values()
                                       for name in group if not name.endswith(".")}
     unresolved = []
@@ -204,3 +209,33 @@ def test_tracer_names_resolve_to_public_walktest_bindings():
                 and obj.__name__ == attrs[-1]):
             unresolved.append(name)
     assert names and not unresolved, unresolved
+
+
+@pytest.mark.parametrize("family, params, generator", [
+    ("complete", {"n": 6}, "complete_graph"),
+    ("cycle", {"n": 7}, "cycle_graph"),
+    ("erdos-renyi", {"n": 16, "p": 0.5}, "erdos_renyi_graph"),
+    ("random-regular", {"n": 16, "degree": 4}, "random_regular_graph"),
+])
+def test_tracer_sees_the_generator_of_every_family(tmp_path, family, params,
+                                                   generator):
+    # graphs.build counts generator spans, so the family dispatch must call
+    # the generators through the bindings the tracer replaces, not through
+    # function objects kept from import time
+    mods = {layer: importlib.import_module(f"walktest.{layer}")
+            for layer in tracing.LAYERS}
+    argv = ["gen-graph", "--family", family, "--out", str(tmp_path / "g.json")]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    tracer = tracing.Tracer()
+    inst = tracing.Installation(tracer, mods)
+    try:
+        assert mods["cli"].main(argv) == 0
+        gen_graph = [sp[0] for sp in tracer.spans]
+        tracer.clear()
+        mods["experiments"].graph_from_config(dict(params, family=family), 1)
+        from_config = [sp[0] for sp in tracer.spans]
+    finally:
+        inst.remove()
+    assert f"graphs.{generator}" in gen_graph
+    assert f"graphs.{generator}" in from_config

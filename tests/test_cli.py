@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from walktest import experiments
 from walktest.cli import _build_parser, main
 from walktest.designs import read_matrix
 from walktest.graphs import complete_graph, read_graph, write_graph
@@ -398,6 +399,26 @@ class TestUnreadOptions:
         assert diag["message"] == message
         assert not out_file.exists()
 
+    def test_unread_option_refused_before_sizing(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # without --m the design is sized from the mixing time; an option
+        # the design does not read is refused before that work
+        graph = tmp_path / "k6.json"
+        run(capsys, "gen-graph", "--family", "complete", "--n", "6",
+            "--out", str(graph))
+
+        def no_sizing(*args, **kwargs):
+            raise AssertionError("mixing_time called")
+
+        monkeypatch.setattr(experiments, "mixing_time", no_sizing)
+        out_file = tmp_path / "M.json"
+        code, out, err = run(capsys, "design", "--graph", str(graph),
+                             "--design", "1", "--d", "2", "--sink", "2",
+                             "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert load_json(err)["message"] == "design 1 does not read sink"
+        assert not out_file.exists()
+
     def test_auto_or_no_m_sizes_the_design(self, tmp_path, capsys):
         graph = tmp_path / "k6.json"
         run(capsys, "gen-graph", "--family", "complete", "--n", "6",
@@ -754,6 +775,19 @@ class TestExperimentCommand:
                          "d": 1}, "unknown design id 9"),
         ("mixing", {"family": "cycle", "n_grid": [8, 16]},
          "graph is bipartite; use lazy=True"),
+        # a graph config holds exactly the keys its family reads
+        ("sweep", {"graph": {"family": "complete", "n": 64, "p": 0.3}},
+         'complete graph config does not read "p"'),
+        ("fixed-input", {"graph": {"family": "cycle", "n": 9, "degree": 2}},
+         'cycle graph config does not read "degree"'),
+        ("verify", {"graph": {"family": "erdos-renyi", "n": 64, "p": 0.3,
+                              "degree": 8, "size": 3}},
+         'erdos-renyi graph config does not read "degree", "size"'),
+        ("tomo", {"graph": {"family": "random-regular", "n": 16, "degree": 4,
+                            "p": 0.3}},
+         'random-regular graph config does not read "p"'),
+        ("sweep", {"graph": {"family": ["complete"], "n": 8}},
+         "unknown graph family ['complete']"),
     ], ids=["text-design", "text-trials", "text-number-trials", "float-d",
             "text-eta", "null-budget", "unknown-success", "bool-trials",
             "text-d", "text-q", "float-source", "text-confidence", "text-seed",
@@ -763,7 +797,9 @@ class TestExperimentCommand:
             "text-lazy", "integer-graph-file", "number-graph-file",
             "verify-large-d", "verify-bipartite", "tomo-source-range",
             "tomo-edge-range", "sweep-design-id", "sweep-zero-d",
-            "fixed-input-design-id", "mixing-bipartite"])
+            "fixed-input-design-id", "mixing-bipartite", "complete-p",
+            "cycle-degree", "erdos-renyi-degree-size", "random-regular-p",
+            "list-family"])
     def test_bad_config_value_is_reported_before_output(
             self, tmp_path, capsys, kind, change, message):
         graph = {"family": "erdos-renyi", "n": 64, "p": 0.3}
