@@ -14,7 +14,10 @@ workload and metric, each side's median and quartiles over the pairs, the
 change/parent ratio of the medians and the number of pairs the change won
 (by the metric's direction in BENCHMARK.json; ties count for neither).
 Each end-to-end metric also gets a ``verdict`` against its BENCHMARK.json
-bound (see ``verdict``).
+bound (see ``verdict``).  A workload on which any run was not correct, or
+whose two sides failed different numbers of operations, gets the verdict
+``incorrect`` on every end-to-end metric instead, and the script exits 1
+once the file is written: a time taken on wrong outputs is no gain.
 ``--trace 0`` fills the file's ``end_to_end`` section, ``--trace 1`` its
 ``per_layer`` section; runs with another label, section or workload already
 in the file are kept, so several invocations build one file.  The file also
@@ -202,6 +205,21 @@ def summarise(pairs: list[dict], lower_is_better: dict[str, bool],
     return metrics
 
 
+def mark_incorrect(pairs: list[dict], metrics: dict) -> bool:
+    """Set every verdict in ``metrics`` to ``incorrect`` unless each run of
+    ``pairs`` was correct and both sides failed as many operations; say
+    whether it did."""
+    failed = {side: sum(p[side]["failed"] for p in pairs)
+              for side in ("parent", "change")}
+    if (all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
+            and failed["parent"] == failed["change"]):
+        return False
+    for row in metrics.values():
+        if "verdict" in row:
+            row["verdict"] = "incorrect"
+    return True
+
+
 def directions(checkout: Path) -> tuple[dict[str, bool], dict[str, float]]:
     """Each metric's direction (lower is better) and each end-to-end
     metric's bound, from the checkout's BENCHMARK.json."""
@@ -251,6 +269,7 @@ def main(argv=None) -> int:
         print(f"wrote {out}")
         return 0
     section = doc.setdefault(SECTIONS[args.trace], {})
+    status = 0
     for workload in args.workload or WORKLOADS:
         pairs = []
         for k in range(args.pairs):
@@ -263,17 +282,23 @@ def main(argv=None) -> int:
             shown = {side: {m: round(v, 4) for m, v in pair[side]["metrics"].items()
                             if m in SHOWN and v is not None} for side in order}
             print(f"{workload} seed {seed}: {json.dumps(shown)}", flush=True)
+        metrics = summarise(pairs, lower, bounds)
+        if mark_incorrect(pairs, metrics):
+            print(f"bench: {workload}: a run was not correct or the sides failed "
+                  "different numbers of operations; verdicts read incorrect",
+                  file=sys.stderr)
+            status = 1
         section[workload] = {
             "seconds": args.seconds, "seeds": [p["parent"]["seed"] for p in pairs],
             "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
             "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
             "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
-            "metrics": summarise(pairs, lower, bounds),
+            "metrics": metrics,
             "runs": pairs,
         }
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

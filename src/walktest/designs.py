@@ -15,8 +15,12 @@ columns, step cap and pool filler once.  The named builders call it.
 
 A matrix stores one read-only boolean (m, n_items) array and nothing derived
 from it: the builders mark each walk's items straight into its row, stripped
-columns stay all false, a row prefix is a view, and the file format converts
-the array to and from row lists in one vectorised pass.
+columns stay all false, and a row prefix is a view.  ``matrix_to_json``
+turns the array into row lists in one vectorised pass; ``write_matrix``
+renders the same file text straight from the array, as byte tokens
+gathered per block of rows, and its bytes equal ``json.dumps`` of
+``matrix_to_json``.  ``read_matrix`` parses with ``json.loads`` and
+scatters the rows back in one pass.
 
 The size formulas take explicit multipliers (ScaleConstants); shipped
 defaults were frozen by scripts/calibrate.py and live in calibration.py.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -33,8 +38,8 @@ import numpy as np
 
 from .calibration import CALIBRATED, ScaleConstants
 from .errors import (GenerationFailureError, InvalidParameterError, _as_count,
-                     _check_id, _check_int, _check_number, _id_list, read_json,
-                     write_json)
+                     _check_id, _check_int, _check_number, _id_list, _write_text,
+                     read_json)
 from .graphs import Graph
 from .rng import trial_rng
 from .walks import (
@@ -69,6 +74,7 @@ __all__ = [
 
 MAX_WALK_ATTEMPTS = 100  # sink-walk regeneration budget per row
 _SCATTER_ROWS = 256  # walk rows scattered into pools per flat-index block
+_TEXT_CELLS = 1 << 18  # pool cells rendered to row text per block
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +453,60 @@ def verify_rows(g: Graph, M: MeasurementMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def matrix_to_json(M: MeasurementMatrix) -> dict:
+def _matrix_doc(M: MeasurementMatrix, rows) -> dict:
     return {
         "item_kind": M.item_kind,
         "n_items": M.n_items,
         "stripped": list(M.stripped),
-        "rows": _row_lists(M.pools),
+        "rows": rows,
         "design": M.design,
         "seed": M.seed,
     }
+
+
+def matrix_to_json(M: MeasurementMatrix) -> dict:
+    return _matrix_doc(M, _row_lists(M.pools))
+
+
+def _rows_text(pools: np.ndarray) -> str:
+    """``json.dumps(_row_lists(pools))``, rendered per block of rows as one
+    gather of byte tokens: ``"c, "`` for item c, ``"c"`` for a row's last
+    item, ``"["`` opening a row, ``"], "`` closing one and ``"]"`` closing
+    the last.  A token is padded to whole uint64 words, so the gather moves
+    words, and a mask gathered alongside keeps its ``lens`` bytes."""
+    m, n = pools.shape
+    digits = len(str(max(n - 1, 0)))
+    size = -(-(digits + 2) // 8) * 8
+    ids = np.arange(n)
+    tab = np.zeros((2 * n + 3, size), dtype=np.uint8)
+    tab[:n, :digits] = ids.astype(f"S{digits}").view(np.uint8).reshape(n, digits)
+    width = np.count_nonzero(tab[:n], axis=1)
+    tab[ids, width], tab[ids, width + 1] = ord(","), ord(" ")
+    tab[n:2 * n] = tab[:n]
+    tab[2 * n:, :3] = np.frombuffer(b"[\0\0], ]\0\0", dtype=np.uint8).reshape(3, 3)
+    lens = np.concatenate([width + 2, width, [1, 3, 1]])
+    keep = (np.arange(size) < lens[:, None]).view(np.uint64)
+    tab = tab.view(np.uint64)
+    step = max(1, _TEXT_CELLS // max(n, 1))
+    out = [b"["]
+    for r0 in range(0, m, step):
+        block = pools[r0:r0 + step]
+        flat = np.flatnonzero(block)
+        rows, cols = np.divmod(flat, max(n, 1))
+        counts = np.bincount(rows, minlength=len(block))
+        ends = np.cumsum(counts)
+        cols[ends[counts > 0] - 1] += n  # a row's last item
+        shift = 2 * np.arange(len(block))
+        pieces = np.empty(flat.size + 2 * len(block), dtype=np.intp)
+        pieces[ends - counts + shift] = 2 * n
+        pieces[ends + shift + 1] = 2 * n + 1
+        pieces[np.arange(flat.size) + 2 * rows + 1] = cols
+        if r0 + step >= m:
+            pieces[-1] = 2 * n + 2
+        toks = np.take(tab, pieces, axis=0).view(np.uint8)
+        out.append(toks[np.take(keep, pieces, axis=0).view(bool)].tobytes())
+    out.append(b"]")
+    return b"".join(out).decode("ascii")
 
 
 def matrix_from_json(obj: dict) -> MeasurementMatrix:
@@ -502,7 +553,14 @@ def matrix_from_json(obj: dict) -> MeasurementMatrix:
 
 
 def write_matrix(path, M: MeasurementMatrix) -> None:
-    write_json(path, matrix_to_json(M))
+    """Write the bytes ``write_json(path, matrix_to_json(M))`` would: each
+    top-level value as ``json.dumps`` renders it, in sorted key order, but
+    the rows as ``_rows_text`` renders them from ``pools``."""
+    doc = _matrix_doc(M, None)
+    _write_text(path, "{" + ", ".join(
+        f'"{key}": ' + (_rows_text(M.pools) if key == "rows" else
+                        json.dumps(value, sort_keys=True, default=str))
+        for key, value in sorted(doc.items())) + "}\n")
 
 
 def read_matrix(path) -> MeasurementMatrix:

@@ -10,10 +10,12 @@ argument is: an integer is a Python or numpy int but not a bool, a number
 an integer or float, an id an integer below a limit, and an id list any
 iterable but a string.  Range checks particular to one function stay in it.
 
-``write_json`` writes every JSON file the library and the CLI write
-(matrices, graphs, outcomes, manifests) and ``read_json`` reads them back;
-``parse_errors`` reports a file that is not UTF-8 or not JSON as an
-InvalidParameterError.
+``_write_text`` opens and writes every graph, matrix, outcome and
+manifest file the library and the CLI write.  ``write_json`` renders
+outcomes and manifests for it; the matrix and graph writers render their
+own text, the same bytes ``write_json`` would give.  ``read_json`` reads
+every JSON file back, and ``parse_errors`` reports a file that is not
+UTF-8 or not JSON as an InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -133,11 +135,16 @@ def _id_list(what: str, of: str, xs) -> tuple:
     return tuple(xs)
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_json(path, obj, indent: int | None = None) -> None:
     """Write ``obj`` to ``path`` as sorted-key JSON and a newline; a value
     JSON cannot hold is written as its ``str``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=indent, default=str) + "\n")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=indent, default=str) + "\n")
 
 
 @contextmanager

@@ -26,6 +26,7 @@ from .designs import (
     DesignParams,
     MeasurementMatrix,
     _design_kind,
+    _refuse_unread,
     build_design,
     design_parameters,
     edge_walk_design,
@@ -352,6 +353,8 @@ def success_sweep(
     graph takes no seed, and the planted set is drawn when the trial is
     tallied for recovery, so a disjunct scan draws none."""
     m_grid = _sweep_grid(graph_config, m_grid, trials, success)
+    # before the first trial builds its graph and sizes its design
+    _refuse_unread(design_id, t_override, designated, sink, None, None)
     mode = success
     m_max = m_grid[-1]
     wins = {m: 0 for m in m_grid}
@@ -500,7 +503,12 @@ def fixed_input_experiment(
 
     Random-instance recovery needs far fewer rows; the result reports
     gamma = ln n / (d ln(n/d)) and the full worst-case row formula for
-    comparison."""
+    comparison.  Only the fixed-length designs 1 and 2 are taken: the
+    experiment passes no sink."""
+    if not _design_kind(design_id)[1]:
+        raise InvalidParameterError(
+            "fixed-input experiments pass no sink, so take design 1 or 2, "
+            f"got {design_id}")
     rec = success_sweep(graph_config, design_id, d, 0.0, m_grid, trials,
                         _child_seed(seed, 1), success="recovery")
     dis = success_sweep(graph_config, design_id, d, 0.0, m_grid, trials,

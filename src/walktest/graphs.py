@@ -10,6 +10,10 @@ fixed bijection onto 0..|E|-1 used everywhere an "edge item" appears.
 id of every entry, built in numpy from ``edge_list``.  Degrees, connectivity,
 bipartiteness, edge-id lookup, the per-vertex rows of the scalar walk
 engines (``Graph.moves``) and every dense operator are read from it.
+
+``write_graph`` renders a JSON file straight to text, one ``%d`` template
+per edge; the bytes are those of ``json.dumps(graph_to_json(g),
+sort_keys=True, indent=2)`` and a newline.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .errors import (
     _check_int,
     _check_number,
     _id_list,
+    _write_text,
     parse_errors,
-    write_json,
 )
 from .rng import master_rng
 
@@ -98,7 +102,7 @@ class Graph:
             if key in seen:
                 raise InvalidParameterError(f"duplicate edge ({key[0]},{key[1]})")
             seen.add(key)
-        return cls(n=n, edge_list=tuple(sorted(seen)))
+        return cls(n=int(n), edge_list=tuple(sorted(seen)))
 
     # -- derived structure (cached; Graph is immutable) --
 
@@ -236,10 +240,11 @@ _FAMILY_PARAMS = {"complete": (), "cycle": (), "erdos-renyi": ("p",),
                   "random-regular": ("degree",)}
 
 
-def _check_family(family: str, n, p=None, degree=None) -> None:
-    """Raise unless the generator of ``family`` takes ``n`` and, for the
-    random families, ``p`` or ``degree``; graph configs are checked here too."""
-    _check_int("n", n)
+def _check_family(family: str, n, p=None, degree=None) -> int:
+    """``n`` as a Python int, after checking that the generator of ``family``
+    takes it and, for the random families, ``p`` or ``degree``; graph
+    configs are checked here too."""
+    n = _check_int("n", n)
     if n < _MIN_N[family]:
         raise InvalidParameterError(
             f"{family} graph needs n >= {_MIN_N[family]}, got {n}")
@@ -254,16 +259,17 @@ def _check_family(family: str, n, p=None, degree=None) -> None:
                 f"need 0 < degree < n, got degree={degree}, n={n}")
         if (n * degree) % 2:
             raise InvalidParameterError(f"n*degree must be even, got {n}*{degree}")
+    return n
 
 
 def complete_graph(n: int) -> Graph:
-    _check_family("complete", n)
+    n = _check_family("complete", n)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n=n, edge_list=tuple(edges))
 
 
 def cycle_graph(n: int) -> Graph:
-    _check_family("cycle", n)
+    n = _check_family("cycle", n)
     edges = sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n))
     return Graph(n=n, edge_list=tuple(edges))
 
@@ -274,7 +280,7 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     Same (n, p, seed) -> identical graph; pairs are drawn in lexicographic
     order from the master stream of ``seed``.
     """
-    _check_family("erdos-renyi", n, p=p)
+    n = _check_family("erdos-renyi", n, p=p)
     hits = np.flatnonzero(master_rng(seed).random(n * (n - 1) // 2) < p)
     us, vs = np.triu_indices(n, 1)  # the pairs in lexicographic order
     return Graph(n=n, edge_list=tuple(zip(us[hits].tolist(), vs[hits].tolist())))
@@ -288,12 +294,12 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     matching, up to 1000 times.  Output is near-uniform conditioned on
     success.
     """
-    _check_family("random-regular", n, degree=degree)
+    n = _check_family("random-regular", n, degree=degree)
     rng = master_rng(seed)
     for _ in range(1000):
         stubs = np.repeat(np.arange(n), degree)
         rng.shuffle(stubs)
-        stubs = list(stubs)
+        stubs = stubs.tolist()
         edges: set[tuple[int, int]] = set()
         failures = 0
         while stubs and failures < 1000:
@@ -465,10 +471,12 @@ def graph_from_json(doc: dict) -> Graph:
 def write_graph(g: Graph, path: str, format: str = "json") -> None:
     """Write ``g`` as indented JSON, or as text with one "u v" line per edge."""
     if format == "json":
-        write_json(path, graph_to_json(g), indent=2)
+        edges = ",\n".join(["    [\n      %d,\n      %d\n    ]"] * g.edge_count)
+        if edges:
+            edges = "\n" + edges % tuple(chain.from_iterable(g.edge_list)) + "\n  "
+        _write_text(path, '{\n  "edges": [%s],\n  "n": %d\n}\n' % (edges, g.n))
     elif format == "text":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{u} {v}\n" for u, v in g.edge_list)
+        _write_text(path, "".join(f"{u} {v}\n" for u, v in g.edge_list))
     else:
         raise InvalidParameterError(
             f'graph format must be "json" or "text", got {format!r}')

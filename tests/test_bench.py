@@ -1,5 +1,5 @@
 """scripts/bench.py: the verdict on each end-to-end metric of a BENCH file,
-the bytecode compile before the first timed run, the metrics printed per
+the ``incorrect`` verdict on wrong outputs, the bytecode compile before the first timed run, the metrics printed per
 pair, and the commits the file names; and that every span name perfbench's
 tracer builds a metric from is a public walktest binding, which the graph
 family dispatch calls."""
@@ -75,6 +75,47 @@ def test_verdict_follows_direction():
     assert bench.verdict(both, lower=False, bound=0.24) == "gain"
     assert bench.verdict(both, lower=True, bound=0.24) == "worse"
     assert bench.verdict([(b, a) for a, b in both], lower=False, bound=0.2) == "worse"
+
+
+@pytest.mark.parametrize("bad, want", [
+    (None, "gain"),
+    ({"side": "parent", "seed": 104, "correct": False, "failed": 1}, "incorrect"),
+    ({"side": "change", "seed": 109, "correct": False, "failed": 0}, "incorrect"),
+    ({"side": "change", "seed": 101, "correct": True, "failed": 2}, "incorrect"),
+], ids=["all-correct", "parent-wrong", "change-wrong", "failed-counts-differ"])
+def test_wrong_outputs_read_incorrect_and_exit_one(tmp_path, monkeypatch, bad, want):
+    # the change is 30% faster on every pair, which reads gain unless a run
+    # was wrong
+    spec = (ROOT / "BENCHMARK.json").read_text()
+    sides = {}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(spec)
+        sides[side] = (tmp_path / side).resolve()
+
+    def fake_run(cmd, cwd, **kwargs):
+        if "compileall" in cmd:
+            return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+        side = "parent" if Path(cwd) == sides["parent"] else "change"
+        seed = int(cmd[cmd.index("--seed") + 1])
+        wall = (1.0 if side == "parent" else 0.7) + seed / 1e4
+        result = {"correct": True, "attempted": 5, "failed": 0,
+                  "metrics": {"wall_s": {"value": wall},
+                              "grouptest.nodes": {"value": 9.0}}}
+        if bad and (bad["side"], bad["seed"]) == (side, seed):
+            result.update(correct=bad["correct"], failed=bad["failed"])
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    code = bench.main(["--parent", str(sides["parent"]), "--change",
+                       str(sides["change"]), "--label", "t", "--pairs", "10",
+                       "--workload", "verify"])
+    assert code == (0 if want == "gain" else 1)
+    doc = json.loads((sides["change"] / "BENCH_t.json").read_text())
+    metrics = doc["end_to_end"]["verify"]["metrics"]
+    assert metrics["wall_s"]["verdict"] == want
+    assert "verdict" not in metrics["grouptest.nodes"]
 
 
 def test_directions_read_benchmark_bounds():

@@ -773,6 +773,8 @@ class TestExperimentCommand:
          "need 1 <= d < n, got d=0, n=8"),
         ("fixed-input", {"graph": {"family": "complete", "n": 8}, "design": 9,
                          "d": 1}, "unknown design id 9"),
+        ("fixed-input", {"design": 3}, "fixed-input experiments pass no sink, "
+                                       "so take design 1 or 2, got 3"),
         ("mixing", {"family": "cycle", "n_grid": [8, 16]},
          "graph is bipartite; use lazy=True"),
         # a graph config holds exactly the keys its family reads
@@ -797,7 +799,8 @@ class TestExperimentCommand:
             "text-lazy", "integer-graph-file", "number-graph-file",
             "verify-large-d", "verify-bipartite", "tomo-source-range",
             "tomo-edge-range", "sweep-design-id", "sweep-zero-d",
-            "fixed-input-design-id", "mixing-bipartite", "complete-p",
+            "fixed-input-design-id", "fixed-input-sink-design",
+            "mixing-bipartite", "complete-p",
             "cycle-degree", "erdos-renyi-degree-size", "random-regular-p",
             "list-family"])
     def test_bad_config_value_is_reported_before_output(

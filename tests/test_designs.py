@@ -1,16 +1,20 @@
 """Design constructors: size formulas, row replay, stripping, file format."""
 
+import json
 import math
+import os
 import re
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walktest import designs, walks
 from walktest.designs import (
+    MeasurementMatrix,
     ScaleConstants,
     build_design,
     design_parameters,
@@ -390,3 +394,78 @@ def test_walk_pools_match_per_row_replay(edges, lazy, rule, m, t, chunk, seed):
         w = random_walk(g, start, t, trial_rng(seed, i), lazy=lazy, index=i)
         want[i, list(w.edges if edges else w.vertices)] = True
     assert np.array_equal(pools, want)
+
+
+# ids on both sides of each change in digit count
+_DIGIT_EDGES = (0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000)
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=8)
+
+
+def _matrix(n_items, rows, stripped=(), design=None, kind="vertex", seed=0):
+    pools = np.zeros((len(rows), n_items), dtype=bool)
+    for i, row in enumerate(rows):
+        pools[i, list(row)] = True
+    return MeasurementMatrix(item_kind=kind, pools=pools,
+                             stripped=tuple(sorted(stripped)),
+                             design={} if design is None else design, seed=seed)
+
+
+@st.composite
+def matrices(draw):
+    """Matrices with up to 10001 columns, ids drawn often at the digit-count
+    edges, forced empty first, middle or last rows, stripped columns, and
+    design dicts of any JSON value, a ``"rows"`` key among them."""
+    n = draw(st.sampled_from([0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000,
+                              1001, 9999, 10000, 10001]))
+    m = draw(st.integers(0, 8))
+    rows, stripped = [[]] * m, []
+    if n:
+        ids = (st.sampled_from([x for x in _DIGIT_EDGES if x < n] + [n - 1])
+               | st.integers(0, n - 1))
+        stripped = draw(st.lists(ids, unique=True, max_size=3))
+        rows = [set(draw(st.lists(ids, max_size=12))) - set(stripped)
+                for _ in range(m)]
+        if m:
+            for i in draw(st.sets(st.sampled_from([0, m // 2, m - 1]))):
+                rows[i] = set()
+    design = draw(st.dictionaries(st.text(), _JSON_VALUES, max_size=4))
+    design.update(draw(st.fixed_dictionaries({}, optional={
+        "rows": st.none() | st.just([[0]]),
+        "note": st.just('a "rows": null, "rows": [[0], []]'),
+        "m": st.integers(0, 8)})))
+    return _matrix(n, rows, stripped, design, draw(st.sampled_from(["vertex", "edge"])),
+                   draw(st.integers(-2**70, 2**70)))
+
+
+@given(M=matrices(), cells=st.sampled_from([1, 7, 1000, designs._TEXT_CELLS]))
+@example(M=_matrix(5, []), cells=designs._TEXT_CELLS)
+@example(M=_matrix(0, [[], []]), cells=1)
+@example(M=_matrix(1, [[], [0], []]), cells=1)
+@example(M=_matrix(10001, [[], [9, 10, 99, 100], [], [999, 1000, 9999, 10000], []],
+                   stripped=[0, 5000],
+                   design={"rows": None, "note": 'x "rows": null',
+                           "nested": {"b": [1.5, None, -0.0], "a": "\u00e9\u4e2d"},
+                           "float": 1e300}),
+         cells=7)
+@settings(max_examples=150, deadline=None)
+def test_write_matrix_renders_the_stdlib_bytes(M, cells):
+    """``write_matrix`` writes what ``write_json`` writes for
+    ``matrix_to_json(M)``, at any row-block size, and the file reads back
+    to ``M``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "M.json")
+        with mock.patch.object(designs, "_TEXT_CELLS", cells):
+            write_matrix(path, M)
+        with open(path, "rb") as fh:
+            got = fh.read()
+        R = read_matrix(path)
+    want = json.dumps(matrix_to_json(M), sort_keys=True, default=str) + "\n"
+    assert got == want.encode()
+    assert R.pools.shape == M.pools.shape and np.array_equal(R.pools, M.pools)
+    assert (R.item_kind, R.stripped, R.seed) == (M.item_kind, M.stripped, M.seed)
+    assert json.dumps(R.design, sort_keys=True) == json.dumps(M.design, sort_keys=True)

@@ -178,6 +178,21 @@ class TestSuccessSweep:
                                  "\"recovery\", got 'bogus'$"):
             success_sweep(ER64, 1, 1, 0.0, [4, 8], 30, 0, success="bogus")
 
+    @pytest.mark.parametrize("design, options, unread", [
+        (3, {"t_override": 5, "sink": 0}, "t"),
+        (1, {"sink": 2}, "sink"),
+        (2, {"designated": [0, 1]}, "designated"),
+        (4, {"designated": [1], "sink": 0}, "designated"),
+    ], ids=["sink-design-t", "fixed-design-sink", "edge-design-designated",
+            "edge-sink-design-designated"])
+    def test_unread_option_refused_before_any_graph(self, design, options,
+                                                    unread):
+        with mock.patch.object(experiments, "graph_from_config",
+                               side_effect=AssertionError("graph built")):
+            with pytest.raises(InvalidParameterError,
+                               match=f"^design {design} does not read {unread}$"):
+                success_sweep(ER64, design, 1, 0.0, [4, 8], 30, 0, **options)
+
     def test_degrade_replays_earlier_trials(self, monkeypatch):
         degrade_matches_recovery(monkeypatch,
                                  {"family": "erdos-renyi", "n": 24, "p": 0.4})
@@ -293,6 +308,15 @@ class TestMixingScaling:
 
 
 class TestFixedInput:
+    @pytest.mark.parametrize("design", [3, 4])
+    def test_sink_designs_refused_before_any_sweep(self, design):
+        with mock.patch.object(experiments, "success_sweep",
+                               side_effect=AssertionError("sweep run")):
+            with pytest.raises(InvalidParameterError,
+                               match=f"take design 1 or 2, got {design}$"):
+                fixed_input_experiment(ER64, design, 1, [10, 40], trials=30,
+                                       seed=4)
+
     def test_gamma_formula(self):
         fx = fixed_input_experiment(ER64, 1, 2, [0, 30, 60, 120, 200],
                                     trials=30, seed=4)

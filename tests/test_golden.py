@@ -27,10 +27,10 @@ from walktest.cli import main as cli_main
 from walktest.designs import (
     edge_sink_design,
     edge_walk_design,
-    matrix_from_json,
-    matrix_to_json,
+    read_matrix,
     vertex_sink_design,
     vertex_walk_design,
+    write_matrix,
 )
 from walktest.experiments import success_sweep, tomography_demo, verification_suite
 from walktest.errors import WalktestError
@@ -59,13 +59,18 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _matrix_text(M) -> str:
-    """The bytes ``write_matrix`` puts in a file, after a JSON round trip."""
-    text = json.dumps(matrix_to_json(M), sort_keys=True) + "\n"
-    back = json.dumps(matrix_to_json(matrix_from_json(json.loads(text))),
-                      sort_keys=True) + "\n"
-    assert back == text
-    return text
+def _matrix_bytes(M) -> bytes:
+    """The bytes ``write_matrix`` puts in a file; the matrix read back from
+    that file writes them again."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "M.json")
+        write_matrix(path, M)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        write_matrix(path, read_matrix(path))
+        with open(path, "rb") as fh:
+            assert fh.read() == data
+    return data
 
 
 def _csv_text(rows) -> str:
@@ -308,8 +313,7 @@ def _simulate_files() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         matrix = os.path.join(tmp, "M.json")
-        with open(matrix, "w", encoding="utf-8") as fh:
-            fh.write(_matrix_text(_matrices()["design2"]))
+        write_matrix(matrix, _matrices()["design2"])
         for name, noise in _SIMULATE_NOISE.items():
             path = os.path.join(tmp, f"y-{name}.json")
             code = cli_main(["simulate", "--matrix", matrix, "--defectives",
@@ -321,7 +325,8 @@ def _simulate_files() -> dict:
 
 
 def _digests() -> dict:
-    out = {f"matrix/{k}": _sha(_matrix_text(M)) for k, M in _matrices().items()}
+    out = {f"matrix/{k}": hashlib.sha256(_matrix_bytes(M)).hexdigest()
+           for k, M in _matrices().items()}
     out.update({f"outcome/{k}": _sha(b) for k, b in _outcomes().items()})
     out.update({f"csv/{k}": _sha(_csv_text(r)) for k, r in _experiments().items()})
     out["graph/mix"] = _graph_mix_digest()

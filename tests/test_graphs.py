@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -335,6 +337,22 @@ class TestIO:
         lines = (tmp_path / "g.text").read_text().splitlines()
         assert lines == [f"{u} {v}" for u, v in er64.edge_list]
 
+    @pytest.mark.parametrize("make", [
+        lambda: complete_graph(np.int64(5)),
+        lambda: cycle_graph(np.int64(6)),
+        lambda: erdos_renyi_graph(np.int64(12), 0.5, 1),
+        lambda: random_regular_graph(16, 4, 3),
+        lambda: Graph.from_edges(np.int64(4), [(np.int64(0), 3)]),
+    ], ids=["complete", "cycle", "erdos-renyi", "random-regular", "from-edges"])
+    def test_graphs_hold_python_ints(self, tmp_path, make):
+        # a numpy id would be written as its str, "3", which reads back as
+        # a non-integer vertex
+        g = make()
+        assert type(g.n) is int
+        assert all(type(x) is int for e in g.edge_list for x in e)
+        write_graph(g, str(tmp_path / "g.json"))
+        assert read_graph(str(tmp_path / "g.json")) == g
+
     def test_unknown_format_rejected(self, tmp_path, er64):
         with pytest.raises(InvalidParameterError, match="csv"):
             write_graph(er64, str(tmp_path / "g.csv"), format="csv")
@@ -350,3 +368,38 @@ class TestIO:
         path.write_bytes(content)
         with pytest.raises(InvalidParameterError, match=message):
             read_graph(str(path))
+
+
+@st.composite
+def digit_edge_graphs(draw):
+    """Graphs of up to 10001 vertices, ids drawn often at the digit-count
+    edges; one in three has no edges."""
+    n = draw(st.sampled_from([1, 2, 9, 10, 11, 100, 101, 1000, 1001, 10001]))
+    if n == 1 or draw(st.integers(0, 2)) == 0:
+        return Graph.from_edges(n, [])
+    ids = (st.sampled_from([x for x in (0, 9, 10, 99, 100, 999, 1000, 9999, 10000)
+                            if x < n] + [n - 1]) | st.integers(0, n - 1))
+    pairs = draw(st.sets(st.tuples(ids, ids), min_size=1, max_size=30))
+    pairs = {(min(e), max(e)) for e in pairs if e[0] != e[1]}
+    return Graph.from_edges(n, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(digit_edge_graphs())
+@example(Graph.from_edges(5, []))
+@example(complete_graph(4))
+@example(cycle_graph(np.int64(5)))
+@example(random_regular_graph(np.int64(16), 4, 3))
+@example(erdos_renyi_graph(64, 0.3, 2010))
+def test_json_writer_renders_the_stdlib_bytes(g):
+    """``write_graph`` writes what ``json.dumps`` writes for
+    ``graph_to_json(g)`` at indent 2, and the file reads back to ``g``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        write_graph(g, path)
+        with open(path, "rb") as fh:
+            got = fh.read()
+        back = read_graph(path)
+    want = json.dumps(graph_to_json(g), sort_keys=True, indent=2, default=str) + "\n"
+    assert got == want.encode()
+    assert back == g
