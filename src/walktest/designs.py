@@ -33,13 +33,14 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from json.decoder import scanstring
 
 import numpy as np
 
 from .calibration import CALIBRATED, ScaleConstants
 from .errors import (GenerationFailureError, InvalidParameterError, _as_count,
                      _check_id, _check_int, _check_number, _id_list, _write_text,
-                     read_json)
+                     parse_errors)
 from .graphs import Graph
 from .rng import trial_rng
 from .walks import (
@@ -509,15 +510,15 @@ def _rows_text(pools: np.ndarray) -> str:
     return b"".join(out).decode("ascii")
 
 
-def matrix_from_json(obj: dict) -> MeasurementMatrix:
-    """Check a matrix file's object and scatter its rows into one array."""
+def _matrix_header(obj) -> tuple[str, int, list]:
+    """Check every key of a matrix file's object but its rows; return the
+    item kind, ``n_items`` and the stripped ids."""
     if not isinstance(obj, dict):
         raise InvalidParameterError("matrix JSON must be an object")
     for key in ("item_kind", "n_items", "stripped", "rows", "design", "seed"):
         if key not in obj:
             raise InvalidParameterError(f"matrix JSON missing key {key!r}")
-    kind, n_items, stripped, rows = (obj[k] for k in ("item_kind", "n_items",
-                                                      "stripped", "rows"))
+    kind, n_items, stripped = (obj[k] for k in ("item_kind", "n_items", "stripped"))
     if kind not in ("vertex", "edge"):
         raise InvalidParameterError(f"bad item_kind {kind!r}")
     _as_count("n_items", n_items, 0)
@@ -526,21 +527,20 @@ def matrix_from_json(obj: dict) -> MeasurementMatrix:
         raise InvalidParameterError("design must be a JSON object")
     for x in _id_list("stripped", "integers", stripped):
         _check_id("stripped item", x, n_items)
-    if not isinstance(rows, list) or set(map(type, rows)) - {list}:
-        raise InvalidParameterError("rows must be a list of lists")
-    flat = list(itertools.chain.from_iterable(rows))
-    items = None
-    if not set(map(type, flat)) - {int}:
-        with contextlib.suppress(OverflowError):  # beyond int64: out of range
-            items = np.fromiter(flat, dtype=np.int64, count=len(flat))
-    if items is None or items.size and not 0 <= items.min() <= items.max() < n_items:
-        idx, x = next((i, x) for i, r in enumerate(rows) for x in r
-                      if type(x) is not int or not 0 <= x < n_items)
-        what = "out of range" if type(x) is int else "is not an integer"
-        raise InvalidParameterError(f"row {idx}: item {x!r} {what}")
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    pools = np.zeros((len(rows), n_items), dtype=bool)
-    pools[np.repeat(np.arange(len(rows)), lens), items] = True
+    return kind, n_items, stripped
+
+
+def _scatter_rows(obj, header, lens: np.ndarray, items: np.ndarray) -> MeasurementMatrix:
+    """The matrix whose row i holds the next ``lens[i]`` of the int64
+    ``items``, after the range, duplicate and stripped checks; ``header``
+    is what ``_matrix_header`` returned for the file's object ``obj``."""
+    kind, n_items, stripped = header
+    if items.size and not 0 <= items.min() <= items.max() < n_items:
+        at = np.flatnonzero((items < 0) | (items >= n_items))[0]
+        idx = np.searchsorted(np.cumsum(lens), at, side="right")
+        raise InvalidParameterError(f"row {idx}: item {int(items[at])} out of range")
+    pools = np.zeros((len(lens), n_items), dtype=bool)
+    pools[np.repeat(np.arange(len(lens)), lens), items] = True
     if np.count_nonzero(pools) != items.size:
         dup = np.flatnonzero(np.count_nonzero(pools, axis=1) != lens)
         raise InvalidParameterError(f"row {dup[0]}: duplicate items")
@@ -550,6 +550,26 @@ def matrix_from_json(obj: dict) -> MeasurementMatrix:
     return MeasurementMatrix(item_kind=kind, pools=pools,
                              stripped=tuple(sorted(stripped)),
                              design=dict(obj["design"]), seed=obj["seed"])
+
+
+def matrix_from_json(obj: dict) -> MeasurementMatrix:
+    """Check a matrix file's object and scatter its rows into one array."""
+    header = _matrix_header(obj)
+    rows, n_items = obj["rows"], obj["n_items"]
+    if not isinstance(rows, list) or set(map(type, rows)) - {list}:
+        raise InvalidParameterError("rows must be a list of lists")
+    flat = list(itertools.chain.from_iterable(rows))
+    items = None
+    if not set(map(type, flat)) - {int}:
+        with contextlib.suppress(OverflowError):  # beyond int64: out of range
+            items = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    if items is None:  # a non-integer, or an integer beyond int64
+        idx, x = next((i, x) for i, r in enumerate(rows) for x in r
+                      if type(x) is not int or not 0 <= x < n_items)
+        what = "out of range" if type(x) is int else "is not an integer"
+        raise InvalidParameterError(f"row {idx}: item {x!r} {what}")
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    return _scatter_rows(obj, header, lens, items)
 
 
 def write_matrix(path, M: MeasurementMatrix) -> None:
@@ -563,5 +583,126 @@ def write_matrix(path, M: MeasurementMatrix) -> None:
         for key, value in sorted(doc.items())) + "}\n")
 
 
+# Byte classes of the rows text: '0', '1'-'9', '[', ']', ',', ' ', other.
+_ZERO, _DIGIT, _OPEN, _CLOSE, _COMMA, _SPACE, _OTHER = range(7)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789[], ", dtype=np.uint8)] = [
+    _ZERO, *[_DIGIT] * 9, _OPEN, _CLOSE, _COMMA, _SPACE]
+_MAX_DIGITS = 18  # every id of at most 18 digits fits in int64
+
+
+def _rows_windows() -> np.ndarray:
+    """Whether each 4-byte window of byte classes ``a | b << 3 | c << 6 |
+    d << 9`` can occur in the text ``_rows_text`` writes for a matrix with
+    at least one row.  A ``"["`` follows ``"["``, ``" "`` or nothing and
+    precedes a digit, ``"["`` or ``"]"``; a ``"]"`` follows a digit,
+    ``"["`` or ``"]"`` and precedes ``","``, ``"]"`` or nothing; ``", "``
+    parts two ids or two rows; ``"[["`` starts the text and ``"]]"`` ends
+    it; an id longer than one digit starts with ``1``-``9``.  Together
+    these rules are that grammar, bar the length of an id."""
+    digit = (_ZERO, _DIGIT)
+    follows = {_ZERO: {*digit, _COMMA, _CLOSE}, _DIGIT: {*digit, _COMMA, _CLOSE},
+               _OPEN: {*digit, _OPEN, _CLOSE}, _CLOSE: {_COMMA, _CLOSE},
+               _COMMA: {_SPACE}, _SPACE: {*digit, _OPEN}, _OTHER: set()}
+
+    def ok(a, b, c, d):
+        if not (b in follows[a] and c in follows[b] and d in follows[c]):
+            return False
+        for x, y, z in ((a, b, c), (b, c, d)):
+            if (y == z == _OPEN or x == y == _CLOSE  # "[[" not first, "]]" not last
+                    or x in (_OPEN, _SPACE) and y == _ZERO and z in digit):
+                return False  # a leading zero
+        return not (b, c) == (_COMMA, _SPACE) or (a in digit) == (d in digit)
+
+    table = np.zeros(1 << 12, dtype=bool)
+    for a, b, c, d in itertools.product(range(7), repeat=4):
+        table[a | b << 3 | c << 6 | d << 9] = ok(a, b, c, d)
+    return table
+
+
+_ROWS_WINDOWS = _rows_windows()
+_DECODER = json.JSONDecoder()
+
+
+def _rows_arrays(text: str, start: int):
+    """Row lengths and item ids (int64 arrays) of the rows value at
+    ``text[start:]``, and the index after it, when that value is exactly
+    the text ``_rows_text`` writes: ``[[a, b], [], [c]]``, ids without
+    leading zeros and of at most 18 digits.  None for any other text."""
+    if text.startswith("[]", start):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), start + 2
+    # the rows text holds no '"': its end is the last "]]" before the next one
+    quote = text.find('"', start)
+    end = text.rfind("]]", start, len(text) if quote < 0 else quote) + 2
+    if end < 2 or not text.startswith("[[", start):
+        return None
+    try:
+        raw = np.frombuffer(text[start:end].encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    cls = np.take(_BYTE_CLASS, raw)
+    pairs = cls[:-1] | cls[1:] << 3
+    if not np.take(_ROWS_WINDOWS, pairs[:-2] | pairs[2:].astype(np.uint16) << 6).all():
+        return None
+    # the text starts and ends with a bracket: digit runs alternate edges
+    digit = cls <= _DIGIT
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    width = ends - starts
+    if width.size and width.max() > _MAX_DIGITS:
+        return None
+    items = np.zeros(len(ends), dtype=np.int64)
+    for k in range(int(width.max(initial=0)), 0, -1):
+        # k bytes before a shorter run's end lie outside it (or wrap round)
+        items *= 10
+        items += (raw[ends - k] - ord("0")) * (width >= k)
+    opens = np.flatnonzero(raw == ord("["))[1:]
+    lens = np.diff(np.searchsorted(starts, opens), append=len(starts))
+    return lens, items, end
+
+
+def _canonical_doc(text: str) -> dict | None:
+    """The object of a matrix file's text, its rows as (lengths, ids), when
+    the text is laid out as ``write_matrix`` writes it: ``{"key": value,
+    ...}`` and a newline, with distinct keys and the rows as
+    ``_rows_arrays`` reads them.  None for any other text, whose object
+    ``json.loads`` then builds or refuses."""
+    doc, i = {}, 1
+    if not text.startswith('{"'):
+        return None
+    while True:
+        try:
+            key, i = scanstring(text, i + 1)
+            if key in doc or not text.startswith(": ", i):
+                return None
+            if key == "rows":
+                rows = _rows_arrays(text, i + 2)
+                if rows is None:
+                    return None
+                *value, i = rows
+            else:
+                value, i = _DECODER.scan_once(text, i + 2)
+        except (ValueError, StopIteration, RecursionError):
+            return None  # bad JSON: json.loads gives the error
+        doc[key] = value
+        if text.startswith(', "', i):
+            i += 2
+        elif text[i:] == "}\n":
+            return doc
+        else:
+            return None
+
+
 def read_matrix(path) -> MeasurementMatrix:
-    return matrix_from_json(read_json(path, "matrix"))
+    """Read a matrix file.  Text laid out as ``write_matrix`` writes it is
+    checked and split into arrays by ``_canonical_doc``; any other is
+    parsed by ``json.loads`` and read by ``matrix_from_json``.  Both give
+    the same matrix, or raise the same error."""
+    with open(path, "r", encoding="utf-8") as fh, parse_errors("matrix"):
+        text = fh.read()
+    doc = _canonical_doc(text)
+    if doc is None:
+        with parse_errors("matrix"):
+            doc = json.loads(text)
+        return matrix_from_json(doc)
+    return _scatter_rows(doc, _matrix_header(doc), *doc["rows"])

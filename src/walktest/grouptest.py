@@ -795,7 +795,7 @@ def outcomes_from_json(obj: dict) -> OutcomeVector:
         raise InvalidParameterError("outcome bits must be 0 or 1")
     if obj.get("item_kind") not in (None, "vertex", "edge"):
         raise InvalidParameterError(f"bad outcomes item_kind {obj['item_kind']!r}")
-    bits = np.fromiter((ch == "1" for ch in s), dtype=bool, count=len(s))
+    bits = np.frombuffer(s.encode("ascii"), dtype=np.uint8) == ord("1")
     bits.flags.writeable = False
     return OutcomeVector(bits=bits, noise=None, item_kind=obj.get("item_kind"))
 
