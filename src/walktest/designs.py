@@ -19,8 +19,13 @@ columns stay all false, and a row prefix is a view.  ``matrix_to_json``
 turns the array into row lists in one vectorised pass; ``write_matrix``
 renders the same file text straight from the array, as byte tokens
 gathered per block of rows, and its bytes equal ``json.dumps`` of
-``matrix_to_json``.  ``read_matrix`` parses with ``json.loads`` and
-scatters the rows back in one pass.
+``matrix_to_json``.  ``read_matrix`` reads that layout without
+``json.loads``: it walks the top-level keys with json's own scanner and
+checks the rows text against a table of the 4-byte windows it can hold,
+then turns it into row lengths and item ids in numpy.  Every other text
+goes through ``json.loads`` and ``matrix_from_json`` with the same result,
+and both paths share one step that checks the ids and scatters them
+into ``pools``.
 
 The size formulas take explicit multipliers (ScaleConstants); shipped
 defaults were frozen by scripts/calibrate.py and live in calibration.py.
@@ -609,10 +614,12 @@ def _rows_windows() -> np.ndarray:
         if not (b in follows[a] and c in follows[b] and d in follows[c]):
             return False
         for x, y, z in ((a, b, c), (b, c, d)):
-            if (y == z == _OPEN or x == y == _CLOSE  # "[[" not first, "]]" not last
-                    or x in (_OPEN, _SPACE) and y == _ZERO and z in digit):
-                return False  # a leading zero
-        return not (b, c) == (_COMMA, _SPACE) or (a in digit) == (d in digit)
+            if y == z == _OPEN or x == y == _CLOSE:  # "[[" not first, "]]" not last
+                return False
+            if x in (_OPEN, _SPACE) and y == _ZERO and z in digit:  # a leading zero
+                return False
+        # ", " between two ids or two rows
+        return (b, c) != (_COMMA, _SPACE) or (a in digit) == (d in digit)
 
     table = np.zeros(1 << 12, dtype=bool)
     for a, b, c, d in itertools.product(range(7), repeat=4):
@@ -667,9 +674,9 @@ def _canonical_doc(text: str) -> dict | None:
     ...}`` and a newline, with distinct keys and the rows as
     ``_rows_arrays`` reads them.  None for any other text, whose object
     ``json.loads`` then builds or refuses."""
-    doc, i = {}, 1
     if not text.startswith('{"'):
         return None
+    doc, i = {}, 1
     while True:
         try:
             key, i = scanstring(text, i + 1)

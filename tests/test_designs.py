@@ -28,7 +28,7 @@ from walktest.designs import (
     vertex_walk_design,
     write_matrix,
 )
-from walktest.errors import GenerationFailureError, InvalidParameterError
+from walktest.errors import GenerationFailureError, InvalidParameterError, read_json
 from walktest.graphs import cycle_graph, erdos_renyi_graph
 from walktest.rng import trial_rng
 from walktest.walks import StartRule, random_walk
@@ -354,6 +354,27 @@ class TestFileFormat:
         with pytest.raises(InvalidParameterError, match="^row 2: duplicate items$"):
             matrix_from_json(obj)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"rows": [[0], [1, 2], [3, 64]]}, "row 2: item 64 out of range"),
+        ({"rows": [[0], [1, 2], [3, 5, 3], [4, 4]]}, "row 2: duplicate items"),
+        ({"stripped": [3], "rows": [[1, 3], [3]]}, "row 0: stripped item 3 present"),
+    ])
+    def test_canonical_file_messages(self, tmp_path, change, message):
+        """A file in ``write_matrix``'s layout is refused on the array path
+        with the message the list path gives for its object."""
+        obj = {"item_kind": "vertex", "n_items": 64, "stripped": [],
+               "rows": [], "design": {}, "seed": 0, **change}
+        path = tmp_path / "M.json"
+        path.write_text(json.dumps(obj, sort_keys=True) + "\n")
+        with mock.patch.object(designs, "matrix_from_json",
+                               side_effect=AssertionError("list path")), \
+                pytest.raises(InvalidParameterError) as exc:
+            read_matrix(path)
+        assert str(exc.value) == message
+        with pytest.raises(InvalidParameterError) as exc:
+            matrix_from_json(obj)
+        assert str(exc.value) == message
+
 
 @given(seed=st.integers(0, 2**16), m=st.integers(0, 12),
        t=st.integers(0, 12), did=st.sampled_from([1, 2]))
@@ -469,3 +490,105 @@ def test_write_matrix_renders_the_stdlib_bytes(M, cells):
     assert R.pools.shape == M.pools.shape and np.array_equal(R.pools, M.pools)
     assert (R.item_kind, R.stripped, R.seed) == (M.item_kind, M.stripped, M.seed)
     assert json.dumps(R.design, sort_keys=True) == json.dumps(M.design, sort_keys=True)
+
+
+def _write_text_of(M: MeasurementMatrix) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "M.json")
+        write_matrix(path, M)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def _read_outcome(read, text: str):
+    """What ``read`` makes of a file holding ``text``: the matrix's fields,
+    or the type and message of the error it raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "M.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            M = read(path)
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            return type(exc), str(exc)
+    return (M.pools.shape, M.pools.tobytes(), M.stripped, json.dumps(M.design),
+            M.seed, type(M.seed), M.item_kind)
+
+
+# digits, the rows text's other bytes, bytes of other JSON, JSON whitespace
+_MUTATION_BYTES = "0123456789, []-.eE\"tn\t\n\r"
+
+
+@st.composite
+def mutated_matrix_texts(draw):
+    """A file ``write_matrix`` writes, with up to two bytes of its rows
+    text replaced, inserted or deleted."""
+    M = draw(matrices())
+    text = list(_write_text_of(M))
+    start = "".join(text).rindex('"rows": ') + len('"rows": ')
+    end = start + len(designs._rows_text(M.pools))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(start, end - 1))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.sampled_from(_MUTATION_BYTES))
+        if op == "insert":
+            text.insert(at, byte)
+            end += 1
+        elif op == "replace":
+            text[at] = byte
+        else:
+            del text[at]
+            end -= 1
+    return "".join(text)
+
+
+def _text(rows: str, n_items: int = 10001, stripped: str = "[]") -> str:
+    return (f'{{"design": {{}}, "item_kind": "vertex", "n_items": {n_items}, '
+            f'"rows": {rows}, "seed": 0, "stripped": {stripped}}}\n')
+
+
+@given(text=mutated_matrix_texts())
+@example(text=_text("[[01]]"))          # a leading zero
+@example(text=_text("[[0, 00]]"))
+@example(text=_text("[[9, 010]]"))
+@example(text=_text("[[[1]]"))          # "[[" past the start: a nested row
+@example(text=_text("[[[]]"))
+@example(text=_text("[[1], [[2]]]"))
+@example(text=_text("[[1]], [2]]"))     # "]]" before the end
+@example(text=_text("[[1]], [[2]]"))
+@example(text=_text("[[1], 2, [3]]"))   # an id outside a row
+@example(text=_text("[[1, [2], 3]]"))   # a row inside a row
+@example(text=_text("[[1 , 2]]"))
+@example(text=_text("[[1,2]]"))
+@example(text=_text("[[1], -0]"))
+@example(text=_text("[[9999999999999999999]]"))  # 19 digits, beyond int64
+@example(text=_text("[[999999999999999999]]", n_items=10 ** 18))
+@example(text=_text("[[1], [1]]", stripped="[1]"))
+@example(text=_text("[]", n_items=0))
+@example(text=_text("[[]]").replace('"seed": 0', '"seed": 0, "seed": 1'))
+@example(text=_text("[[1]]").replace("{}", '{"a": [1, 2.5e3, true, "\\u00e9"]}'))
+@example(text=_text("[[1]]")[:-1])     # no newline
+@settings(max_examples=300, deadline=None)
+def test_read_matrix_matches_the_list_reader(text):
+    """``read_matrix`` makes of any text what ``json.loads`` and
+    ``matrix_from_json`` make of it: the same matrix, or an error of the
+    same type and message."""
+    want = _read_outcome(lambda p: matrix_from_json(read_json(p, "matrix")), text)
+    assert _read_outcome(read_matrix, text) == want
+
+
+@given(M=matrices())
+@example(M=_matrix(5, []))
+@example(M=_matrix(0, [[], []]))
+@example(M=_matrix(1, [[], [0], []]))
+@example(M=_matrix(10001, [[], [9, 10, 99, 100], [], [999, 1000, 9999, 10000], []],
+                   stripped=[0, 5000], design={"nested": {"b": [1.5, None]}}))
+@settings(max_examples=100, deadline=None)
+def test_written_files_take_the_array_path(M):
+    """Every file ``write_matrix`` writes is read without
+    ``matrix_from_json``, the reader of all other text."""
+    text = _write_text_of(M)
+    with mock.patch.object(designs, "matrix_from_json",
+                           side_effect=AssertionError("list path")):
+        shape, pools = _read_outcome(read_matrix, text)[:2]
+    assert shape == M.pools.shape and pools == M.pools.tobytes()

@@ -1049,6 +1049,16 @@ class TestOutcomeIO:
         back = read_outcomes(path)
         assert (back.to01(), back.item_kind) == (y.to01(), "vertex")
 
+    @pytest.mark.parametrize("s", ["", "0", "1", "0110" * 1000 + "1"])
+    def test_bits_from_string(self, s):
+        bits = outcomes_from_json({"bits": s}).bits
+        assert bits.dtype == bool and not bits.flags.writeable
+        assert bits.tolist() == [ch == "1" for ch in s]
+
+    def test_non_ascii_bits_rejected(self):
+        with pytest.raises(InvalidParameterError, match="0 or 1"):
+            outcomes_from_json({"bits": "1\u0661"})
+
     def test_bad_item_kind_rejected(self):
         with pytest.raises(InvalidParameterError, match="item_kind"):
             outcomes_from_json({"bits": "1", "item_kind": "face"})
