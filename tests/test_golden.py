@@ -3,8 +3,8 @@
 Each case rebuilds one seeded output (a matrix file, an outcome vector, the
 CSV rows of an experiment, a mix of sink-walk or fixed-length-walk
 estimates, the derived
-structure of a graph mix, or a ``gen-graph`` or ``simulate`` file) and
-compares its digest
+structure of a graph mix, a ``gen-graph`` or ``simulate`` file, or the
+files of a ``walktest experiment`` run) and compares its digest
 with the value pinned here.  A refactor that keeps these digests keeps the
 library's behaviour; a change that moves one must say why and re-pin it.
 
@@ -39,6 +39,7 @@ from walktest.graphs import (
     cycle_graph,
     erdos_renyi_graph,
     random_regular_graph,
+    write_graph,
 )
 from walktest.grouptest import NoiseModel, simulate_tests
 from walktest.mixing import transition_matrix
@@ -324,6 +325,52 @@ def _simulate_files() -> dict:
     return out
 
 
+# the config of each pinned ``walktest experiment`` run; "<tmp>" stands for
+# the run's directory, which holds the graph file g.json
+_EXPERIMENT_CONFIGS = {
+    "sweep": {"graph": {"family": "complete", "n": 12}, "design": 1, "d": 1,
+              "m_grid": [8, 16, 32], "trials": 30,
+              "noise": {"kind": "flip", "q": 0.05}},
+    "mixing": {"family": "random-regular", "n_grid": [8, 12],
+               "degree_rule": "fixed:3"},
+    "fixed-input": {"graph": {"family": "complete", "n": 12}, "design": 2,
+                    "d": 1, "m_grid": [0, 10, 20], "trials": 30},
+    "verify": {"graph_file": "<tmp>/g.json", "d": 1, "trials": 60},
+    "tomo": {"graph": {"family": "erdos-renyi", "n": 24, "p": 0.4},
+             "source": 0, "congested": [2], "q": 0.05, "m": 60},
+}
+
+
+def _experiment_files() -> dict:
+    """The bytes of each file ``walktest experiment`` writes for each pinned
+    config, the manifest without its timestamps, with the run's directory
+    written as "<tmp>" and the config file's digest, which depends on it,
+    as "<config>"."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_graph(erdos_renyi_graph(24, 0.4, 3), os.path.join(tmp, "g.json"))
+        for kind, cfg in _EXPERIMENT_CONFIGS.items():
+            config = os.path.join(tmp, f"{kind}.json")
+            text = json.dumps(cfg).replace("<tmp>", tmp)
+            with open(config, "w") as fh:
+                fh.write(text)
+            digest = _sha(text)
+            outdir = os.path.join(tmp, kind)
+            code = cli_main(["experiment", "--kind", kind, "--config", config,
+                             "--seed", "5", "--out", outdir])
+            assert code == 0
+            for name in sorted(os.listdir(outdir)):
+                with open(os.path.join(outdir, name)) as fh:
+                    text = fh.read()
+                if name == "manifest.json":
+                    doc = json.loads(text.replace(tmp, "<tmp>")
+                                     .replace(digest, "<config>"))
+                    del doc["timestamps"]
+                    text = json.dumps(doc, sort_keys=True, indent=2)
+                out[f"{kind}/{name}"] = text.encode()
+    return out
+
+
 def _digests() -> dict:
     out = {f"matrix/{k}": hashlib.sha256(_matrix_bytes(M)).hexdigest()
            for k, M in _matrices().items()}
@@ -336,6 +383,8 @@ def _digests() -> dict:
                 for k, b in _gen_graph_files().items()})
     out.update({f"simulate/{k}": hashlib.sha256(b).hexdigest()
                 for k, b in _simulate_files().items()})
+    out.update({f"experiment/{k}": hashlib.sha256(b).hexdigest()
+                for k, b in _experiment_files().items()})
     return out
 
 
@@ -347,6 +396,17 @@ PINNED = {
     "csv/verification-suite-per-row": "3e5380b1a8b90f82c5e78bfc45bce790976165aa587daf21eddf6c55fbab865e",
     "estimate/fixed-mix": "c23624d396f0f40e0ece0693f251afdab5d8c4733a89e7a8a3da2f0801767938",
     "estimate/sink-mix": "82aa528a838674c1090c76abe7c71d9813bab641138e84a3b2aa2d7d3cc2c0c9",
+    "experiment/fixed-input/disjunct.csv": "d069aed3997141b81cdc533e30e351645a19ddde1753b0c584ab9d1c72a2c5be",
+    "experiment/fixed-input/manifest.json": "2a72a544d6ce724ff1f2b3d711d1417e2176900a14c233483c775b1f80d5b5d0",
+    "experiment/fixed-input/results.csv": "8b21373e76fc9a3aadb1efb420f4f8284c19e2e144df9a4b700eb1d5f2948633",
+    "experiment/mixing/manifest.json": "c47e22083be2e1fd0e655b340a84433583b4135b4edbcd1b935621fd9eba7ad1",
+    "experiment/mixing/results.csv": "aa8a5277037439b743fe3772902bc6b93dc21b34a40f040d50aaf7e2bf3dc983",
+    "experiment/sweep/manifest.json": "91f10d5e03a55c5b67c2229515de046422e70a2ba8efdb8c7ee16ed5ab865777",
+    "experiment/sweep/results.csv": "2ea61518815e4f73802c4c2f7a89f397aad53838a27dfab98f064df0f72ac3b4",
+    "experiment/tomo/manifest.json": "eee9fb6e39db1254613b883d5a71351de35e801aae6641643f4cd4c0baadf8ca",
+    "experiment/tomo/results.csv": "9a530341ec92bbc5d3c8913601b281411a2cd4d3e59195b0fbe4a269c506f1e6",
+    "experiment/verify/manifest.json": "d4a1e852fc34ed2cd115b182dd170a90568e7cc9fcdc68dd218d1cd54cb4ed71",
+    "experiment/verify/results.csv": "16aaae66d10647ecbab37f660125ffee59b674a827a30ebff6abe566d2536228",
     "gen-graph/json": "60a1511c58f3ca99bef15f9fa5bba72e2125ad0ce6ff2e58a6a839e5e3bebfbd",
     "gen-graph/text": "508d080a0fad850dba3e68312fee327cf68902bd75191b94d30298159c3c4bd2",
     "graph/mix": "70e60eeca3a48b52c5a81544e9edc5a8b9d14353f2b5ad26e6ab32c089aafd6a",
