@@ -25,17 +25,9 @@ import numpy as np
 from . import __version__
 from .designs import (_design_kind, _refuse_unread, build_design, read_matrix,
                       write_matrix)
-from .errors import (InvalidParameterError, WalktestError, _check_int, _is_int,
-                     _is_real, parse_errors, read_json, write_json)
-from .experiments import (
-    fixed_input_experiment,
-    graph_from_config,
-    measured_design_parameters,
-    mixing_scaling,
-    success_sweep,
-    tomography_demo,
-    verification_suite,
-)
+from .errors import (InvalidParameterError, WalktestError, _check_keys,
+                     parse_errors, read_json, write_json)
+from .experiments import _CONFIG_KEYS, measured_design_parameters, run_config
 from .graphs import _FAMILY_PARAMS, _family_graph, read_graph, write_graph
 from .grouptest import (
     NoiseModel,
@@ -59,7 +51,6 @@ from .walks import (
 
 _EXIT_OK = 0
 _EXIT_DOMAIN = 1
-_EXIT_USAGE = 2
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +115,9 @@ class _Run:
         }
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, default=str)
-
-
 def _print_report(report: dict, run: _Run) -> None:
     report["manifest"] = run.manifest()
-    print(_dump(report))
+    print(json.dumps(report, sort_keys=True, indent=2, default=str))
 
 
 def _sidecar(out_path: str, run: _Run) -> None:
@@ -149,12 +136,6 @@ def _int_list(text: str | None, option: str) -> list[int]:
     except ValueError:
         raise InvalidParameterError(
             f"{option} must be comma-separated integers, got {text!r}") from None
-
-
-def _int_param(p: dict, key: str) -> int:
-    if key not in p:
-        raise InvalidParameterError(f'--params needs key "{key}"')
-    return _check_int(f'--params "{key}"', p[key])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +170,22 @@ def _cmd_mix(args) -> int:
     return _EXIT_OK
 
 
-_QUANTITIES = ("pi", "piA", "piSink", "visits", "early", "influence")
+# Each quantity's estimator, the --params keys it takes before the trial
+# count and seed, and those it takes by name; each is passed only when
+# given, but for "kind" and "avoid", which the estimators leave required.
+_QUANTITIES = {
+    "pi": (hit_probability, ("v", "kind", "steps"), ("lazy",)),
+    "piA": (hit_avoid_probability, ("v", "avoid", "kind", "steps"), ("lazy",)),
+    "piSink": (hit_before_sink_probability, ("v", "avoid", "sink", "kind"),
+               ("cap", "lazy")),
+    "visits": (visit_count_tail_check, ("v", "steps", "k"), ("lazy",)),
+    "early": (early_visit_check, ("v", "k"), ("designated", "lazy")),
+    "influence": (influence_check, ("i", "j"), ("t_mix", "lazy")),
+}
+_PARAM_DEFAULTS = {"kind": "vertex", "avoid": []}
+# the type of each --params value the CLI checks; the estimators check the rest
+_PARAM_TYPES = {**dict.fromkeys(("v", "steps", "sink", "k", "i", "j"), "an integer"),
+                "lazy": "a boolean"}
 
 
 def _cmd_walk_stats(args) -> int:
@@ -197,41 +193,13 @@ def _cmd_walk_stats(args) -> int:
     g = run.read_input(args.graph, read_graph)
     with parse_errors("--params"):
         p = json.loads(args.params)
-    if not isinstance(p, dict):
-        raise InvalidParameterError("--params must be a JSON object")
-    need = functools.partial(_int_param, p)
-    kind = p.get("kind", "vertex")
-    lazy = p.get("lazy", False)
-    if not isinstance(lazy, bool):
-        raise InvalidParameterError(
-            f'--params "lazy" must be a boolean, got {lazy!r}')
-    q = args.quantity
-    if q == "pi":
-        rep = hit_probability(g, need("v"), kind, need("steps"),
-                              args.trials, args.seed, lazy=lazy)
-    elif q == "piA":
-        rep = hit_avoid_probability(g, need("v"), p.get("avoid", []), kind,
-                                    need("steps"), args.trials, args.seed,
-                                    lazy=lazy)
-    elif q == "piSink":
-        rep = hit_before_sink_probability(g, need("v"), p.get("avoid", []),
-                                          need("sink"), kind, args.trials,
-                                          args.seed, cap=p.get("cap"),
-                                          lazy=lazy)
-    elif q == "visits":
-        rep = visit_count_tail_check(g, need("v"), need("steps"),
-                                     need("k"), args.trials, args.seed,
-                                     lazy=lazy)
-    elif q == "early":
-        rep = early_visit_check(g, need("v"), need("k"), args.trials,
-                                args.seed, designated=p.get("designated", ()),
-                                lazy=lazy)
-    else:  # influence; argparse allows no other quantity
-        rep = influence_check(g, need("i"), need("j"), args.trials,
-                              args.seed, t_mix=p.get("t_mix"), lazy=lazy)
-    report = dataclasses.asdict(rep)
-    report["quantity"] = q
-    _print_report(report, run)
+    estimator, before, named = _QUANTITIES[args.quantity]
+    _check_keys("--params", p, [key for key in before if key not in _PARAM_DEFAULTS],
+                before + named, _PARAM_TYPES)
+    p = {**_PARAM_DEFAULTS, **p}
+    rep = estimator(g, *(p[key] for key in before), args.trials, args.seed,
+                    **{key: p[key] for key in named if key in p})
+    _print_report(dict(dataclasses.asdict(rep), quantity=args.quantity), run)
     return _EXIT_OK
 
 
@@ -321,129 +289,25 @@ def _cmd_check_disjunct(args) -> int:
     return _EXIT_OK
 
 
-def _experiment_graph(run: _Run, cfg: dict, seed: int):
-    if "graph_file" in cfg:
-        return run.read_input(cfg["graph_file"], read_graph), 0
-    return graph_from_config(cfg["graph"], seed)
-
-
 def _write_csv(path: str, rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
 
-# Keys each experiment kind reads unconditionally, and those _cmd_experiment
-# reads where present; it reads no others.
-_CONFIG_KEYS = {
-    "sweep": (("graph", "design", "d", "m_grid", "trials"),
-              ("seed", "eta", "noise", "success", "budget", "t", "sink",
-               "designated")),
-    "mixing": (("family", "n_grid"), ("seed", "degree_rule", "lazy")),
-    "fixed-input": (("graph", "design", "d", "m_grid", "trials"),
-                    ("seed", "budget")),
-    "verify": (("graph", "d", "trials"), ("seed", "graph_file")),
-    "tomo": (("graph", "source"),
-             ("seed", "graph_file", "congested", "q", "t", "m", "confidence")),
-}
-# The type of each config value, where present; the library checks ranges.
-_CONFIG_VALUES = {
-    **dict.fromkeys(("design", "d", "trials", "source", "seed", "sink", "t", "m"),
-                    (_is_int, "an integer")),
-    **dict.fromkeys(("eta", "budget", "q", "confidence"), (_is_real, "a number")),
-    **dict.fromkeys(("m_grid", "n_grid", "congested", "designated"),
-                    (lambda v: isinstance(v, list) and all(map(_is_int, v)),
-                     "a list of integers")),
-    "lazy": (lambda v: isinstance(v, bool), "a boolean"),
-    "graph_file": (lambda v: isinstance(v, str), "a string"),
-}
-
-
-def _check_config(cfg, kind: str) -> NoiseModel | None:
-    """Reject a config that lacks a key its kind reads, holds a key its kind
-    does not read, or holds a value of the wrong type; return the config's
-    noise model.  The experiment checks ranges and graph configs itself."""
-    if not isinstance(cfg, dict):
-        raise InvalidParameterError("experiment config must be a JSON object")
-    keys, optional = _CONFIG_KEYS[kind]
-    for key in cfg:
-        if key not in keys and key not in optional:
-            raise InvalidParameterError(f'{kind} config has unknown key "{key}"')
-    if kind in ("verify", "tomo") and "graph_file" in cfg:
-        keys = keys[1:]  # the file stands in for "graph"
-    for key in keys:
-        if key not in cfg:
-            raise InvalidParameterError(f'{kind} config needs key "{key}"')
-    for key, (check, what) in _CONFIG_VALUES.items():
-        if key in cfg and not check(cfg[key]):
-            raise InvalidParameterError(
-                f'{kind} config "{key}" must be {what}, got {cfg[key]!r}')
-    nspec = cfg.get("noise")
-    if not nspec:
-        return None
-    if not isinstance(nspec, dict) or "kind" not in nspec or "q" not in nspec:
-        raise InvalidParameterError('"noise" needs keys "kind" and "q"')
-    if nspec["kind"] == "flip":
-        return NoiseModel.flip(nspec["q"])
-    if nspec["kind"] == "dilution":
-        return NoiseModel.dilution(nspec["q"])
-    raise InvalidParameterError(
-        f'noise kind must be "flip" or "dilution", got {nspec["kind"]!r}')
-
-
 def _cmd_experiment(args) -> int:
     run = _Run("experiment", args)
-    cfg = run.read_input(args.config, functools.partial(read_json, what="config"))
-    noise = _check_config(cfg, args.kind)
-    tables: dict = {}  # CSV file name -> rows
-    kind = args.kind
-    seed = cfg.get("seed", args.seed)
-    if kind == "sweep":
-        res = success_sweep(
-            cfg["graph"], cfg["design"], cfg["d"],
-            float(cfg.get("eta", 0.0)), cfg["m_grid"], cfg["trials"],
-            seed, noise=noise, success=cfg.get("success", "auto"),
-            budget=float(cfg.get("budget", 1e8)), t_override=cfg.get("t"),
-            sink=cfg.get("sink"), designated=cfg.get("designated", ()))
-        extra = res.metadata
-    elif kind == "mixing":
-        res = mixing_scaling(cfg["family"], cfg["n_grid"], seed,
-                             degree_rule=cfg.get("degree_rule", "6logn"),
-                             lazy=cfg.get("lazy", False))
-        extra = dict(res.metadata, band=res.band(),
-                     bound_respected=res.bound_respected())
-    elif kind == "fixed-input":
-        fx = fixed_input_experiment(
-            cfg["graph"], cfg["design"], cfg["d"], cfg["m_grid"],
-            cfg["trials"], seed, budget=float(cfg.get("budget", 1e9)))
-        res = fx.recovery
-        tables["disjunct.csv"] = fx.disjunct.csv_rows()
-        extra = dict(fx.metadata, gamma=fx.gamma, m_full=fx.m_full,
-                     recovery_m_at_95=fx.recovery.threshold(0.95),
-                     disjunct_m_at_95=fx.disjunct.threshold(0.95))
-    elif kind == "verify":
-        g, regens = _experiment_graph(run, cfg, seed)
-        res = verification_suite(g, cfg["d"], cfg["trials"], seed)
-        extra = dict(res.metadata, passed=res.passed, graph_regens=regens)
-        for line in res.lines:
-            _note(args, f"{line.name}: {line.status}")
-    else:  # tomo
-        g, regens = _experiment_graph(run, cfg, seed)
-        res = tomography_demo(
-            g, cfg["source"], cfg.get("congested", []),
-            float(cfg.get("q", 0.0)), seed, t=cfg.get("t"), m=cfg.get("m"),
-            confidence=float(cfg.get("confidence", 0.99)))
-        extra = dict(res.metadata, exact=res.exact, probes=res.probes,
-                     walk_length=res.walk_length, tau=res.tau, eta=res.eta,
-                     identified=list(res.identified), graph_regens=regens)
-    tables["results.csv"] = res.csv_rows()
+    cfg = run.read_input(args.config, lambda path: read_json(path, "config"))
+    tables, results = run_config(args.kind, cfg, args.seed,
+                                 read=lambda path: run.read_input(path, read_graph))
+    if args.kind == "verify":
+        for check, status, *_ in tables["results.csv"][1:]:
+            _note(args, f"{check}: {status}")
     # --out is made only now, so a failed experiment leaves no directory
     run.write_output(args.out, lambda path: os.makedirs(path, exist_ok=True))
     for name, rows in tables.items():
         run.write_output(os.path.join(args.out, name),
                          lambda path: _write_csv(path, rows))
-    manifest = run.manifest()
-    manifest["config"] = cfg
-    manifest["results"] = extra
+    manifest = dict(run.manifest(), config=cfg, results=results)
     run.write_output(os.path.join(args.out, "manifest.json"),
                      lambda path: write_json(path, manifest, indent=2))
     _note(args, f"wrote {os.path.join(args.out, 'results.csv')}")
@@ -496,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default="{}",
                    help='JSON object, e.g. \'{"v": 3, "steps": 10}\'; keys: '
                         "v, steps, avoid, sink, cap, k, i, j, kind, lazy, "
-                        "designated")
+                        "designated, t_mix")
     p.add_argument("--trials", type=int, default=10000)
     p.set_defaults(func=_cmd_walk_stats)
 
@@ -559,9 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", parents=[common],
                        help="desk-scale reproductions, CSV + manifest out")
-    p.add_argument("--kind", required=True,
-                   choices=["sweep", "mixing", "fixed-input", "verify",
-                            "tomo"])
+    p.add_argument("--kind", required=True, choices=list(_CONFIG_KEYS))
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)

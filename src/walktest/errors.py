@@ -9,6 +9,8 @@ The check helpers below are the one place that decides what a valid
 argument is: an integer is a Python or numpy int but not a bool, a number
 an integer or float, an id an integer below a limit, and an id list any
 iterable but a string.  Range checks particular to one function stay in it.
+``_check_keys`` is the one check of the keys and value types of a JSON
+parameter object: an experiment config, its noise spec, ``--params``.
 
 ``_write_text`` opens and writes every graph, matrix, outcome and
 manifest file the library and the CLI write.  ``write_json`` renders
@@ -133,6 +135,34 @@ def _id_list(what: str, of: str, xs) -> tuple:
     if isinstance(xs, (str, bytes)) or not hasattr(xs, "__iter__"):
         raise InvalidParameterError(f"{what} must be a list of {of}, got {xs!r}")
     return tuple(xs)
+
+
+# the check behind each type name a _check_keys table gives
+_TYPES = {
+    "an integer": _is_int,
+    "a number": _is_real,
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+
+
+def _check_keys(what: str, obj, required, optional=(), types=None) -> None:
+    """Raise InvalidParameterError unless ``obj`` is a JSON object of no key
+    outside ``required`` and ``optional``, with every key of ``required``,
+    whose value under each key of ``types`` has the type named there."""
+    if not isinstance(obj, dict):
+        raise InvalidParameterError(f"{what} must be a JSON object")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise InvalidParameterError(f'{what} has unknown key "{key}"')
+    for key in required:
+        if key not in obj:
+            raise InvalidParameterError(f'{what} needs key "{key}"')
+    for key, name in (types or {}).items():
+        if key in obj and not _TYPES[name](obj[key]):
+            raise InvalidParameterError(
+                f'{what} "{key}" must be {name}, got {obj[key]!r}')
 
 
 def _write_text(path, text: str) -> None:

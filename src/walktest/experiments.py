@@ -1,5 +1,6 @@
 """Desk-scale reproductions: success sweeps, mixing scaling, fixed-input
-savings, the bound verification suite, and the link-tomography demo.
+savings, the bound verification suite, and the link-tomography demo, and
+``run_config``, which runs one of them from a JSON config.
 
 Sweeps exploit the per-row stream contract: one matrix built at the largest
 grid size yields every smaller size as a row prefix, so success is coupled
@@ -33,13 +34,14 @@ from .designs import (
 )
 from .errors import (GenerationFailureError, InvalidParameterError,
                      SizeExceededError, _as_count, _check_id, _check_int,
-                     _check_number, _id_list)
+                     _check_keys, _check_number, _id_list)
 from .graphs import (
     _FAMILY_PARAMS,
     Graph,
     _check_family,
     _family_graph,
     degree_uniformity,
+    read_graph,
     stationary_distribution,
 )
 from .grouptest import (
@@ -83,6 +85,7 @@ __all__ = [
     "fixed_input_experiment",
     "verification_suite",
     "tomography_demo",
+    "run_config",
 ]
 
 
@@ -713,3 +716,108 @@ def tomography_demo(
         walk_length=tt, tau=tau, eta=eta, per_link=per_link,
         metadata={"n": g.n, "edges": g.edge_count, "q": q, "seed": seed,
                   "source": source, "confidence": confidence})
+
+
+# ---------------------------------------------------------------------------
+# JSON configs
+# ---------------------------------------------------------------------------
+
+# Keys each experiment kind needs, and those it reads where present; it
+# reads no others.
+_CONFIG_KEYS = {
+    "sweep": (("graph", "design", "d", "m_grid", "trials"),
+              ("seed", "eta", "noise", "success", "budget", "t", "sink",
+               "designated")),
+    "mixing": (("family", "n_grid"), ("seed", "degree_rule", "lazy")),
+    "fixed-input": (("graph", "design", "d", "m_grid", "trials"),
+                    ("seed", "budget")),
+    "verify": (("graph", "d", "trials"), ("seed", "graph_file")),
+    "tomo": (("graph", "source"),
+             ("seed", "graph_file", "congested", "q", "t", "m", "confidence")),
+}
+# The type of each config value, where present; the experiment checks ranges.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("design", "d", "trials", "source", "seed", "sink", "t", "m"),
+                    "an integer"),
+    **dict.fromkeys(("eta", "budget", "q", "confidence"), "a number"),
+    **dict.fromkeys(("m_grid", "n_grid", "congested", "designated"),
+                    "a list of integers"),
+    "lazy": "a boolean",
+    "graph_file": "a string",
+}
+
+
+def run_config(kind: str, cfg, seed: int, read=read_graph) -> tuple[dict, dict]:
+    """Check the experiment config ``cfg`` of ``kind``, then read its
+    "graph_file" through ``read`` and run it; return its CSV rows by file
+    name and the results a manifest records.  The experiment gets only the
+    keys the config holds, so its signature holds each default but those it
+    leaves required: sweep "eta" 0, tomo "q" 0 and "congested" [].  A config
+    "seed" overrides ``seed``."""
+    if not isinstance(kind, str) or kind not in _CONFIG_KEYS:
+        raise InvalidParameterError(f"unknown experiment kind {kind!r}")
+    if not isinstance(cfg, dict):
+        raise InvalidParameterError("experiment config must be a JSON object")
+    required, optional = _CONFIG_KEYS[kind]
+    on_file = "graph_file" in optional and "graph_file" in cfg
+    # the file stands in for "graph", the first key required
+    _check_keys(f"{kind} config", cfg, required[1:] if on_file else required,
+                required + optional, _CONFIG_TYPES)
+    if on_file and "graph" in cfg:
+        raise InvalidParameterError(
+            f'{kind} config takes "graph" or "graph_file", not both')
+    # the results echo these as floats, whichever number the config gives
+    cfg = {key: float(v) if key in ("eta", "q", "confidence") else v
+           for key, v in cfg.items()}
+    noise = cfg.get("noise")
+    if noise is not None:  # null or absent for no noise
+        _check_keys('"noise"', noise, ("kind", "q"))
+        if noise["kind"] not in ("flip", "dilution"):
+            raise InvalidParameterError(
+                f'noise kind must be "flip" or "dilution", got {noise["kind"]!r}')
+        cfg["noise"] = getattr(NoiseModel, noise["kind"])(noise["q"])
+    seed = cfg.get("seed", seed)
+
+    def given(*keys, **renamed) -> dict:
+        """The config's value of each of ``keys`` and ``renamed`` it holds."""
+        return {arg: cfg[key] for arg, key in dict(zip(keys, keys), **renamed).items()
+                if key in cfg}
+
+    tables: dict = {}  # CSV file name -> rows
+    if on_file:
+        g, regens = read(cfg["graph_file"]), 0
+    elif kind in ("verify", "tomo"):
+        g, regens = graph_from_config(cfg["graph"], seed)
+    if kind == "sweep":
+        res = success_sweep(
+            cfg["graph"], cfg["design"], cfg["d"], cfg.get("eta", 0.0),
+            cfg["m_grid"], cfg["trials"], seed,
+            **given("noise", "success", "budget", "sink", "designated",
+                    t_override="t"))
+        results = res.metadata
+    elif kind == "mixing":
+        res = mixing_scaling(cfg["family"], cfg["n_grid"], seed,
+                             **given("degree_rule", "lazy"))
+        results = dict(res.metadata, band=res.band(),
+                       bound_respected=res.bound_respected())
+    elif kind == "fixed-input":
+        fx = fixed_input_experiment(cfg["graph"], cfg["design"], cfg["d"],
+                                    cfg["m_grid"], cfg["trials"], seed,
+                                    **given("budget"))
+        res = fx.recovery
+        tables["disjunct.csv"] = fx.disjunct.csv_rows()
+        results = dict(fx.metadata, gamma=fx.gamma, m_full=fx.m_full,
+                       recovery_m_at_95=fx.recovery.threshold(0.95),
+                       disjunct_m_at_95=fx.disjunct.threshold(0.95))
+    elif kind == "verify":
+        res = verification_suite(g, cfg["d"], cfg["trials"], seed)
+        results = dict(res.metadata, passed=res.passed, graph_regens=regens)
+    else:
+        res = tomography_demo(g, cfg["source"], cfg.get("congested", []),
+                              cfg.get("q", 0.0), seed,
+                              **given("t", "m", "confidence"))
+        results = dict(res.metadata, exact=res.exact, probes=res.probes,
+                       walk_length=res.walk_length, tau=res.tau, eta=res.eta,
+                       identified=list(res.identified), graph_regens=regens)
+    tables["results.csv"] = res.csv_rows()
+    return tables, results

@@ -196,6 +196,8 @@ ROWS = [
     row(experiments.tomography_demo, "source congested t m", g=G, source=0,
         congested=[1], q=0.05, seed=1, t=3, m=30, confidence=0.9,
         constants=CALIBRATED),
+    row(experiments.run_config, kind="verify",
+        cfg={"graph": K5, "d": 1, "trials": 30}, seed=1, read=graphs.read_graph),
     row(experiments.SweepResult.threshold, self=SWEEP, level=0.95),
     row(experiments.SweepResult.csv_rows, self=SWEEP),
     row(experiments.MixingScalingResult.band, self=MIXING),

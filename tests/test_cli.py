@@ -463,9 +463,15 @@ class TestUnparsableValues:
         ("early", '{"v": 3, "k": 2, "designated": [1.7]}', "1.7"),
         ("pi", '{"v": 3, "steps": 3, "lazy": "false"}', "'false'"),
         ("visits", '{"v": 3, "steps": 3, "k": 1, "lazy": 1}', '"lazy"'),
+        # a key the quantity's estimator does not take
+        ("pi", '{"v": 3, "steps": 10, "sink": 5}',
+         '--params has unknown key "sink"'),
+        ("visits", '{"v": 3, "steps": 3, "k": 1, "kind": "edge"}',
+         '--params has unknown key "kind"'),
     ], ids=["piA-text-avoid", "piA-float-item", "piSink-text-item",
             "piSink-text-cap", "influence-text-t_mix", "early-text-designated",
-            "early-float-designated", "text-lazy", "integer-lazy"])
+            "early-float-designated", "text-lazy", "integer-lazy", "pi-sink",
+            "visits-kind"])
     def test_walk_stats_optional_params(self, tmp_path, capsys, quantity,
                                         params, named):
         graph = tmp_path / "k8.json"
@@ -758,6 +764,13 @@ class TestExperimentCommand:
          'verify config "graph_file" must be a string, got 0'),
         ("tomo", {"graph_file": 123},
          'tomo config "graph_file" must be a string, got 123'),
+        ("verify", {"graph_file": "g.json"},
+         'verify config takes "graph" or "graph_file", not both'),
+        ("tomo", {"graph_file": "g.json"},
+         'tomo config takes "graph" or "graph_file", not both'),
+        ("sweep", {"noise": {"kind": "flip", "q": 0.1, "qq": 5}},
+         '"noise" has unknown key "qq"'),
+        ("sweep", {"noise": 0}, '"noise" must be a JSON object'),
         # checked by the experiment, which runs before --out is made
         ("verify", {"graph": {"family": "complete", "n": 4}, "d": 3},
          "need d <= n - 2, got d=3, n=4"),
@@ -797,6 +810,8 @@ class TestExperimentCommand:
             "verify-m-grid", "tomo-trials", "mixing-noise", "text-t",
             "float-congested", "float-m-grid", "text-sink", "text-n-grid",
             "text-lazy", "integer-graph-file", "number-graph-file",
+            "verify-graph-and-file", "tomo-graph-and-file", "noise-extra-key",
+            "noise-zero",
             "verify-large-d", "verify-bipartite", "tomo-source-range",
             "tomo-edge-range", "sweep-design-id", "sweep-zero-d",
             "fixed-input-design-id", "fixed-input-sink-design",

@@ -22,6 +22,7 @@ from walktest.experiments import (
     graph_from_config,
     measured_design_parameters,
     mixing_scaling,
+    run_config,
     success_sweep,
     tomography_demo,
     verification_suite,
@@ -402,3 +403,66 @@ class TestTomography:
             tomography_demo(er64, 0, (10**6,), 0.0, seed=0)
         with pytest.raises(InvalidParameterError):
             tomography_demo(er64, 0, (), 0.5, seed=0)
+
+
+K8 = {"family": "complete", "n": 8}
+SWEEP_CFG = {"graph": K8, "design": 1, "d": 1, "m_grid": [8, 16], "trials": 30}
+
+
+def _library_tables(kind: str) -> dict:
+    """The CSV rows of each kind's experiment on K8 at seed 3, called with
+    no optional argument."""
+    if kind == "sweep":
+        return {"results.csv": success_sweep(K8, 1, 1, 0.0, [8, 16], 30, 3).csv_rows()}
+    if kind == "mixing":
+        return {"results.csv": mixing_scaling("erdos-renyi", [8, 16], 3).csv_rows()}
+    if kind == "fixed-input":
+        fx = fixed_input_experiment(K8, 1, 1, [8, 16], 30, 3)
+        return {"disjunct.csv": fx.disjunct.csv_rows(),
+                "results.csv": fx.recovery.csv_rows()}
+    if kind == "verify":
+        return {"results.csv": verification_suite(complete_graph(8), 1, 30, 3).csv_rows()}
+    return {"results.csv": tomography_demo(complete_graph(8), 0, [], 0.0, 3).csv_rows()}
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("kind, cfg", [
+        ("sweep", SWEEP_CFG),
+        ("mixing", {"family": "erdos-renyi", "n_grid": [8, 16]}),
+        ("fixed-input", SWEEP_CFG),
+        ("verify", {"graph": K8, "d": 1, "trials": 30}),
+        ("tomo", {"graph": K8, "source": 0}),
+    ], ids=["sweep", "mixing", "fixed-input", "verify", "tomo"])
+    def test_minimal_config_is_the_library_call(self, kind, cfg):
+        """A config of only the required keys runs the experiment with no
+        optional argument, so each default is the library's."""
+        tables, _ = run_config(kind, cfg, 3)
+        assert tables == _library_tables(kind)
+
+    def test_graph_file_is_read_after_the_checks(self):
+        reads = []
+
+        def read(path):
+            reads.append(path)
+            return complete_graph(8)
+
+        cfg = {"graph_file": "g.json", "d": 1, "trials": 30}
+        with pytest.raises(InvalidParameterError,
+                           match='verify config "d" must be an integer'):
+            run_config("verify", dict(cfg, d="1"), 3, read=read)
+        assert reads == []
+        tables, results = run_config("verify", cfg, 3, read=read)
+        assert reads == ["g.json"] and results["graph_regens"] == 0
+        assert tables == _library_tables("verify")
+
+    def test_null_noise_config_seed_and_float_eta(self):
+        plain = run_config("sweep", SWEEP_CFG, 3)
+        assert run_config("sweep", dict(SWEEP_CFG, noise=None), 3) == plain
+        assert run_config("sweep", dict(SWEEP_CFG, seed=3), 9) == plain
+        _, results = run_config("sweep", dict(SWEEP_CFG, eta=0), 3)
+        assert type(results["eta"]) is float and results["eta"] == 0.0
+
+    @pytest.mark.parametrize("kind", [1.5, None, [], "swep"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(InvalidParameterError, match="unknown experiment kind"):
+            run_config(kind, SWEEP_CFG, 3)
