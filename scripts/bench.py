@@ -4,7 +4,7 @@
     python3 scripts/bench.py --parent DIR --change DIR --label NAME
         [--workload W ...] [--pairs 10] [--seed 101] [--seconds 25] [--trace 0|1]
     python3 scripts/bench.py --parent DIR --change DIR --label NAME --tier1
-        [--pairs 1]
+        [--pairs 1] [-k EXPR]
 
 Each pair runs ``perfbench/run.py`` once in each checkout with the same seed;
 pair k uses seed ``--seed + k`` and the side that runs first alternates
@@ -37,7 +37,10 @@ pair in each checkout, alternating which goes first.  It fills the file's
 each acceptance check (the ``[acceptance] <name>: ... <s>s of <budget>s
 budget`` lines), of the suite's wall time and of the unit-suite time (the
 wall time less the acceptance checks), and each run's pass, fail and skip
-counts.
+counts.  With ``-k EXPR`` each run is ``pytest tests/test_acceptance.py -k
+EXPR`` instead, which times the selected acceptance checks alone (the
+section records ``select``); pair k still runs the parent first for even k
+and the change first for odd k.
 """
 
 from __future__ import annotations
@@ -105,11 +108,14 @@ ACCEPTANCE = re.compile(r"\[acceptance\] (\S+): (\w+) \(.*; ([0-9.]+)s of [0-9.]
 COUNT = re.compile(r"(\d+) (passed|failed|skipped|errors?)\b")
 
 
-def run_tier1(checkout: Path) -> dict:
+def run_tier1(checkout: Path, select: str | None = None) -> dict:
+    """One Tier-1 run, or with ``select`` one run of the acceptance checks
+    that ``pytest -k`` selects."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    cmd = TIER1 if select is None else TIER1 + ["tests/test_acceptance.py", "-k", select]
     t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True,
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
                           text=True, timeout=3600)
     wall = time.perf_counter() - t0
     checks, counts = {}, {}
@@ -241,9 +247,13 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--tier1", action="store_true",
                     help="time the Tier-1 suite instead of the workloads")
+    ap.add_argument("-k", dest="select", metavar="EXPR",
+                    help="with --tier1, run only tests/test_acceptance.py -k EXPR")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.select is not None and not args.tier1:
+        ap.error("-k selects acceptance checks, so it needs --tier1")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     lower, bounds = directions(sides["change"])
     out = sides["change"] / f"BENCH_{args.label}.json"
@@ -258,13 +268,13 @@ def main(argv=None) -> int:
         runs = []
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            run = {side: run_tier1(sides[side]) for side in order}
+            run = {side: run_tier1(sides[side], args.select) for side in order}
             run["first"] = order[0]
             runs.append(run)
             print(f"tier1 pair {k}: " + json.dumps(
                 {side: {"wall_s": round(run[side]["wall_s"], 1),
                         "summary": run[side]["summary"]} for side in order}), flush=True)
-        doc["tier1"] = tier1_section(runs)
+        doc["tier1"] = dict(tier1_section(runs), select=args.select)
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {out}")
         return 0

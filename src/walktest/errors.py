@@ -10,7 +10,9 @@ argument is: an integer is a Python or numpy int but not a bool, a number
 an integer or float, an id an integer below a limit, and an id list any
 iterable but a string.  Range checks particular to one function stay in it.
 ``_check_keys`` is the one check of the keys and value types of a JSON
-parameter object: an experiment config, its noise spec, ``--params``.
+parameter object: an experiment config, its noise spec, ``--params``.  Its
+"a number" is one a float can hold, so an integer too large for a float is
+refused there rather than overflowing where a caller converts it.
 
 ``_write_text`` opens and writes every graph, matrix, outcome and
 manifest file the library and the CLI write.  ``write_json`` renders
@@ -23,6 +25,7 @@ UTF-8 or not JSON as an InvalidParameterError.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -137,14 +140,24 @@ def _id_list(what: str, of: str, xs) -> tuple:
     return tuple(xs)
 
 
+def _too_large(x) -> bool:
+    """An integer too large for a float, whose ``float`` would overflow."""
+    return _is_int(x) and abs(x) > sys.float_info.max
+
+
 # the check behind each type name a _check_keys table gives
 _TYPES = {
     "an integer": _is_int,
-    "a number": _is_real,
+    "a number": lambda v: _is_real(v) and not _too_large(v),
     "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
 }
+
+
+def _shown(x) -> str:
+    """``repr(x)``, or the digit count of an integer too large for a float."""
+    return f"an integer of {len(str(abs(x)))} digits" if _too_large(x) else repr(x)
 
 
 def _check_keys(what: str, obj, required, optional=(), types=None) -> None:
@@ -162,7 +175,7 @@ def _check_keys(what: str, obj, required, optional=(), types=None) -> None:
     for key, name in (types or {}).items():
         if key in obj and not _TYPES[name](obj[key]):
             raise InvalidParameterError(
-                f'{what} "{key}" must be {name}, got {obj[key]!r}')
+                f'{what} "{key}" must be {name}, got {_shown(obj[key])}')
 
 
 def _write_text(path, text: str) -> None:

@@ -47,11 +47,12 @@ from .graphs import (
 from .grouptest import (
     NoiseModel,
     OutcomeVector,
+    _certify,
     _exact,
     binomial_quantile,
     decode_threshold,
     eta_for_flip_noise,
-    is_disjunct,
+    is_disjunct,  # not called here; perfbench's tracer test reads this binding
     simulate_tests,
 )
 from .mixing import conductance_lower_bound, conductance_mixing_bound, mixing_time
@@ -351,6 +352,13 @@ def success_sweep(
     a prefix may fit the budget where a search from column 0 would exceed
     it, and then neither raises nor degrades.
 
+    At d = 2 and a budget of at least nc*C(nc-1, 2) + nc**2 (nc columns),
+    where the search could not run out, the scan decides each column its
+    root bound does not settle by one pruned pair table instead of the
+    search (``grouptest._certify`` with tables); those columns count no
+    nodes, and the points are the search's.  Below that budget and at other
+    d the scan searches, so it raises and degrades as ``is_disjunct`` does.
+
     Trial t's graph, matrix, planted set and noise come from child seeds
     (t, 0) to (t, 3).  Each is drawn only when read: a complete or cycle
     graph takes no seed, and the planted set is drawn when the trial is
@@ -408,7 +416,8 @@ def success_sweep(
             try:
                 cert = None
                 for i, m in enumerate(m_grid):
-                    cert = is_disjunct(M.prefix(m), d, budget=budget, shorter=cert)
+                    cert = _certify(M.prefix(m), d, 0, budget, (), cert,
+                                    tables=True)
                     if cert.disjunct:
                         for m_up in m_grid[i:]:
                             wins[m_up] += 1

@@ -20,6 +20,15 @@ first witness is built slot by slot: each slot but the last two takes the
 smallest later column for which the search, run on the columns after it,
 still finds a violation, and the last two are the first pair of a table
 that counts the rows each pair of later columns leaves (``_lex_witness``).
+That table is pruned to the columns that can be in such a pair
+(``_pair_table``).
+
+Success sweeps decide d = 2 by that table alone (``_certify`` with
+``tables``): at a node cap the d = 2 search could not exhaust, a column the
+root does not settle is private exactly when its table over all its rows
+has no pair of at most e, and the first such pair is its witness.  Tabled
+columns count no nodes.  ``is_disjunct`` and ``disjunct_margin``, and
+sweeps at other d or lower caps, keep the search.
 
 The decision settles a column at its root when the column's weight less its
 d largest overlaps exceeds e.  That is the search's first bound test, so the
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -51,6 +61,7 @@ from .errors import (
     _check_int,
     _check_number,
     _id_list,
+    _is_int,
     _is_real,
     read_json,
     write_json,
@@ -258,24 +269,26 @@ class _Budget:
 
 
 def _node_cap(budget: float) -> float:
-    """The node budget as an int, or ``inf`` for no cap."""
+    """The node budget as an int, or ``inf`` for no cap.  An int budget is
+    exact and never nan, and may exceed any float."""
+    if _is_int(budget):
+        return int(budget)
     if not _is_real(budget) or math.isnan(budget):
         raise InvalidParameterError(f"budget must be a number, got {budget!r}")
     return budget if math.isinf(budget) else int(budget)
 
 
 class _Columns:
-    """Columns as Python-int bitsets (bit i is row i), with weights and
-    pairwise overlap counts (-1 on the diagonal)."""
+    """Columns as the rows of a boolean block, with weights and pairwise
+    overlap counts (-1 on the diagonal); their bitsets and misses are built
+    on first use."""
 
     def __init__(self, At: np.ndarray):
         # At holds one column per row (callers pass dense().T[cols], a
-        # copy), so packing and the product read contiguous rows; the
-        # witness reads it again (see _lex_witness)
+        # copy), so packing and the product read contiguous rows; the pair
+        # tables read it again (see _pair_table)
         self.At = At
         self.nc, self.m = At.shape
-        packed = np.packbits(At, axis=1, bitorder="little")
-        self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         Bf = At.astype(np.float32)
         self.overlap = np.rint(Bf @ Bf.T).astype(np.int64)
         self.w = self.overlap.diagonal().copy()
@@ -311,6 +324,19 @@ class _Columns:
             # each row's own entry (-1) sorts first here and last in order
             self.prefix = desc[:, :0:-1].cumsum(axis=1)
         return self.order[i].tolist(), [0, *self.prefix[i].tolist()]
+
+    @cached_property
+    def bits(self) -> list[int]:
+        """The columns as Python-int bitsets, for the search and the witness
+        (a tabled scan reads none)."""
+        packed = np.packbits(self.At, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    @cached_property
+    def miss(self) -> np.ndarray:
+        """1.0 where a column misses a row, 0.0 where it covers it, for the
+        pair tables (see ``_pair_table``)."""
+        return (~self.At).astype(np.float32)
 
 
 # Overlap cells in the first block of root bounds (see _root_slack)
@@ -421,6 +447,36 @@ def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
     return limit
 
 
+def _pair_table(cs: _Columns, rows: np.ndarray, ov: np.ndarray, first: int,
+                e: int) -> tuple[tuple[int, int], int] | None:
+    """The first pair a < b of the columns from ``first`` on that leaves at
+    most e of ``rows`` (a mask of column j0's rows) uncovered, with that
+    count; None when no pair does.  ``ov`` holds those rows' overlap with
+    each column from ``first`` on, and -1 at j0, as in ``cs.overlap``.
+
+    Cell (a, b) of ``Z @ Z.T``, with Z the columns' misses on ``rows``,
+    counts the rows neither a nor b covers.  A pair that leaves at most e
+    has ov[a] + ov[b] >= |rows| - e, so both of its columns have
+    ov >= |rows| - e - max(ov), and the table is built over those alone.
+    That bound is clamped at 0 to keep j0 out: its -1 passes the bound
+    itself when e >= 1."""
+    keep = (ov >= max(np.count_nonzero(rows) - e - ov.max(), 0)).nonzero()[0]
+    if len(keep) < 2:
+        return None
+    keep += first
+    Z = cs.miss[keep][:, rows]
+    # counts are at most m, exact in float32 below 2**24
+    left = Z @ Z.T
+    ok = left <= e
+    ok.ravel()[::len(ok) + 1] = False
+    # the table is symmetric, so its first cell of at most e, in row-major
+    # order, lies above the diagonal: the lexicographically first pair
+    a, b = divmod(int(ok.argmax()), len(ok))
+    if not ok[a, b]:
+        return None
+    return (int(keep[a]), int(keep[b])), int(left[a, b])
+
+
 def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, ...], int]:
     """Lexicographically first violating d-set for column j0 (a violation
     must exist).  Returns (local ids, private count).
@@ -428,10 +484,9 @@ def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, 
     At d = 1 it is the first other column that leaves at most e rows.  Else
     every slot but the last two takes the smallest later column for which
     the search, run on the columns after it, still finds a violation; the
-    last two come from one pair table over the columns after those: cell
-    (a, b) of ``Z @ Z.T``, with Z the columns' misses on the rows of j0 that
-    the earlier slots leave, counts the rows neither a nor b covers, and the
-    first cell a < b (neither j0) of at most e is the pair."""
+    last two are the first pair of ``_pair_table`` over the columns after
+    those and the rows of j0 that the earlier slots leave.  At d = 2 that
+    is the same table a tabled sweep scan builds."""
     bits, col0 = cs.bits, cs.bits[j0]
     if d_eff == 1:
         for c in range(cs.nc):
@@ -459,21 +514,20 @@ def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, 
             raise RuntimeError("witness extraction failed after positive decision")
         chosen.append(c)
         cov = ncov
-    first = chosen[-1] + 1 if chosen else 0
-    rows = cs.At[j0] & ~cs.At[chosen].any(axis=0)
-    Z = (~cs.At[first:, rows]).astype(np.float32)
-    # counts are at most m, exact in float32 below 2**24
-    left = Z @ Z.T
-    ok = left <= e
-    np.fill_diagonal(ok, False)
-    if j0 >= first:
-        ok[j0 - first] = ok[:, j0 - first] = False
-    # the table is symmetric, so its first cell of at most e, in row-major
-    # order, lies above the diagonal
-    a, b = divmod(int(ok.argmax()), len(ok))
-    if not ok[a, b]:
+    if chosen:
+        first = chosen[-1] + 1
+        rows = cs.At[j0] & ~cs.At[chosen].any(axis=0)
+        # -1 at j0, as in cs.overlap
+        rest = cs.At[first:, rows].sum(axis=1)
+        if j0 >= first:
+            rest[j0 - first] = -1
+    else:
+        first, rows, rest = 0, cs.At[j0], cs.overlap[j0]
+    found = _pair_table(cs, rows, rest, first, e)
+    if found is None:
         raise RuntimeError("witness extraction failed after positive decision")
-    return (*chosen, first + a, first + b), int(left[a, b])
+    pair, priv = found
+    return (*chosen, *pair), priv
 
 
 def is_disjunct(
@@ -499,6 +553,17 @@ def is_disjunct(
     this prefix.  The certificate equals the one without ``shorter`` except
     for ``nodes``, which counts the columns searched, and the budget caps
     those nodes alone.  The argument and enumeration checks run first."""
+    return _certify(M, d, e, budget, exclude_columns, shorter, tables=False)
+
+
+def _certify(M: MeasurementMatrix, d: int, e: int, budget: float, exclude_columns,
+             shorter: DisjunctCertificate | None, tables: bool) -> DisjunctCertificate:
+    """``is_disjunct``, which runs it without ``tables``.  With ``tables``,
+    at d_effective 2 and a cap of at least nc*C(nc-1, 2) + nc**2, each column
+    its root slack does not settle is decided by ``_pair_table`` rather than
+    the search, and adds no nodes.  A d = 2 search visits at most
+    1 + (nc-1) + C(nc-1, 2) nodes per column, so at such a cap it could not
+    overflow either: the certificate is the search's but for ``nodes``."""
     d, e = _as_count("d", d, 1), _as_count("e", e, 0)
     cap = _node_cap(budget)
     cols = _columns_for(M, exclude_columns)
@@ -516,6 +581,7 @@ def is_disjunct(
     if d_eff == 0 or start == nc:
         return DisjunctCertificate(disjunct=True, d=d, e=e, d_effective=d_eff,
                                    columns=tuple(cols), witness=None, nodes=0)
+    tables = tables and d_eff == 2 and total + nc * nc <= cap
     cs = _Columns(M.dense().T[cols])
     counter = _Budget(cap)
     witness = None
@@ -527,9 +593,16 @@ def is_disjunct(
             counter.nodes += 1
             if counter.nodes > counter.limit:
                 raise counter.exceeded()
+            continue
+        if tables:
+            found = _pair_table(cs, cs.At[j0], cs.overlap[j0], 0, e)
         elif cs.w[j0] <= e or _search(cs.bits, cs.bits[j0], *cs.by_overlap(j0),
                                       d_eff, 0, e + 1, e, counter) <= e:
-            local, priv = _lex_witness(cs, j0, d_eff, e)
+            found = _lex_witness(cs, j0, d_eff, e)
+        else:
+            found = None
+        if found is not None:
+            local, priv = found
             witness = DisjunctWitness(
                 s0=cols[j0], others=tuple(cols[k] for k in local), private=priv)
             break

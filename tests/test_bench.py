@@ -1,6 +1,7 @@
 """scripts/bench.py: the verdict on each end-to-end metric of a BENCH file,
 the ``incorrect`` verdict on wrong outputs, the bytecode compile before the first timed run, the metrics printed per
-pair, and the commits the file names; and that every span name perfbench's
+pair, the commits the file names, and the acceptance checks ``--tier1 -k``
+selects; and that every span name perfbench's
 tracer builds a metric from is a public walktest binding, which the graph
 family dispatch calls."""
 
@@ -155,6 +156,39 @@ def test_bytecode_compiled_once_per_checkout_before_any_run(tmp_path, monkeypatc
     assert calls[0][1][1:] == ["-m", "compileall", "-q", "src", "perfbench"]
     assert len(calls) == 2 + 2 * 3 * (1 if tier1 else 2)
     assert (sides[1] / "BENCH_t.json").exists()
+
+
+def test_tier1_select_runs_only_the_chosen_acceptance_checks(tmp_path, monkeypatch,
+                                                             capsys):
+    spec = (ROOT / "BENCHMARK.json").read_text()
+    sides = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(spec)
+        sides.append((tmp_path / side).resolve())
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append((Path(cwd), cmd))
+        out = ("[acceptance] complete-graph-rows: PASS (m95=16; 2.5s of 600s "
+               "budget)\n1 passed, 9 deselected in 3.0s")
+        return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    argv = ["--parent", str(sides[0]), "--change", str(sides[1]),
+            "--label", "t", "--pairs", "3", "--tier1", "-k", "complete_graph_m95"]
+    assert bench.main(argv) == 0
+    runs = [(cwd, cmd) for cwd, cmd in calls if "pytest" in cmd]
+    assert all(cmd[-3:] == ["tests/test_acceptance.py", "-k", "complete_graph_m95"]
+               for _, cmd in runs)
+    # the side that runs first alternates, pair by pair
+    assert [cwd.name for cwd, _ in runs] == ["parent", "change", "change",
+                                             "parent", "parent", "change"]
+    doc = json.loads((sides[1] / "BENCH_t.json").read_text())
+    assert doc["tier1"]["select"] == "complete_graph_m95"
+    assert doc["tier1"]["checks"]["complete-graph-rows"]["change"]["median"] == 2.5
+    with pytest.raises(SystemExit):
+        bench.main(argv[:-3] + ["-k", "complete_graph_m95"])
 
 
 def test_traced_pairs_print_certifier_rate(tmp_path, monkeypatch, capsys):

@@ -771,6 +771,10 @@ class TestExperimentCommand:
         ("sweep", {"noise": {"kind": "flip", "q": 0.1, "qq": 5}},
          '"noise" has unknown key "qq"'),
         ("sweep", {"noise": 0}, '"noise" must be a JSON object'),
+        ("sweep", {"eta": 10**400},
+         'sweep config "eta" must be a number, got an integer of 401 digits'),
+        ("tomo", {"q": -10**400},
+         'tomo config "q" must be a number, got an integer of 401 digits'),
         # checked by the experiment, which runs before --out is made
         ("verify", {"graph": {"family": "complete", "n": 4}, "d": 3},
          "need d <= n - 2, got d=3, n=4"),
@@ -811,7 +815,7 @@ class TestExperimentCommand:
             "float-congested", "float-m-grid", "text-sink", "text-n-grid",
             "text-lazy", "integer-graph-file", "number-graph-file",
             "verify-graph-and-file", "tomo-graph-and-file", "noise-extra-key",
-            "noise-zero",
+            "noise-zero", "huge-integer-eta", "huge-integer-q",
             "verify-large-d", "verify-bipartite", "tomo-source-range",
             "tomo-edge-range", "sweep-design-id", "sweep-zero-d",
             "fixed-input-design-id", "fixed-input-sink-design",

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from walktest import experiments
+from walktest import experiments, grouptest
 from walktest.designs import build_design, design_parameters
 from walktest.errors import (
     GenerationFailureError,
@@ -89,12 +89,12 @@ def degrade_matches_recovery(monkeypatch, cfg):
         calls.append(1)
         if len(calls) >= 7:
             raise SizeExceededError("over budget", limit=0)
-        return is_disjunct(*args, **kwargs)
+        return grouptest._certify(*args, **kwargs)
 
     grid = [0, 20, 40]
     rec = success_sweep(cfg, 1, 2, 0.0, grid, trials=30, seed=6,
                         success="recovery")
-    monkeypatch.setattr(experiments, "is_disjunct", overflow_late)
+    monkeypatch.setattr(experiments, "_certify", overflow_late)
     auto = success_sweep(cfg, 1, 2, 0.0, grid, trials=30, seed=6)
     assert len(calls) == 7
     assert auto.metadata["degraded"]
@@ -461,6 +461,21 @@ class TestRunConfig:
         assert run_config("sweep", dict(SWEEP_CFG, seed=3), 9) == plain
         _, results = run_config("sweep", dict(SWEEP_CFG, eta=0), 3)
         assert type(results["eta"]) is float and results["eta"] == 0.0
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("sweep", "eta", 10**400),
+        ("sweep", "budget", 10**400),
+        ("fixed-input", "budget", -10**400),
+        ("tomo", "q", 10**400),
+        ("tomo", "confidence", 10**308 * 2),
+    ])
+    def test_integer_too_large_for_a_float_is_refused(self, kind, key, value):
+        cfg = {"tomo": {"graph": K8, "source": 0}}.get(kind, SWEEP_CFG)
+        digits = len(str(abs(value)))
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f'{kind} config "{key}" must be a number, got an integer of '
+                f"{digits} digits")):
+            run_config(kind, dict(cfg, **{key: value}), 3)
 
     @pytest.mark.parametrize("kind", [1.5, None, [], "swep"])
     def test_unknown_kind(self, kind):

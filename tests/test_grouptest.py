@@ -52,10 +52,10 @@ def mk(n_items, rows, stripped=(), design=None):
         "design": design if design is not None else {"id": 0}, "seed": 0})
 
 
-def brute_disjunct(M, d, e):
+def brute_disjunct(M, d, e, exclude=()):
     """Exhaustive set-based reference: verdict plus the first violation in
     (ascending column, lexicographic d-set) order."""
-    cols = list(M.columns)
+    cols = [c for c in M.columns if c not in exclude]
     A = M.dense()
     d_eff = min(d, len(cols) - 1)
     if d_eff == 0:
@@ -178,6 +178,16 @@ class TestDisjunctAgainstOracle:
             is_disjunct(M, 1, budget=math.nan)
         with pytest.raises(InvalidParameterError, match="budget"):
             disjunct_margin(M, 1, budget=math.nan)
+
+    def test_integer_budget_beyond_any_float_is_exact(self):
+        M = mk(30, [(i,) for i in range(30)])
+        assert is_disjunct(M, 3, budget=10**400) == is_disjunct(M, 3, budget=math.inf)
+        assert disjunct_margin(M, 3, budget=10**400) == 1
+        # an int cap compares exactly: one node short still overflows
+        nodes = is_disjunct(M, 3, budget=math.inf).nodes
+        with pytest.raises(SizeExceededError) as exc:
+            is_disjunct(M, 3, budget=nodes - 1)
+        assert exc.value.progress["limit"] == nodes - 1
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(d="2"), "d must be an integer, got '2'"),
@@ -700,6 +710,159 @@ def test_mismatched_shorter_certificate_rejected(shorter, message):
         is_disjunct(M, 2, e=-1, shorter=bad)
     with pytest.raises(SizeExceededError, match="enumeration"):
         is_disjunct(M, 2, budget=10, shorter=bad)
+
+
+# A sweep's tabled scan (``_certify`` with tables) against the search and
+# against brute force.  Tables decide d_effective 2 at caps of at least
+# nc*C(nc-1, 2) + nc**2; every certificate field but ``nodes`` must match.
+
+
+def tabled(M, d, e, budget=math.inf, exclude_columns=(), shorter=None):
+    return grouptest._certify(M, d, e, budget, exclude_columns, shorter,
+                              tables=True)
+
+
+def band(nc):
+    """The least cap at which d = 2 scans run on tables."""
+    return nc * math.comb(nc - 1, 2) + nc * nc
+
+
+@st.composite
+def table_cases(draw):
+    """A matrix of 3 to 29 items, nested prefix lengths m1 <= m2, e and
+    excluded columns.  Some light columns sit in few rows, so that their
+    weight is often at most e."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_items = int(rng.integers(3, 30))
+    p = rng.uniform(0.05, 0.5)
+    strip = tuple(np.flatnonzero(rng.random(n_items) < 0.1).tolist())
+    if len(strip) >= n_items - 2:
+        strip = ()
+    light = set(np.flatnonzero(rng.random(n_items) < 0.2).tolist())
+    rows = [tuple(x for x in np.flatnonzero(rng.random(n_items) < p)
+                  if x not in strip and (x not in light or rng.random() < 0.1))
+            for _ in range(int(rng.integers(0, 81)))]
+    M = mk(n_items, rows, strip)
+    exclude = [c for c in M.columns[1:] if rng.random() < 0.15]
+    m2 = int(rng.integers(len(rows) // 3, len(rows) + 1))
+    m1 = max(m2 - int(rng.integers(0, 16)), 0)
+    return M, m1, m2, draw(st.integers(0, 3)), exclude
+
+
+def tabled_nodes(M, e, exclude, start, cert):
+    """The nodes a tabled scan counts: one per root-settled column from
+    ``start`` to the witness column (or the last column)."""
+    cols = list(cert.columns)
+    cs = grouptest._Columns(M.dense().T[cols])
+    stop = cols.index(cert.witness.s0) if cert.witness else len(cols)
+    slack = list(grouptest._root_slack(cs, 2))
+    return sum(s > e for s in slack[start:stop])
+
+
+def test_tabled_scan_matches_search_and_brute_force():
+    seen = []
+
+    @given(case=table_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def check(case):
+        M, m1, m2, e, exclude = case
+        kw = dict(exclude_columns=exclude)
+        shorter = tabled(M.prefix(m1), 2, e, **kw)
+        assert replace(shorter, nodes=0) == replace(
+            is_disjunct(M.prefix(m1), 2, e, budget=math.inf, **kw), nodes=0)
+        longer = M.prefix(m2)
+        full = tabled(longer, 2, e, **kw)
+        chained = tabled(longer, 2, e, shorter=shorter, **kw)
+        search = is_disjunct(longer, 2, e, budget=math.inf, **kw)
+        assert replace(full, nodes=0) == replace(search, nodes=0)
+        assert replace(chained, nodes=0) == replace(search, nodes=0)
+        ok, wit = brute_disjunct(longer, 2, e, exclude)
+        assert full.disjunct == ok
+        if not ok:
+            assert (full.witness.s0, full.witness.others,
+                    full.witness.private) == (wit[0], tuple(wit[1]), wit[2])
+        start = grouptest._chain_start(shorter, 2, e, list(full.columns))
+        if full.d_effective == 2:
+            assert full.nodes == tabled_nodes(longer, e, exclude, 0, full)
+            assert chained.nodes == tabled_nodes(longer, e, exclude, start, full)
+        light = [c for c in full.columns if longer.dense()[:, c].sum() <= e]
+        seen.append((e, full.d_effective == 2, bool(longer.stripped),
+                     bool(exclude), not ok, start > 0 and not shorter.disjunct,
+                     bool(light) and not ok, not ok and e > 0))
+
+    check()
+    for v in range(4):
+        assert sum(s[0] == v for s in seen) >= 50, v
+    covered = [sum(flags) for flags in zip(*seen)][1:]
+    assert min(covered) >= 20, covered
+
+
+def test_tables_decide_d2_scans_at_and_above_the_band():
+    M = build_design(complete_graph(12), 1, 40, 5, t=8)
+    nc = len(M.columns)
+    want = is_disjunct(M, 2)
+    assert not want.disjunct
+    with mock.patch.object(grouptest, "_search", side_effect=AssertionError):
+        for cap in (band(nc), band(nc) + 1, math.inf):
+            got = tabled(M, 2, 0, budget=cap)
+            assert replace(got, nodes=want.nodes) == want
+            assert got.nodes < want.nodes
+        # d_effective 3 and 1 keep the search
+        with pytest.raises(AssertionError):
+            tabled(M, 3, 0)
+    assert tabled(M, 1, 0) == is_disjunct(M, 1)
+    # one below the band the search runs, nodes and all
+    assert tabled(M, 2, 0, budget=band(nc) - 1) == want
+
+
+# Three columns that each keep one private row against the other two, with
+# a root slack of -1: a d = 2 search visits more than nc*C(nc-1, 2) = 3
+# nodes, so caps from 3 up to the band overflow it mid-scan.
+OVERFLOW_ROWS = [(0, 1, 2), (0, 1, 2), (0,), (1,), (2,)]
+
+
+def test_search_overflows_below_the_band_as_before():
+    M = mk(3, OVERFLOW_ROWS)
+    nodes = is_disjunct(M, 2, budget=math.inf).nodes
+    assert 3 < nodes < band(3)
+    for cap in (3, nodes - 1):
+        want = certify(M, 2, 0, cap)
+        assert isinstance(want, tuple) and "search" in want[0]
+        try:
+            got = tabled(M, 2, 0, budget=cap)
+        except SizeExceededError as ex:
+            got = str(ex), ex.progress
+        assert got == want
+    assert tabled(M, 2, 0, budget=band(3)) == replace(
+        is_disjunct(M, 2), nodes=0)
+
+
+def test_disjunct_sweep_keeps_the_searchs_overflow_below_the_band():
+    """A disjunct sweep whose design is the overflow matrix (items 3 and up
+    stripped) raises the error and progress of a sweep on the search alone
+    below the band, and gives the same rates at the band."""
+    M = mk(8, OVERFLOW_ROWS * 3, stripped=range(3, 8))
+
+    def sweep(budget, certify=grouptest._certify):
+        with mock.patch.object(experiments, "build_design",
+                               lambda *a, **kw: M), \
+                mock.patch.object(experiments, "_certify", certify):
+            try:
+                return experiments.success_sweep(
+                    {"family": "complete", "n": 8}, 1, 2, 0.0, [5, 15], 30, 1,
+                    success="disjunct", budget=budget).csv_rows()
+            except SizeExceededError as ex:
+                return str(ex), ex.progress
+
+    def search(*args, tables):
+        return grouptest._certify(*args, tables=False)
+
+    nodes = is_disjunct(M.prefix(5), 2, budget=math.inf).nodes
+    for cap in (3, nodes - 1, band(3) - 1, band(3)):
+        assert sweep(cap) == sweep(cap, search)
+    assert sweep(nodes - 1) == ("disjunctness search exceeded the node budget",
+                                {"limit": nodes - 1, "columns_done": 2})
+    assert sweep(band(3))[1][1] == 1.0
 
 
 class TestSimulate:
