@@ -468,7 +468,8 @@ class TestRunConfig:
         ("fixed-input", "budget", -10**400),
         ("tomo", "q", 10**400),
         ("tomo", "confidence", 10**308 * 2),
-    ])
+    ], ids=["sweep-eta", "sweep-budget", "fixed-input-budget", "tomo-q",
+            "tomo-confidence"])
     def test_integer_too_large_for_a_float_is_refused(self, kind, key, value):
         cfg = {"tomo": {"graph": K8, "source": 0}}.get(kind, SWEEP_CFG)
         digits = len(str(abs(value)))

@@ -817,24 +817,9 @@ def test_tables_decide_d2_scans_at_and_above_the_band():
 
 # Three columns that each keep one private row against the other two, with
 # a root slack of -1: a d = 2 search visits more than nc*C(nc-1, 2) = 3
-# nodes, so caps from 3 up to the band overflow it mid-scan.
+# nodes, so caps from 3 to one below its node count, all below the band,
+# overflow it mid-scan.
 OVERFLOW_ROWS = [(0, 1, 2), (0, 1, 2), (0,), (1,), (2,)]
-
-
-def test_search_overflows_below_the_band_as_before():
-    M = mk(3, OVERFLOW_ROWS)
-    nodes = is_disjunct(M, 2, budget=math.inf).nodes
-    assert 3 < nodes < band(3)
-    for cap in (3, nodes - 1):
-        want = certify(M, 2, 0, cap)
-        assert isinstance(want, tuple) and "search" in want[0]
-        try:
-            got = tabled(M, 2, 0, budget=cap)
-        except SizeExceededError as ex:
-            got = str(ex), ex.progress
-        assert got == want
-    assert tabled(M, 2, 0, budget=band(3)) == replace(
-        is_disjunct(M, 2), nodes=0)
 
 
 def test_disjunct_sweep_keeps_the_searchs_overflow_below_the_band():
@@ -858,6 +843,7 @@ def test_disjunct_sweep_keeps_the_searchs_overflow_below_the_band():
         return grouptest._certify(*args, tables=False)
 
     nodes = is_disjunct(M.prefix(5), 2, budget=math.inf).nodes
+    assert 3 < nodes < band(3)
     for cap in (3, nodes - 1, band(3) - 1, band(3)):
         assert sweep(cap) == sweep(cap, search)
     assert sweep(nodes - 1) == ("disjunctness search exceeded the node budget",
