@@ -192,10 +192,13 @@ def write_json(path, obj, indent: int | None = None) -> None:
 
 @contextmanager
 def parse_errors(what: str):
-    """Report text in the block that is not UTF-8 or not JSON as invalid."""
+    """Report text in the block that is not UTF-8 or not JSON (any
+    ValueError but the library's own, such as an over-long int) as invalid."""
     try:
         yield
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except WalktestError:
+        raise
+    except ValueError as exc:
         raise InvalidParameterError(f"bad {what} JSON: {exc}") from None
 
 

@@ -346,7 +346,7 @@ def success_sweep(
     m, so it raises or degrades exactly as before.
 
     Each prefix's certification resumes at the column where the previous
-    prefix found its witness (``is_disjunct``'s ``shorter``), since the
+    prefix found its witness (``grouptest._chain_start``), since the
     columns before it stay private as rows are added.  The node budget
     applies to each call and counts only the columns that call searches, so
     a prefix may fit the budget where a search from column 0 would exceed

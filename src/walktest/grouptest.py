@@ -9,9 +9,8 @@ The certifier holds each column as a Python-int bitset (bit i is row i), so
 an inner search node costs one ``|`` and one ``(col & ~cover).bit_count()``.
 Leaves, most of the nodes at d = 2, are not calls: their parent's loop takes
 the rows it leaves once and gives each leaf one ``&~`` and one popcount.
-The search runs each column's candidates by descending overlap; those
-orders are sorted a block of overlap rows at a time (see
-``_Columns.by_overlap``).
+The search runs each column's candidates by descending overlap, its
+overlap row sorted when the column is searched (``_Columns.by_overlap``).
 
 One branch-and-bound search serves the decision and the margin.  The
 decision stops at the first set that leaves at most e private rows; the
@@ -293,37 +292,14 @@ class _Columns:
         self.overlap = np.rint(Bf @ Bf.T).astype(np.int64)
         self.w = self.overlap.diagonal().copy()
         np.fill_diagonal(self.overlap, -1)
-        # the last sorted block starts at row lo; the run of consecutive
-        # searched rows that ends at row top started at row run
-        self.lo, self.run, self.top = 0, 0, -1
-        self.order = self.prefix = self.overlap[:0]
 
     def by_overlap(self, j0: int) -> tuple[list[int], list[int]]:
         """Other columns by descending overlap with j0 (stable), and the
-        prefix sums of those overlaps.
-
-        Rows are sorted a block at a time and turned into lists one at a
-        time.  A block starts at the row asked for and holds as many rows
-        as were asked for just before it without a gap (at least one), so
-        a run of searched columns costs one sort per 1, 1, 2, 4, 8 ...
-        rows, a certification that searches one or two columns sorts only
-        those, and at most twice the rows searched are sorted: never the
-        rows between two far-apart searched columns."""
-        if j0 != self.top:
-            if j0 != self.top + 1:
-                self.run = j0
-            self.top = j0
-        i = j0 - self.lo
-        if not 0 <= i < len(self.order):
-            ov = self.overlap[j0:j0 + max(1, j0 - self.run)]
-            self.lo, i = j0, 0
-            # ndarray methods: np.argsort and np.sort add about 1 us per call
-            self.order = (-ov).argsort(kind="stable")[:, :-1]
-            desc = ov.copy()
-            desc.sort()
-            # each row's own entry (-1) sorts first here and last in order
-            self.prefix = desc[:, :0:-1].cumsum(axis=1)
-        return self.order[i].tolist(), [0, *self.prefix[i].tolist()]
+        prefix sums of those overlaps."""
+        ov = self.overlap[j0]
+        # methods, as np.argsort adds about 1 us a call; j0's -1 sorts last
+        order = (-ov).argsort(kind="stable")[:-1]
+        return order.tolist(), [0, *ov[order].cumsum().tolist()]
 
     @cached_property
     def bits(self) -> list[int]:
@@ -366,30 +342,15 @@ def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
     return [c for c in M.columns if c not in excl]
 
 
-def _chain_start(shorter, d: int, e: int, cols: list[int]) -> int:
+def _chain_start(shorter: DisjunctCertificate | None, cols: list[int]) -> int:
     """The column index a certification resumes at after ``shorter``, the
-    certificate of a shorter row prefix (0 without one, ``len(cols)`` when
-    it is disjunct)."""
+    certificate of a shorter row prefix with the same d, e and columns: 0
+    without one, ``len(cols)`` when it is disjunct, else its witness's."""
     if shorter is None:
         return 0
-    if not isinstance(shorter, DisjunctCertificate):
-        raise InvalidParameterError(
-            f"shorter must be a DisjunctCertificate, got {shorter!r}")
-    for what, got, want in (("d", shorter.d, d), ("e", shorter.e, e)):
-        if got != want:
-            raise InvalidParameterError(
-                f"shorter certificate has {what} = {got!r}, not {want}")
-    if shorter.columns != tuple(cols):
-        raise InvalidParameterError(
-            "shorter certificate checks other columns than this check "
-            f"({len(shorter.columns)} against {len(cols)})")
     if shorter.disjunct:
         return len(cols)
-    s0 = getattr(shorter.witness, "s0", None)
-    if s0 not in cols:
-        raise InvalidParameterError(
-            f"shorter certificate's witness column {s0!r} is not checked")
-    return cols.index(s0)
+    return cols.index(shorter.witness.s0)
 
 
 def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
@@ -481,19 +442,21 @@ def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, 
     """Lexicographically first violating d-set for column j0 (a violation
     must exist).  Returns (local ids, private count).
 
-    At d = 1 it is the first other column that leaves at most e rows.  Else
-    every slot but the last two takes the smallest later column for which
-    the search, run on the columns after it, still finds a violation; the
-    last two are the first pair of ``_pair_table`` over the columns after
-    those and the rows of j0 that the earlier slots leave.  At d = 2 that
+    At d = 1 it is the first other column that leaves at most e rows, read
+    off j0's overlap row.  Else every slot but the last two takes the
+    smallest later column for which the search, run on the columns after
+    it, still finds a violation; the last two are the first pair of
+    ``_pair_table`` over the columns after those and the rows of j0 that
+    the earlier slots leave.  At d = 2 that
     is the same table a tabled sweep scan builds."""
-    bits, col0 = cs.bits, cs.bits[j0]
     if d_eff == 1:
-        for c in range(cs.nc):
-            priv = (col0 & ~bits[c]).bit_count()
-            if c != j0 and priv <= e:
-                return (c,), priv
-        raise RuntimeError("witness extraction failed after positive decision")
+        # a column leaves j0 w - overlap rows; the clamp keeps j0's -1 out
+        ok = (cs.overlap[j0] >= max(cs.w[j0] - e, 0)).nonzero()[0]
+        if not len(ok):
+            raise RuntimeError("witness extraction failed after positive decision")
+        c = int(ok[0])
+        return (c,), int(cs.w[j0] - cs.overlap[j0, c])
+    bits, col0 = cs.bits, cs.bits[j0]
     chosen: list[int] = []
     cov = 0
     if d_eff > 2:
@@ -536,7 +499,6 @@ def is_disjunct(
     e: int = 0,
     budget: float = 1e8,
     exclude_columns=(),
-    shorter: DisjunctCertificate | None = None,
 ) -> DisjunctCertificate:
     """Exhaustively certify (d,e)-disjunctness over the non-stripped columns.
 
@@ -544,26 +506,21 @@ def is_disjunct(
     also caps search nodes (every partial set visited counts, so nodes can
     exceed n*C(n-1,d)); ``inf`` means no cap.  On violation the witness is
     the lexicographically first (s0, others) pair.  When fewer than d other
-    columns exist the check uses all of them (d_effective).
-
-    ``shorter`` is the certificate this function returned for a shorter row
-    prefix of the same matrix, with the same d, e and columns.  Adding rows
-    only adds private rows, so every column before its witness column is
-    still private and the search starts there; when it is disjunct, so is
-    this prefix.  The certificate equals the one without ``shorter`` except
-    for ``nodes``, which counts the columns searched, and the budget caps
-    those nodes alone.  The argument and enumeration checks run first."""
-    return _certify(M, d, e, budget, exclude_columns, shorter, tables=False)
+    columns exist the check uses all of them (d_effective)."""
+    return _certify(M, d, e, budget, exclude_columns, None, tables=False)
 
 
 def _certify(M: MeasurementMatrix, d: int, e: int, budget: float, exclude_columns,
              shorter: DisjunctCertificate | None, tables: bool) -> DisjunctCertificate:
-    """``is_disjunct``, which runs it without ``tables``.  With ``tables``,
-    at d_effective 2 and a cap of at least nc*C(nc-1, 2) + nc**2, each column
-    its root slack does not settle is decided by ``_pair_table`` rather than
-    the search, and adds no nodes.  A d = 2 search visits at most
-    1 + (nc-1) + C(nc-1, 2) nodes per column, so at such a cap it could not
-    overflow either: the certificate is the search's but for ``nodes``."""
+    """``is_disjunct``, which runs it without ``shorter`` or ``tables``.
+    With ``shorter`` the scan starts at ``_chain_start``; the certificate is
+    the one without it but for ``nodes``, which count (and the budget caps)
+    the columns scanned.  With ``tables``, at d_effective 2 and a cap of at
+    least nc*C(nc-1, 2) + nc**2, each column its root slack does not settle
+    is decided by ``_pair_table`` rather than the search, and adds no nodes.
+    A d = 2 search visits at most 1 + (nc-1) + C(nc-1, 2) nodes per column,
+    so at such a cap it could not overflow either: the certificate is the
+    search's but for ``nodes``."""
     d, e = _as_count("d", d, 1), _as_count("e", e, 0)
     cap = _node_cap(budget)
     cols = _columns_for(M, exclude_columns)
@@ -577,7 +534,7 @@ def _certify(M: MeasurementMatrix, d: int, e: int, budget: float, exclude_column
             "disjunctness enumeration over budget",
             needed=total, limit=cap, columns_done=0,
         )
-    start = _chain_start(shorter, d, e, cols)
+    start = _chain_start(shorter, cols)
     if d_eff == 0 or start == nc:
         return DisjunctCertificate(disjunct=True, d=d, e=e, d_effective=d_eff,
                                    columns=tuple(cols), witness=None, nodes=0)

@@ -159,7 +159,7 @@ ROWS = [
     row(grouptest.simulate_tests, "defectives", M=M, defectives=[1],
         noise=NOISELESS, rng=GEN),
     row(grouptest.is_disjunct, "d e exclude_columns", M=M, d=1, e=0,
-        budget=1e8, exclude_columns=[0], shorter=None),
+        budget=1e8, exclude_columns=[0]),
     row(grouptest.disjunct_margin, "d exclude_columns", M=M, d=1, budget=1e6,
         exclude_columns=[0]),
     row(grouptest.negative_counts, M=M, y=Y),

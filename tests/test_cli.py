@@ -129,10 +129,12 @@ class TestWalkStats:
         assert doc["quantity"] == "pi"
 
     def test_bad_params_json(self, graph_file, capsys):
-        code, _, err = run(capsys, "walk-stats", "--graph", str(graph_file),
-                           "--quantity", "pi", "--params", "{nope")
-        assert code == 1
-        assert "JSON" in load_json(err)["message"]
+        # an int of more than 4300 digits makes json raise a plain ValueError
+        for params in ("{nope", '{"v": %s}' % ("1" * 5001)):
+            code, _, err = run(capsys, "walk-stats", "--graph", str(graph_file),
+                               "--quantity", "pi", "--params", params)
+            assert code == 1
+            assert load_json(err)["message"].startswith("bad --params JSON: ")
 
     @pytest.mark.parametrize("quantity, params", [
         ("visits", '{"v": 3, "steps": 10, "k": 2}'),
@@ -600,8 +602,9 @@ class TestUnparsableValues:
 class TestExperimentCommand:
     @pytest.mark.parametrize("content, message", [
         ('{"graph": ', "bad config JSON"),
+        ('{"eta": %s}' % ("1" * 5001), "bad config JSON: Exceeds the limit"),
         ("[1, 2]", "must be a JSON object"),
-    ], ids=["truncated", "list"])
+    ], ids=["truncated", "long-int", "list"])
     def test_malformed_config_reports_kind(self, tmp_path, capsys, content,
                                            message):
         cfg = tmp_path / "cfg.json"
@@ -612,6 +615,7 @@ class TestExperimentCommand:
         diag = load_json(err)
         assert diag["kind"] == "invalid-parameter"
         assert message in diag["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, config, key", [
         ("sweep", {}, '"graph"'),

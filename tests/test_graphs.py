@@ -362,7 +362,10 @@ class TestIO:
         (b"", "no edges"),
         (b'{"n": 3', "bad graph JSON"),
         (b"\xff\xfe0 1\n", "bad graph JSON"),
-    ], ids=["empty", "truncated", "not-utf8"])
+        (b'{"n": %s, "edges": []}' % (b"1" * 5001), "bad graph JSON: Exceeds"),
+        # graph_from_json runs inside the JSON guard; its errors pass as they are
+        (b'{"n": 2, "edges": [[0, 0]]}', "^self-loop at vertex 0$"),
+    ], ids=["empty", "truncated", "not-utf8", "long-int", "self-loop"])
     def test_unreadable_file_rejected(self, tmp_path, content, message):
         path = tmp_path / "g.json"
         path.write_bytes(content)

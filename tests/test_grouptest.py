@@ -306,8 +306,11 @@ class TestCertifierPinned:
 
 
 def certify(M, d, e, budget, **kw):
-    """A certificate, or the overflow's message and progress."""
+    """A certificate, or the overflow's message and progress; with a
+    ``shorter`` keyword, of the certification chained on it (``chain``)."""
     try:
+        if "shorter" in kw:
+            return chain(M, d, e, budget, **kw)
         return is_disjunct(M, d, e, budget=budget, **kw)
     except SizeExceededError as ex:
         return str(ex), ex.progress
@@ -503,27 +506,15 @@ def test_fast_path_matches_reference_on_wide_matrices(case):
     against_reference(M, d, e, frac)
 
 
-@given(n_items=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
-       asks=st.lists(st.integers(0, 39), min_size=1, max_size=60))
-@settings(max_examples=200, deadline=None)
-def test_by_overlap_blocks_match_per_column_sort(n_items, seed, asks):
-    rng = np.random.default_rng(seed)
-    A = rng.random((30, n_items)) < rng.uniform(0.1, 0.6)
-    cs = grouptest._Columns(np.ascontiguousarray(A.T))
-    # runs of rows asked in ascending order, as the searches ask them
-    asks = sorted(j % n_items for j in asks)
-    sorted_rows, block = 0, None
-    for j0 in asks:
-        assert cs.by_overlap(j0) == ref_by_overlap(cs, j0)
-        if cs.order is not block:
-            block = cs.order
-            sorted_rows += len(block)
-    # a block is never longer than the run of rows asked before it
-    assert sorted_rows <= 2 * len(set(asks))
-
-
 # A certification chained on a shorter prefix's certificate against the same
 # certification from column 0.
+
+
+def chain(M, d, e, budget=math.inf, exclude_columns=(), shorter=None):
+    """``is_disjunct`` resumed after ``shorter``, as a sweep chains prefixes
+    but on the search."""
+    return grouptest._certify(M, d, e, budget, exclude_columns, shorter,
+                              tables=False)
 
 
 @st.composite
@@ -565,7 +556,7 @@ def test_chained_certificate_matches_search_from_column_zero():
         shorter = is_disjunct(M.prefix(m1), d, e, budget=math.inf, **kw)
         longer = M.prefix(m2)
         full = is_disjunct(longer, d, e, budget=math.inf, **kw)
-        chained = is_disjunct(longer, d, e, budget=math.inf, shorter=shorter, **kw)
+        chained = chain(longer, d, e, shorter=shorter, **kw)
         assert replace(chained, nodes=full.nodes) == full
         assert chained.nodes <= full.nodes
         if shorter.disjunct:
@@ -678,38 +669,12 @@ def test_pair_table_witness_matches_slot_search():
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_chained_witness_matches_slot_search(case):
     M, m1, m2, d, e, exclude, _ = case
-    kw = dict(d=d, e=e, budget=math.inf, exclude_columns=exclude)
-    shorter = is_disjunct(M.prefix(m1), **kw)
-    got = is_disjunct(M.prefix(m2), shorter=shorter, **kw)
+    kw = dict(d=d, e=e, exclude_columns=exclude)
+    shorter = chain(M.prefix(m1), **kw)
+    got = chain(M.prefix(m2), shorter=shorter, **kw)
     with mock.patch.object(grouptest, "_lex_witness", ref_lex_witness):
-        assert is_disjunct(M.prefix(m1), **kw) == shorter
-        assert is_disjunct(M.prefix(m2), shorter=shorter, **kw) == got
-
-
-@pytest.mark.parametrize("shorter, message", [
-    (lambda M: is_disjunct(M.prefix(20), 1),
-     "shorter certificate has d = 1, not 2"),
-    (lambda M: is_disjunct(M.prefix(20), 2, e=1),
-     "shorter certificate has e = 1, not 0"),
-    (lambda M: is_disjunct(M.prefix(20), 2, exclude_columns=[3]),
-     "shorter certificate checks other columns than this check (11 against 12)"),
-    (lambda M: replace(is_disjunct(M.prefix(20), 2), disjunct=False,
-                       witness=None),
-     "shorter certificate's witness column None is not checked"),
-    (lambda M: "cert", "shorter must be a DisjunctCertificate, got 'cert'"),
-    (lambda M: dict(disjunct=True),
-     "shorter must be a DisjunctCertificate, got {'disjunct': True}"),
-], ids=["d", "e", "columns", "no-witness", "text", "dict"])
-def test_mismatched_shorter_certificate_rejected(shorter, message):
-    M = build_design(complete_graph(12), 1, 40, 5, t=8)
-    bad = shorter(M)
-    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
-        is_disjunct(M, 2, shorter=bad)
-    # the argument and enumeration checks run first
-    with pytest.raises(InvalidParameterError, match="^e must be"):
-        is_disjunct(M, 2, e=-1, shorter=bad)
-    with pytest.raises(SizeExceededError, match="enumeration"):
-        is_disjunct(M, 2, budget=10, shorter=bad)
+        assert chain(M.prefix(m1), **kw) == shorter
+        assert chain(M.prefix(m2), shorter=shorter, **kw) == got
 
 
 # A sweep's tabled scan (``_certify`` with tables) against the search and
@@ -781,7 +746,7 @@ def test_tabled_scan_matches_search_and_brute_force():
         if not ok:
             assert (full.witness.s0, full.witness.others,
                     full.witness.private) == (wit[0], tuple(wit[1]), wit[2])
-        start = grouptest._chain_start(shorter, 2, e, list(full.columns))
+        start = grouptest._chain_start(shorter, list(full.columns))
         if full.d_effective == 2:
             assert full.nodes == tabled_nodes(longer, e, exclude, 0, full)
             assert chained.nodes == tabled_nodes(longer, e, exclude, start, full)
@@ -1226,8 +1191,9 @@ class TestOutcomeIO:
         with pytest.raises(InvalidParameterError, match="must be an object"):
             outcomes_from_json(doc)
 
-    @pytest.mark.parametrize("content", [b"", b'{"bits": "10', b"\xff\xfe"],
-                             ids=["empty", "truncated", "not-utf8"])
+    @pytest.mark.parametrize("content", [b"", b'{"bits": "10', b"\xff\xfe",
+                                         b'{"bits": %s}' % (b"1" * 5001)],
+                             ids=["empty", "truncated", "not-utf8", "long-int"])
     def test_unparsable_file_rejected(self, tmp_path, content):
         path = tmp_path / "y.json"
         path.write_bytes(content)
