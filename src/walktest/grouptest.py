@@ -447,8 +447,8 @@ def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, 
     smallest later column for which the search, run on the columns after
     it, still finds a violation; the last two are the first pair of
     ``_pair_table`` over the columns after those and the rows of j0 that
-    the earlier slots leave.  At d = 2 that
-    is the same table a tabled sweep scan builds."""
+    the earlier slots leave.  At d = 2 that is the same table a tabled
+    sweep scan builds."""
     if d_eff == 1:
         # a column leaves j0 w - overlap rows; the clamp keeps j0's -1 out
         ok = (cs.overlap[j0] >= max(cs.w[j0] - e, 0)).nonzero()[0]
