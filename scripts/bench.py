@@ -17,7 +17,11 @@ Each end-to-end metric also gets a ``verdict`` against its BENCHMARK.json
 bound (see ``verdict``).  A workload on which any run was not correct, or
 whose two sides failed different numbers of operations, gets the verdict
 ``incorrect`` on every end-to-end metric instead, and the script exits 1
-once the file is written: a time taken on wrong outputs is no gain.
+once the file is written: a time taken on wrong outputs is no gain.  A
+run that times out or prints no result ends the script: its workload's
+section keeps the pairs finished before it and records it under
+``failed_run`` (side, seed, return code and stderr tail), and the script
+exits 1 once the file is written.
 ``--trace 0`` fills the file's ``end_to_end`` section, ``--trace 1`` its
 ``per_layer`` section; runs with another label, section or workload already
 in the file are kept, so several invocations build one file.  The file also
@@ -86,15 +90,28 @@ def checkout_state(checkout: Path, output: str) -> dict | None:
     return {"commit": head, "dirty": bool(status.strip())}
 
 
+class RunFailed(Exception):
+    """A run that timed out or printed no result; ``record`` holds its
+    return code (None on a timeout) and the tail of its stderr."""
+
+    def __init__(self, returncode: int | None, stderr: str | bytes | None):
+        if isinstance(stderr, bytes):  # a timeout's capture is bytes
+            stderr = stderr.decode(errors="replace")
+        self.record = {"returncode": returncode, "stderr": (stderr or "")[-2000:]}
+        super().__init__(self.record)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=20 * seconds + 600)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=20 * seconds + 600)
+    except subprocess.TimeoutExpired as ex:
+        raise RunFailed(None, ex.stderr) from None
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
-        raise SystemExit(f"bench: {checkout} {workload} seed {seed} printed no result\n"
-                         f"{proc.stderr[-2000:]}")
+        raise RunFailed(proc.returncode, proc.stderr)
     result = json.loads(lines[-1])
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
@@ -281,18 +298,23 @@ def main(argv=None) -> int:
     section = doc.setdefault(SECTIONS[args.trace], {})
     status = 0
     for workload in args.workload or WORKLOADS:
-        pairs = []
+        pairs, failed_run = [], None
         for k in range(args.pairs):
             seed = args.seed + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {side: run_once(sides[side], workload, seed, args.seconds, args.trace)
-                    for side in order}
-            pair["first"] = order[0]
+            pair = {"first": order[0]}
+            try:
+                for side in order:
+                    pair[side] = run_once(sides[side], workload, seed, args.seconds,
+                                          args.trace)
+            except RunFailed as ex:
+                failed_run = {"side": side, "seed": seed, **ex.record}
+                break
             pairs.append(pair)
             shown = {side: {m: round(v, 4) for m, v in pair[side]["metrics"].items()
                             if m in SHOWN and v is not None} for side in order}
             print(f"{workload} seed {seed}: {json.dumps(shown)}", flush=True)
-        metrics = summarise(pairs, lower, bounds)
+        metrics = summarise(pairs, lower, bounds) if pairs else {}
         if mark_incorrect(pairs, metrics):
             print(f"bench: {workload}: a run was not correct or the sides failed "
                   "different numbers of operations; verdicts read incorrect",
@@ -306,7 +328,15 @@ def main(argv=None) -> int:
             "metrics": metrics,
             "runs": pairs,
         }
+        if failed_run:
+            section[workload]["failed_run"] = failed_run
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        if failed_run:
+            print(f"bench: {workload}: the {failed_run['side']} run of seed "
+                  f"{failed_run['seed']} timed out or printed no result; kept "
+                  f"{len(pairs)} finished pair(s) in {out}\n{failed_run['stderr']}",
+                  file=sys.stderr)
+            return 1
     print(f"wrote {out}")
     return status
 

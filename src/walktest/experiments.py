@@ -46,9 +46,9 @@ from .graphs import (
 )
 from .grouptest import (
     NoiseModel,
-    OutcomeVector,
     _certify,
     _exact,
+    _node_cap,
     binomial_quantile,
     decode_threshold,
     eta_for_flip_noise,
@@ -338,19 +338,19 @@ def success_sweep(
     degraded points equal those of a "recovery" sweep with the same seed.
 
     Grid prefixes are nested and share one column set, so a d-disjunct
-    prefix stays d-disjunct as rows are added.  The disjunct scan certifies
-    prefixes in ascending order and stops at the first disjunct one,
-    crediting it and every larger grid value.  A longer prefix that is never
-    certified therefore cannot exceed the node budget, raise, or trigger a
-    degrade.  The up-front n*C(n-1,d) enumeration check does not depend on
-    m, so it raises or degrades exactly as before.
+    prefix stays d-disjunct as rows are added.  The disjunct scan is one
+    ``grouptest._certify`` call per trial: it certifies prefixes in
+    ascending order and stops at the first disjunct one, crediting it and
+    every larger grid value.  A longer prefix that is never certified
+    therefore cannot exceed the node budget, raise, or trigger a degrade.
+    The n*C(n-1,d) enumeration check does not depend on m, so it is made
+    once, before the first prefix.
 
-    Each prefix's certification resumes at the column where the previous
-    prefix found its witness (``grouptest._chain_start``), since the
-    columns before it stay private as rows are added.  The node budget
-    applies to each call and counts only the columns that call searches, so
-    a prefix may fit the budget where a search from column 0 would exceed
-    it, and then neither raises nor degrades.
+    Each prefix's scan starts at the column where the previous prefix found
+    its witness, since the columns before it stay private as rows are
+    added.  The node budget applies to each prefix and counts only the
+    columns its scan reaches, so a prefix may fit the budget where a search
+    from column 0 would exceed it, and then neither raises nor degrades.
 
     At d = 2 and a budget of at least nc*C(nc-1, 2) + nc**2 (nc columns),
     where the search could not run out, the scan decides each column its
@@ -366,6 +366,7 @@ def success_sweep(
     m_grid = _sweep_grid(graph_config, m_grid, trials, success)
     # before the first trial builds its graph and sizes its design
     _refuse_unread(design_id, t_override, designated, sink, None, None)
+    _node_cap(budget)
     mode = success
     m_max = m_grid[-1]
     wins = {m: 0 for m in m_grid}
@@ -414,14 +415,9 @@ def success_sweep(
         params_sample = params
         if mode in ("auto", "disjunct"):
             try:
-                cert = None
-                for i, m in enumerate(m_grid):
-                    cert = _certify(M.prefix(m), d, 0, budget, (), cert,
-                                    tables=True)
-                    if cert.disjunct:
-                        for m_up in m_grid[i:]:
-                            wins[m_up] += 1
-                        break
+                first = _certify(M, d, 0, budget, (), m_grid, tables=True)[0]
+                for m in m_grid[first:]:
+                    wins[m] += 1
                 continue
             except SizeExceededError:
                 if mode == "disjunct":
@@ -521,6 +517,7 @@ def fixed_input_experiment(
         raise InvalidParameterError(
             "fixed-input experiments pass no sink, so take design 1 or 2, "
             f"got {design_id}")
+    _node_cap(budget)  # before the recovery sweep
     rec = success_sweep(graph_config, design_id, d, 0.0, m_grid, trials,
                         _child_seed(seed, 1), success="recovery")
     dis = success_sweep(graph_config, design_id, d, 0.0, m_grid, trials,

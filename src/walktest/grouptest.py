@@ -22,12 +22,14 @@ that counts the rows each pair of later columns leaves (``_lex_witness``).
 That table is pruned to the columns that can be in such a pair
 (``_pair_table``).
 
-Success sweeps decide d = 2 by that table alone (``_certify`` with
-``tables``): at a node cap the d = 2 search could not exhaust, a column the
-root does not settle is private exactly when its table over all its rows
-has no pair of at most e, and the first such pair is its witness.  Tabled
-columns count no nodes.  ``is_disjunct`` and ``disjunct_margin``, and
-sweeps at other d or lower caps, keep the search.
+A success sweep certifies a trial's nested row prefixes in one
+``_certify`` call, each prefix's scan starting at the previous prefix's
+witness column, and decides d = 2 by that table alone (``tables``): at a
+node cap the d = 2 search could not exhaust, a column the root does not
+settle is private exactly when its table over all its rows has no pair of
+at most e, and the first such pair is its witness.  Tabled columns count
+no nodes.  ``is_disjunct`` and ``disjunct_margin``, and sweeps at other d
+or lower caps, keep the search.
 
 The decision settles a column at its root when the column's weight less its
 d largest overlaps exceeds e.  That is the search's first bound test, so the
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 
 import numpy as np
@@ -60,7 +62,6 @@ from .errors import (
     _check_int,
     _check_number,
     _id_list,
-    _is_int,
     _is_real,
     read_json,
     write_json,
@@ -269,12 +270,13 @@ class _Budget:
 
 def _node_cap(budget: float) -> float:
     """The node budget as an int, or ``inf`` for no cap.  An int budget is
-    exact and never nan, and may exceed any float."""
-    if _is_int(budget):
-        return int(budget)
-    if not _is_real(budget) or math.isnan(budget):
+    exact and may exceed any float."""
+    # nan alone is unequal to itself (math.isnan overflows on a huge int)
+    if not _is_real(budget) or budget != budget:
         raise InvalidParameterError(f"budget must be a number, got {budget!r}")
-    return budget if math.isinf(budget) else int(budget)
+    if budget < 0:
+        raise InvalidParameterError(f"budget must be >= 0, got {budget}")
+    return budget if budget == math.inf else int(budget)
 
 
 class _Columns:
@@ -284,8 +286,8 @@ class _Columns:
 
     def __init__(self, At: np.ndarray):
         # At holds one column per row (callers pass dense().T[cols], a
-        # copy), so packing and the product read contiguous rows; the pair
-        # tables read it again (see _pair_table)
+        # copy, or its first rows), so packing and the product read
+        # contiguous rows; the pair tables read it again (see _pair_table)
         self.At = At
         self.nc, self.m = At.shape
         Bf = At.astype(np.float32)
@@ -340,17 +342,6 @@ def _columns_for(M: MeasurementMatrix, exclude_columns) -> list[int]:
     excl = {_check_id("excluded column", x, M.n_items)
             for x in _id_list("exclude_columns", "column ids", exclude_columns)}
     return [c for c in M.columns if c not in excl]
-
-
-def _chain_start(shorter: DisjunctCertificate | None, cols: list[int]) -> int:
-    """The column index a certification resumes at after ``shorter``, the
-    certificate of a shorter row prefix with the same d, e and columns: 0
-    without one, ``len(cols)`` when it is disjunct, else its witness's."""
-    if shorter is None:
-        return 0
-    if shorter.disjunct:
-        return len(cols)
-    return cols.index(shorter.witness.s0)
 
 
 def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
@@ -507,19 +498,23 @@ def is_disjunct(
     exceed n*C(n-1,d)); ``inf`` means no cap.  On violation the witness is
     the lexicographically first (s0, others) pair.  When fewer than d other
     columns exist the check uses all of them (d_effective)."""
-    return _certify(M, d, e, budget, exclude_columns, None, tables=False)
+    return _certify(M, d, e, budget, exclude_columns, (M.m,), tables=False)[1]
 
 
 def _certify(M: MeasurementMatrix, d: int, e: int, budget: float, exclude_columns,
-             shorter: DisjunctCertificate | None, tables: bool) -> DisjunctCertificate:
-    """``is_disjunct``, which runs it without ``shorter`` or ``tables``.
-    With ``shorter`` the scan starts at ``_chain_start``; the certificate is
-    the one without it but for ``nodes``, which count (and the budget caps)
-    the columns scanned.  With ``tables``, at d_effective 2 and a cap of at
-    least nc*C(nc-1, 2) + nc**2, each column its root slack does not settle
-    is decided by ``_pair_table`` rather than the search, and adds no nodes.
-    A d = 2 search visits at most 1 + (nc-1) + C(nc-1, 2) nodes per column,
-    so at such a cap it could not overflow either: the certificate is the
+             grid, tables: bool) -> tuple[int, DisjunctCertificate]:
+    """Certify the row prefixes of M with the ascending lengths ``grid`` up
+    to the first disjunct one: its index and certificate, or ``len(grid)``
+    and the last prefix's.  ``is_disjunct`` runs it on all rows without
+    ``tables``.  Adding rows keeps a private column private, so each prefix
+    starts its scan at the previous prefix's witness column; its
+    certificate is ``is_disjunct``'s but for ``nodes``, which count (and
+    the budget caps, prefix by prefix) the columns it scans.  With
+    ``tables``, at d_effective 2 and a cap of at least nc*C(nc-1, 2) +
+    nc**2, each column its root slack does not settle is decided by
+    ``_pair_table`` rather than the search, and adds no nodes.  A d = 2
+    search visits at most 1 + (nc-1) + C(nc-1, 2) nodes per column, so at
+    such a cap it could not overflow either: the certificate is the
     search's but for ``nodes``."""
     d, e = _as_count("d", d, 1), _as_count("e", e, 0)
     cap = _node_cap(budget)
@@ -534,38 +529,40 @@ def _certify(M: MeasurementMatrix, d: int, e: int, budget: float, exclude_column
             "disjunctness enumeration over budget",
             needed=total, limit=cap, columns_done=0,
         )
-    start = _chain_start(shorter, cols)
-    if d_eff == 0 or start == nc:
-        return DisjunctCertificate(disjunct=True, d=d, e=e, d_effective=d_eff,
-                                   columns=tuple(cols), witness=None, nodes=0)
+    cert = partial(DisjunctCertificate, d=d, e=e, d_effective=d_eff,
+                   columns=tuple(cols))
+    if d_eff == 0:
+        return 0, cert(disjunct=True, witness=None, nodes=0)
     tables = tables and d_eff == 2 and total + nc * nc <= cap
-    cs = _Columns(M.dense().T[cols])
-    counter = _Budget(cap)
-    witness = None
-    for j0, slack in enumerate(_root_slack(cs, d_eff, start), start):
-        counter.columns_done = j0
-        if slack > e:
-            # settled at the root: _search would count its root node, fail
-            # its first bound test and stop (slack <= weight, so weight > e)
-            counter.nodes += 1
-            if counter.nodes > counter.limit:
-                raise counter.exceeded()
-            continue
-        if tables:
-            found = _pair_table(cs, cs.At[j0], cs.overlap[j0], 0, e)
-        elif cs.w[j0] <= e or _search(cs.bits, cs.bits[j0], *cs.by_overlap(j0),
-                                      d_eff, 0, e + 1, e, counter) <= e:
-            found = _lex_witness(cs, j0, d_eff, e)
+    At = M.dense().T[cols]
+    start = 0
+    for i, m in enumerate(grid):
+        cs = _Columns(At[:, :m])
+        counter = _Budget(cap)
+        for j0, slack in enumerate(_root_slack(cs, d_eff, start), start):
+            counter.columns_done = j0
+            if slack > e:
+                # settled at the root: _search would count its root node, fail
+                # its first bound test and stop (slack <= weight, so weight > e)
+                counter.nodes += 1
+                if counter.nodes > counter.limit:
+                    raise counter.exceeded()
+                continue
+            if tables:
+                found = _pair_table(cs, cs.At[j0], cs.overlap[j0], 0, e)
+            elif cs.w[j0] <= e or _search(cs.bits, cs.bits[j0], *cs.by_overlap(j0),
+                                          d_eff, 0, e + 1, e, counter) <= e:
+                found = _lex_witness(cs, j0, d_eff, e)
+            else:
+                continue
+            if found is not None:
+                break
         else:
-            found = None
-        if found is not None:
-            local, priv = found
-            witness = DisjunctWitness(
-                s0=cols[j0], others=tuple(cols[k] for k in local), private=priv)
-            break
-    return DisjunctCertificate(disjunct=witness is None, d=d, e=e,
-                               d_effective=d_eff, columns=tuple(cols),
-                               witness=witness, nodes=counter.nodes)
+            return i, cert(disjunct=True, witness=None, nodes=counter.nodes)
+        start, (local, priv) = j0, found
+    witness = DisjunctWitness(s0=cols[start], others=tuple(cols[k] for k in local),
+                              private=priv)
+    return len(grid), cert(disjunct=False, witness=witness, nodes=counter.nodes)
 
 
 def disjunct_margin(
@@ -649,7 +646,7 @@ def _decode(M: MeasurementMatrix, counts: np.ndarray, tau: int,
     """The items in at most ``tau`` negative tests, from their ``counts``;
     the cover rule is tau 0, as no count is negative."""
     if d is not None:
-        _check_int("d", d)
+        _as_count("d", d, 0)
     items = tuple(c for c in M.columns if counts[c] <= tau)
     oversized = d is not None and len(items) > d
     return DefectiveSet(item_kind=M.item_kind, items=items, oversized=oversized)

@@ -1,9 +1,9 @@
 """scripts/bench.py: the verdict on each end-to-end metric of a BENCH file,
-the ``incorrect`` verdict on wrong outputs, the bytecode compile before the first timed run, the metrics printed per
-pair, the commits the file names, and the acceptance checks ``--tier1 -k``
-selects; and that every span name perfbench's
-tracer builds a metric from is a public walktest binding, which the graph
-family dispatch calls."""
+the ``incorrect`` verdict on wrong outputs, the pairs kept when a run
+fails, the bytecode compile before the first timed run, the metrics printed
+per pair, the commits the file names, and the acceptance checks ``--tier1
+-k`` selects; and that every span name perfbench's tracer builds a metric
+from is a public walktest binding, which the graph family dispatch calls."""
 
 import importlib
 import importlib.util
@@ -117,6 +117,48 @@ def test_wrong_outputs_read_incorrect_and_exit_one(tmp_path, monkeypatch, bad, w
     metrics = doc["end_to_end"]["verify"]["metrics"]
     assert metrics["wall_s"]["verdict"] == want
     assert "verdict" not in metrics["grouptest.nodes"]
+
+
+@pytest.mark.parametrize("failure", ["no-result", "timeout"])
+def test_failed_run_keeps_finished_pairs_and_exits_one(tmp_path, monkeypatch,
+                                                        capsys, failure):
+    spec = (ROOT / "BENCHMARK.json").read_text()
+    sides = {}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(spec)
+        sides[side] = (tmp_path / side).resolve()
+    result = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                         "metrics": {"wall_s": {"value": 1.0}}})
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1]) if "--seed" in cmd else None
+        if seed == 103 and Path(cwd) == sides["change"]:
+            if failure == "timeout":
+                raise subprocess.TimeoutExpired(cmd, kwargs["timeout"],
+                                                stderr=b"still running")
+            return subprocess.CompletedProcess(cmd, 2, stdout="",
+                                               stderr="Traceback: boom")
+        return subprocess.CompletedProcess(cmd, 0, stdout=result + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    code = bench.main(["--parent", str(sides["parent"]), "--change",
+                       str(sides["change"]), "--label", "t", "--pairs", "10",
+                       "--workload", "verify", "--workload", "tomography"])
+    assert code == 1
+    doc = json.loads((sides["change"] / "BENCH_t.json").read_text())
+    verify = doc["end_to_end"]["verify"]
+    # seeds 101 and 102 finished; seed 103's parent run finished and its
+    # change run failed, so that pair is dropped
+    assert verify["seeds"] == [101, 102] and len(verify["runs"]) == 2
+    assert verify["metrics"]["wall_s"]["pairs"] == 2
+    assert verify["failed_run"] == (
+        {"side": "change", "seed": 103, "returncode": None,
+         "stderr": "still running"} if failure == "timeout" else
+        {"side": "change", "seed": 103, "returncode": 2,
+         "stderr": "Traceback: boom"})
+    assert "tomography" not in doc["end_to_end"]
+    assert "seed 103" in capsys.readouterr().err
 
 
 def test_directions_read_benchmark_bounds():

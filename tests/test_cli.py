@@ -281,6 +281,26 @@ class TestPipeline:
                                     "limit": 100, "columns_done": 0}
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["decode", "--d", "-3"], "d must be >= 0, got -3"),
+        (["decode", "--tau", "0", "--d", "-1"], "d must be >= 0, got -1"),
+        (["check-disjunct", "--d", "2", "--budget", "-1"],
+         "budget must be >= 0, got -1.0"),
+    ], ids=["cover-d", "threshold-d", "certifier-budget"])
+    def test_negative_budget_refused(self, graph_file, tmp_path, capsys, argv,
+                                     message):
+        mat, outc = tmp_path / "M.json", tmp_path / "y.json"
+        run(capsys, "design", "--graph", str(graph_file), "--design", "1",
+            "--d", "2", "--m", "12", "--t", "8", "--out", str(mat))
+        run(capsys, "simulate", "--matrix", str(mat), "--defectives", "3",
+            "--out", str(outc))
+        if argv[0] == "decode":
+            argv = [*argv, "--outcomes", str(outc)]
+        code, out, err = run(capsys, *argv, "--matrix", str(mat))
+        assert (code, out) == (1, "")
+        diag = load_json(err)
+        assert (diag["kind"], diag["message"]) == ("invalid-parameter", message)
+
     def test_check_disjunct_infinite_budget(self, graph_file, tmp_path,
                                             capsys):
         mat = tmp_path / "M.json"
@@ -735,6 +755,8 @@ class TestExperimentCommand:
          'sweep config "eta" must be a number, got \'0.1\''),
         ("sweep", {"budget": None},
          'sweep config "budget" must be a number, got None'),
+        ("sweep", {"budget": -1}, "budget must be >= 0, got -1"),
+        ("fixed-input", {"budget": -1.5}, "budget must be >= 0, got -1.5"),
         ("sweep", {"success": "bogus"},
          'success must be "auto", "disjunct" or "recovery", got \'bogus\''),
         ("fixed-input", {"trials": True},
@@ -812,7 +834,8 @@ class TestExperimentCommand:
         ("sweep", {"graph": {"family": ["complete"], "n": 8}},
          "unknown graph family ['complete']"),
     ], ids=["text-design", "text-trials", "text-number-trials", "float-d",
-            "text-eta", "null-budget", "unknown-success", "bool-trials",
+            "text-eta", "null-budget", "negative-budget",
+            "fixed-input-negative-budget", "unknown-success", "bool-trials",
             "text-d", "text-q", "float-source", "text-confidence", "text-seed",
             "misspelt-key", "sweep-graph-file", "fixed-input-eta",
             "verify-m-grid", "tomo-trials", "mixing-noise", "text-t",

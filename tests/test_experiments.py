@@ -194,6 +194,18 @@ class TestSuccessSweep:
                                match=f"^design {design} does not read {unread}$"):
                 success_sweep(ER64, design, 1, 0.0, [4, 8], 30, 0, **options)
 
+    @pytest.mark.parametrize("success", ["auto", "disjunct", "recovery"])
+    @pytest.mark.parametrize("budget", [-1, -1.5, -math.inf])
+    def test_negative_budget_refused_before_any_graph(self, success, budget):
+        # an auto sweep would otherwise degrade to recovery on the first
+        # trial's enumeration check and report degraded: true
+        with mock.patch.object(experiments, "graph_from_config",
+                               side_effect=AssertionError("graph built")):
+            with pytest.raises(InvalidParameterError,
+                               match=f"^budget must be >= 0, got {budget}$"):
+                success_sweep(ER64, 1, 2, 0.0, [4, 8], 30, 0, success=success,
+                              budget=budget)
+
     def test_degrade_replays_earlier_trials(self, monkeypatch):
         degrade_matches_recovery(monkeypatch,
                                  {"family": "erdos-renyi", "n": 24, "p": 0.4})

@@ -209,6 +209,11 @@ class TestDisjunctAgainstOracle:
          "exclude_columns must be a list of column ids, got '12'"),
         (dict(d=2, exclude_columns=3),
          "exclude_columns must be a list of column ids, got 3"),
+        (dict(d=2, budget=-1), "budget must be >= 0, got -1"),
+        (dict(d=2, budget=-1.5), "budget must be >= 0, got -1.5"),
+        (dict(d=2, budget=-0.5), "budget must be >= 0, got -0.5"),
+        (dict(d=2, budget=-math.inf), "budget must be >= 0, got -inf"),
+        (dict(d=2, budget=np.int64(-2)), "budget must be >= 0, got -2"),
     ])
     def test_argument_types_checked(self, kwargs, message):
         M = build_design(complete_graph(12), 1, 40, 5, t=8)
@@ -306,11 +311,8 @@ class TestCertifierPinned:
 
 
 def certify(M, d, e, budget, **kw):
-    """A certificate, or the overflow's message and progress; with a
-    ``shorter`` keyword, of the certification chained on it (``chain``)."""
+    """A certificate, or the overflow's message and progress."""
     try:
-        if "shorter" in kw:
-            return chain(M, d, e, budget, **kw)
         return is_disjunct(M, d, e, budget=budget, **kw)
     except SizeExceededError as ex:
         return str(ex), ex.progress
@@ -334,6 +336,8 @@ def root_oracle(M, d, e, frac):
     late = 0
     for budget in (math.inf, nodes - 1,
                    total + int(frac * max(nodes - 1 - total, 0))):
+        if budget < 0:  # no budget lies below 0 nodes
+            continue
         got = certify(M, d, e, budget)
         with mock.patch.object(grouptest, "_root_slack",
                                lambda cs, r, start: itertools.repeat(
@@ -440,8 +444,8 @@ def against_reference(M, d, e, frac):
     with mock.patch.object(grouptest, "_search", ref_search), \
             mock.patch.object(grouptest._Columns, "by_overlap", ref_by_overlap):
         nodes = is_disjunct(M, d, e, budget=math.inf).nodes
-    budgets = [math.inf, nodes, nodes - 1,
-               total + int(frac * max(nodes - 1 - total, 0))]
+    budgets = [b for b in (math.inf, nodes, nodes - 1,
+                           total + int(frac * max(nodes - 1 - total, 0))) if b >= 0]
     with mock.patch.object(grouptest, "_search", ref_search), \
             mock.patch.object(grouptest._Columns, "by_overlap", ref_by_overlap):
         want = certify_all(M, d, e, budgets)
@@ -506,24 +510,72 @@ def test_fast_path_matches_reference_on_wide_matrices(case):
     against_reference(M, d, e, frac)
 
 
-# A certification chained on a shorter prefix's certificate against the same
-# certification from column 0.
+# A scan over nested row prefixes (``_certify`` with a grid), which starts
+# each prefix at the previous prefix's witness column, against each prefix
+# certified alone from column 0.
 
 
-def chain(M, d, e, budget=math.inf, exclude_columns=(), shorter=None):
-    """``is_disjunct`` resumed after ``shorter``, as a sweep chains prefixes
-    but on the search."""
-    return grouptest._certify(M, d, e, budget, exclude_columns, shorter,
-                              tables=False)
+def scan(M, d, e, budget=math.inf, exclude_columns=(), grid=None, tables=False):
+    """``_certify`` over the prefix lengths ``grid`` (the whole matrix by
+    default): the index of the first disjunct prefix and its certificate,
+    or the overflow's message and progress."""
+    try:
+        return grouptest._certify(M, d, e, budget, exclude_columns,
+                                  (M.m,) if grid is None else grid, tables=tables)
+    except SizeExceededError as ex:
+        return str(ex), ex.progress
+
+
+def nodes_before(M, d, e, exclude, start):
+    """The nodes ``is_disjunct`` counts on M before it reaches column index
+    ``start``: those a scan that starts there skips."""
+    marks = []
+
+    class Marked(grouptest._Budget):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            if name == "columns_done":
+                marks.append((value, self.nodes))
+            super().__setattr__(name, value)
+
+    with mock.patch.object(grouptest, "_Budget", Marked):
+        is_disjunct(M, d, e, budget=math.inf, exclude_columns=exclude)
+    return next(n for j, n in marks if j == start)
+
+
+def chained_reference(M, d, e, budget, exclude, grid):
+    """What a scan over ``grid`` gives at ``budget``, from each prefix
+    certified alone: a prefix that starts at column index s stops where the
+    search from column 0 stops at ``budget`` plus the nodes it counts
+    before s, which it does not count.  The scan ends at the first disjunct
+    prefix or at the first overflow."""
+    start = 0
+    for k, m in enumerate(grid):
+        P = M.prefix(m)
+        skipped = nodes_before(P, d, e, exclude, start) if start else 0
+        want = certify(P, d, e, budget + skipped, exclude_columns=exclude)
+        if isinstance(want, tuple):
+            return want[0], dict(want[1], limit=budget)
+        want = replace(want, nodes=want.nodes - skipped)
+        if want.disjunct:
+            return k, want
+        start = want.columns.index(want.witness.s0)
+    return len(grid), want
+
+
+def band(nc):
+    """The least cap at which d = 2 scans run on tables."""
+    return nc * math.comb(nc - 1, 2) + nc * nc
 
 
 @st.composite
-def chain_cases(draw):
-    """A matrix, nested prefix lengths m1 <= m2, d, e, excluded columns and
-    a budget fraction.  Few items, d up to 6 and long prefixes make searches
-    that outgrow the enumeration count, so budgets between the two stop
-    them part way; the sizes come from the drawn seed, as hypothesis's own
-    integers favour the small matrices where that seldom happens."""
+def prefix_cases(draw):
+    """A matrix, one to four nested prefix lengths, d, e, excluded columns
+    and a budget fraction.  Few items, d up to 6 and long prefixes make
+    searches that outgrow the enumeration count, so budgets between the two
+    stop them part way; the sizes come from the drawn seed, as hypothesis's
+    own integers favour the small matrices where that seldom happens."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_items = int(rng.integers(2, 7))
     p = rng.uniform(0.2, 0.7)
@@ -532,57 +584,62 @@ def chain_cases(draw):
         strip = ()
     rows = [tuple(x for x in np.flatnonzero(rng.random(n_items) < p)
                   if x not in strip) for _ in range(int(rng.integers(0, 61)))]
-    # singleton rows make the columns below a cutoff private, so the
-    # shorter prefix's witness column is often not the first
+    # singleton rows make the columns below a cutoff private, so a shorter
+    # prefix's witness column is often not the first
     rows += [(c,) for c in range(int(rng.integers(0, n_items + 1)))
              if c not in strip for _ in range(int(rng.integers(0, 5)))]
     rng.shuffle(rows)
     M = mk(n_items, rows, strip)
     exclude = [c for c in M.columns[1:] if rng.random() < 0.2]
-    m2 = int(rng.integers(len(rows) // 3, len(rows) + 1))
-    m1 = max(m2 - int(rng.integers(0, 16)), 0)
-    return (M, m1, m2, int(rng.integers(1, 7)), int(rng.integers(0, 4)),
+    grid = [int(rng.integers(len(rows) // 3, len(rows) + 1))]
+    for _ in range(int(rng.integers(0, 4))):
+        grid.insert(0, max(grid[0] - int(rng.integers(0, 16)), 0))
+    return (M, grid, int(rng.integers(1, 7)), int(rng.integers(0, 4)),
             exclude, rng.random())
 
 
 def test_chained_certificate_matches_search_from_column_zero():
     seen = []
 
-    @given(case=chain_cases())
+    @given(case=prefix_cases())
     @settings(max_examples=1000, deadline=None, derandomize=True)
     def check(case):
-        M, m1, m2, d, e, exclude, frac = case
+        M, grid, d, e, exclude, frac = case
         kw = dict(exclude_columns=exclude)
-        shorter = is_disjunct(M.prefix(m1), d, e, budget=math.inf, **kw)
-        longer = M.prefix(m2)
-        full = is_disjunct(longer, d, e, budget=math.inf, **kw)
-        chained = chain(longer, d, e, shorter=shorter, **kw)
-        assert replace(chained, nodes=full.nodes) == full
-        assert chained.nodes <= full.nodes
-        if shorter.disjunct:
-            assert chained.nodes == 0
-        # the columns before the start cost the unchained search `skipped`
-        # nodes and settle without overflow, so the chained search at budget
-        # b stops where the unchained one stops at b + skipped
-        skipped = full.nodes - chained.nodes
-        nc = len(full.columns)
-        total = nc * math.comb(nc - 1, full.d_effective)
-        overflowed = False
-        for b in {chained.nodes - 1,
-                  total + int(frac * max(chained.nodes - 1 - total, 0))}:
-            if b < total:
-                continue
-            got, want = (certify(longer, d, e, b, shorter=shorter, **kw),
-                         certify(longer, d, e, b + skipped, **kw))
-            if isinstance(want, tuple):
-                overflowed = True
-                assert got == (want[0], dict(want[1], limit=b))
+        alone = [is_disjunct(M.prefix(m), d, e, budget=math.inf, **kw) for m in grid]
+        for m, cert in zip(grid, alone):
+            assert cert.disjunct == brute_disjunct(M.prefix(m), d, e, exclude)[0]
+        first = next((k for k, c in enumerate(alone) if c.disjunct), len(grid))
+        last = min(first, len(grid) - 1)
+        got = scan(M, d, e, grid=grid, **kw)
+        assert got[0] == first
+        assert replace(got[1], nodes=0) == replace(alone[last], nodes=0)
+        # the nodes of each prefix's scan, at no cap; one below each
+        # overflows that prefix, and the scan at every earlier one completes
+        nodes = [scan(M, d, e, grid=grid[:k + 1], **kw)[1].nodes
+                 for k in range(last + 1)]
+        nc, d_eff = len(alone[0].columns), alone[0].d_effective
+        total = nc * math.comb(nc - 1, d_eff)
+        budgets = {math.inf, total - 1, *(n - 1 for n in nodes),
+                   total + int(frac * max(max(nodes) - 1 - total, 0))}
+        late = below_band = False
+        for b in sorted(x for x in budgets if x >= 0):
+            got = scan(M, d, e, b, grid=grid, **kw)
+            assert got == chained_reference(M, d, e, b, exclude, grid)
+            tabled = scan(M, d, e, b, grid=grid, tables=True, **kw)
+            if d_eff == 2 and b >= band(nc):
+                # at the band no search runs out and tabled columns count
+                # no nodes
+                assert (tabled[0], replace(tabled[1], nodes=0)) == \
+                    (first, replace(alone[last], nodes=0))
             else:
-                assert got == replace(want, nodes=want.nodes - skipped)
-        seen.append((e > 0, full.d_effective < d, bool(M.stripped),
-                     bool(exclude), shorter.disjunct,
-                     0 < skipped and not shorter.disjunct,
-                     overflowed and skipped > 0))
+                assert tabled == got
+                below_band |= d_eff == 2 and b >= total
+            late |= isinstance(got[0], str) and "search" in got[0] and b >= nodes[0]
+        starts = [alone[k].columns.index(alone[k].witness.s0) for k in range(last)]
+        seen.append((e > 0, d_eff < d, bool(M.stripped), bool(exclude),
+                     0 < first < len(grid), any(starts),
+                     late and any(starts), below_band, len(grid) > 2))
 
     check()
     covered = [sum(flags) for flags in zip(*seen)]
@@ -665,16 +722,15 @@ def test_pair_table_witness_matches_slot_search():
     assert min(covered) >= 100, covered
 
 
-@given(case=chain_cases())
+@given(case=prefix_cases())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_chained_witness_matches_slot_search(case):
-    M, m1, m2, d, e, exclude, _ = case
-    kw = dict(d=d, e=e, exclude_columns=exclude)
-    shorter = chain(M.prefix(m1), **kw)
-    got = chain(M.prefix(m2), shorter=shorter, **kw)
+    M, grid, d, e, exclude, _ = case
+    kw = dict(exclude_columns=exclude)
+    got = [scan(M, d, e, grid=grid[:k], **kw) for k in range(1, len(grid) + 1)]
     with mock.patch.object(grouptest, "_lex_witness", ref_lex_witness):
-        assert chain(M.prefix(m1), **kw) == shorter
-        assert chain(M.prefix(m2), shorter=shorter, **kw) == got
+        assert [scan(M, d, e, grid=grid[:k], **kw)
+                for k in range(1, len(grid) + 1)] == got
 
 
 # A sweep's tabled scan (``_certify`` with tables) against the search and
@@ -682,19 +738,9 @@ def test_chained_witness_matches_slot_search(case):
 # nc*C(nc-1, 2) + nc**2; every certificate field but ``nodes`` must match.
 
 
-def tabled(M, d, e, budget=math.inf, exclude_columns=(), shorter=None):
-    return grouptest._certify(M, d, e, budget, exclude_columns, shorter,
-                              tables=True)
-
-
-def band(nc):
-    """The least cap at which d = 2 scans run on tables."""
-    return nc * math.comb(nc - 1, 2) + nc * nc
-
-
 @st.composite
 def table_cases(draw):
-    """A matrix of 3 to 29 items, nested prefix lengths m1 <= m2, e and
+    """A matrix of 3 to 29 items, one to four nested prefix lengths, e and
     excluded columns.  Some light columns sit in few rows, so that their
     weight is often at most e."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -709,12 +755,13 @@ def table_cases(draw):
             for _ in range(int(rng.integers(0, 81)))]
     M = mk(n_items, rows, strip)
     exclude = [c for c in M.columns[1:] if rng.random() < 0.15]
-    m2 = int(rng.integers(len(rows) // 3, len(rows) + 1))
-    m1 = max(m2 - int(rng.integers(0, 16)), 0)
-    return M, m1, m2, draw(st.integers(0, 3)), exclude
+    grid = [int(rng.integers(len(rows) // 3, len(rows) + 1))]
+    for _ in range(int(rng.integers(0, 4))):
+        grid.insert(0, max(grid[0] - int(rng.integers(0, 16)), 0))
+    return M, grid, draw(st.integers(0, 3)), exclude
 
 
-def tabled_nodes(M, e, exclude, start, cert):
+def tabled_nodes(M, e, start, cert):
     """The nodes a tabled scan counts: one per root-settled column from
     ``start`` to the witness column (or the last column)."""
     cols = list(cert.columns)
@@ -730,30 +777,36 @@ def test_tabled_scan_matches_search_and_brute_force():
     @given(case=table_cases())
     @settings(max_examples=400, deadline=None, derandomize=True)
     def check(case):
-        M, m1, m2, e, exclude = case
+        M, grid, e, exclude = case
         kw = dict(exclude_columns=exclude)
-        shorter = tabled(M.prefix(m1), 2, e, **kw)
-        assert replace(shorter, nodes=0) == replace(
-            is_disjunct(M.prefix(m1), 2, e, budget=math.inf, **kw), nodes=0)
-        longer = M.prefix(m2)
-        full = tabled(longer, 2, e, **kw)
-        chained = tabled(longer, 2, e, shorter=shorter, **kw)
-        search = is_disjunct(longer, 2, e, budget=math.inf, **kw)
-        assert replace(full, nodes=0) == replace(search, nodes=0)
-        assert replace(chained, nodes=0) == replace(search, nodes=0)
-        ok, wit = brute_disjunct(longer, 2, e, exclude)
-        assert full.disjunct == ok
-        if not ok:
-            assert (full.witness.s0, full.witness.others,
-                    full.witness.private) == (wit[0], tuple(wit[1]), wit[2])
-        start = grouptest._chain_start(shorter, list(full.columns))
-        if full.d_effective == 2:
-            assert full.nodes == tabled_nodes(longer, e, exclude, 0, full)
-            assert chained.nodes == tabled_nodes(longer, e, exclude, start, full)
-        light = [c for c in full.columns if longer.dense()[:, c].sum() <= e]
-        seen.append((e, full.d_effective == 2, bool(longer.stripped),
-                     bool(exclude), not ok, start > 0 and not shorter.disjunct,
-                     bool(light) and not ok, not ok and e > 0))
+        searches = [is_disjunct(M.prefix(m), 2, e, budget=math.inf, **kw)
+                    for m in grid]
+        for m, search in zip(grid, searches):
+            P = M.prefix(m)
+            alone = scan(P, 2, e, tables=True, **kw)[1]
+            assert replace(alone, nodes=0) == replace(search, nodes=0)
+            ok, wit = brute_disjunct(P, 2, e, exclude)
+            assert alone.disjunct == ok
+            if not ok:
+                assert (alone.witness.s0, alone.witness.others,
+                        alone.witness.private) == (wit[0], tuple(wit[1]), wit[2])
+            if alone.d_effective == 2:
+                assert alone.nodes == tabled_nodes(P, e, 0, alone)
+        first = next((k for k, c in enumerate(searches) if c.disjunct), len(grid))
+        last = min(first, len(grid) - 1)
+        k, cert = scan(M, 2, e, grid=grid, tables=True, **kw)
+        assert k == first
+        assert replace(cert, nodes=0) == replace(searches[last], nodes=0)
+        longer = M.prefix(grid[last])
+        start = (cert.columns.index(searches[last - 1].witness.s0)
+                 if last else 0)
+        if cert.d_effective == 2:
+            assert cert.nodes == tabled_nodes(longer, e, start, cert)
+        light = [c for c in cert.columns if longer.dense()[:, c].sum() <= e]
+        ok = cert.disjunct
+        seen.append((e, cert.d_effective == 2, bool(longer.stripped),
+                     bool(exclude), not ok, start > 0, bool(light) and not ok,
+                     not ok and e > 0))
 
     check()
     for v in range(4):
@@ -769,15 +822,18 @@ def test_tables_decide_d2_scans_at_and_above_the_band():
     assert not want.disjunct
     with mock.patch.object(grouptest, "_search", side_effect=AssertionError):
         for cap in (band(nc), band(nc) + 1, math.inf):
-            got = tabled(M, 2, 0, budget=cap)
-            assert replace(got, nodes=want.nodes) == want
+            k, got = scan(M, 2, 0, budget=cap, tables=True)
+            assert k == 1 and replace(got, nodes=want.nodes) == want
             assert got.nodes < want.nodes
+            # so do the scans of nested prefixes
+            k, got = scan(M, 2, 0, budget=cap, grid=(10, 25, 40), tables=True)
+            assert k == 3 and replace(got, nodes=want.nodes) == want
         # d_effective 3 and 1 keep the search
         with pytest.raises(AssertionError):
-            tabled(M, 3, 0)
-    assert tabled(M, 1, 0) == is_disjunct(M, 1)
+            scan(M, 3, 0, tables=True)
+    assert scan(M, 1, 0, tables=True)[1] == is_disjunct(M, 1)
     # one below the band the search runs, nodes and all
-    assert tabled(M, 2, 0, budget=band(nc) - 1) == want
+    assert scan(M, 2, 0, budget=band(nc) - 1, tables=True) == (1, want)
 
 
 # Three columns that each keep one private row against the other two, with
@@ -957,6 +1013,24 @@ class TestDecoders:
         M = mk(4, [(i,) for i in range(4)])
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             decode_threshold(M, simulate_tests(M, (1,)), tau=tau)
+
+    @pytest.mark.parametrize("d, message", [
+        (-3, "d must be >= 0, got -3"),
+        (-1, "d must be >= 0, got -1"),
+        ("1", "d must be an integer, got '1'"),
+        (1.0, "d must be an integer, got 1.0"),
+    ], ids=["negative", "minus-one", "text", "float"])
+    def test_decoder_budget_checked(self, d, message):
+        M = mk(8, [(i,) for i in range(8)])
+        y = simulate_tests(M, (1,))
+        for decode in (lambda: decode_cover(M, y, d=d),
+                       lambda: decode_threshold(M, y, 0, d=d)):
+            with pytest.raises(InvalidParameterError,
+                               match=f"^{re.escape(message)}$"):
+                decode()
+        # a budget of 0 is a budget: one decoded item is over it
+        assert decode_cover(M, y, d=0).oversized
+        assert not decode_threshold(M, y, 0, d=1).oversized
 
     def test_outcome_length_mismatch(self):
         M = mk(3, [(0,), (1,)])
