@@ -44,7 +44,11 @@ wall time less the acceptance checks), and each run's pass, fail and skip
 counts.  With ``-k EXPR`` each run is ``pytest tests/test_acceptance.py -k
 EXPR`` instead, which times the selected acceptance checks alone (the
 section records ``select``); pair k still runs the parent first for even k
-and the change first for odd k.
+and the change first for odd k.  A Tier-1 run that times out ends the
+script as a failed workload run does: the section keeps the pairs
+finished before it and records it under ``failed_run`` (side, pair
+index, return code and stderr tail), and the script exits 1 once the
+file is written.
 """
 
 from __future__ import annotations
@@ -91,8 +95,9 @@ def checkout_state(checkout: Path, output: str) -> dict | None:
 
 
 class RunFailed(Exception):
-    """A run that timed out or printed no result; ``record`` holds its
-    return code (None on a timeout) and the tail of its stderr."""
+    """A run that timed out or printed no result (a Tier-1 run fails only
+    by timing out); ``record`` holds its return code (None on a timeout)
+    and the tail of its stderr."""
 
     def __init__(self, returncode: int | None, stderr: str | bytes | None):
         if isinstance(stderr, bytes):  # a timeout's capture is bytes
@@ -132,8 +137,11 @@ def run_tier1(checkout: Path, select: str | None = None) -> dict:
         filter(None, ["src", os.environ.get("PYTHONPATH")])))
     cmd = TIER1 if select is None else TIER1 + ["tests/test_acceptance.py", "-k", select]
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
-                          text=True, timeout=3600)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
+                              text=True, timeout=3600)
+    except subprocess.TimeoutExpired as ex:
+        raise RunFailed(None, ex.stderr) from None
     wall = time.perf_counter() - t0
     checks, counts = {}, {}
     for line in proc.stdout.splitlines():
@@ -282,17 +290,30 @@ def main(argv=None) -> int:
     for checkout in sides.values():
         compile_bytecode(checkout)
     if args.tier1:
-        runs = []
+        runs, failed_run = [], None
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            run = {side: run_tier1(sides[side], args.select) for side in order}
-            run["first"] = order[0]
+            run = {"first": order[0]}
+            try:
+                for side in order:
+                    run[side] = run_tier1(sides[side], args.select)
+            except RunFailed as ex:
+                failed_run = {"side": side, "pair": k, **ex.record}
+                break
             runs.append(run)
             print(f"tier1 pair {k}: " + json.dumps(
                 {side: {"wall_s": round(run[side]["wall_s"], 1),
                         "summary": run[side]["summary"]} for side in order}), flush=True)
-        doc["tier1"] = dict(tier1_section(runs), select=args.select)
+        doc["tier1"] = dict(tier1_section(runs) if runs else {"runs": []},
+                            select=args.select)
+        if failed_run:
+            doc["tier1"]["failed_run"] = failed_run
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        if failed_run:
+            print(f"bench: tier1: the {failed_run['side']} run of pair {k} timed "
+                  f"out; kept {len(runs)} finished pair(s) in {out}\n"
+                  f"{failed_run['stderr']}", file=sys.stderr)
+            return 1
         print(f"wrote {out}")
         return 0
     section = doc.setdefault(SECTIONS[args.trace], {})

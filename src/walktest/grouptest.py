@@ -34,8 +34,15 @@ or lower caps, keep the search.
 The decision settles a column at its root when the column's weight less its
 d largest overlaps exceeds e.  That is the search's first bound test, so the
 root is one node of the same search: it counts against the budget as such,
-and the column's overlap row is never sorted.  The bounds come from
-``np.partition`` over blocks of overlap rows as the loop reaches them.
+and the column's overlap row is never sorted.  The same ``np.partition``
+gives each column its pair threshold, its weight less e and its largest
+overlap but at least 0: only columns whose overlap reaches it can be in a
+pair of at most e, so a table keeps those alone.  A threshold above 0 also
+means no column alone leaves e or fewer rows, so no diagonal cell of the
+table passes and its least cell alone says whether a pair does; most
+tabled columns end there, with none.  Both bounds come from blocks of
+overlap rows as the loop reaches them, and a scan gathers its tables from
+one block of float32 misses over all its rows.
 
 ``_exact`` is the one decode verdict: per row of negative counts (one per
 flip pattern, or per sweep prefix), whether the threshold rule decodes
@@ -282,7 +289,8 @@ def _node_cap(budget: float) -> float:
 class _Columns:
     """Columns as the rows of a boolean block, with weights and pairwise
     overlap counts (-1 on the diagonal); their bitsets and misses are built
-    on first use."""
+    on first use (a tabled scan builds neither: it keeps one block of
+    misses over all its prefixes' rows)."""
 
     def __init__(self, At: np.ndarray):
         # At holds one column per row (callers pass dense().T[cols], a
@@ -313,7 +321,7 @@ class _Columns:
     @cached_property
     def miss(self) -> np.ndarray:
         """1.0 where a column misses a row, 0.0 where it covers it, for the
-        pair tables (see ``_pair_table``)."""
+        witness's pair table (see ``_pair_table``)."""
         return (~self.At).astype(np.float32)
 
 
@@ -321,20 +329,24 @@ class _Columns:
 _ROOT_CELLS = 4096
 
 
-def _root_slack(cs: _Columns, r: int, start: int = 0):
-    """Yield each column's weight less the sum of its r largest overlaps,
-    from column ``start`` on.
+def _root_slack(cs: _Columns, r: int, e: int, start: int = 0):
+    """Yield each column's root slack, its weight less the sum of its r
+    largest overlaps, and its pair threshold, its weight less e and its
+    largest overlap but at least 0, from column ``start`` on.
 
     A column whose slack exceeds e fails the first bound test of its
-    ``_search``, so that search ends at its root node.  Computed per block of
-    columns as the caller reaches them, because a certification often stops
-    after a few columns: the first block holds about ``_ROOT_CELLS`` overlaps
-    and each later block twice as many columns as the one before."""
+    ``_search``, so that search ends at its root node.  The threshold
+    prunes a tabled column's pair table (see ``_pair_table``).  Both come
+    from one partition per block of columns, computed as the caller
+    reaches them, because a certification often stops after a few columns:
+    the first block holds about ``_ROOT_CELLS`` overlaps and each later
+    block twice as many columns as the one before."""
     lo, size = start, max(8, _ROOT_CELLS // cs.nc)
     while lo < cs.nc:
-        ov = cs.overlap[lo:lo + size]
-        top = np.partition(ov, cs.nc - r, axis=1)[:, cs.nc - r:].sum(axis=1)
-        yield from (cs.w[lo:lo + size] - top).tolist()
+        top = np.partition(cs.overlap[lo:lo + size], cs.nc - r, axis=1)[:, cs.nc - r:]
+        w = cs.w[lo:lo + size]
+        yield from zip((w - top.sum(axis=1)).tolist(),
+                       np.maximum(w - e - top.max(axis=1), 0).tolist())
         lo, size = lo + size, 2 * size
 
 
@@ -399,33 +411,39 @@ def _search(bits: list[int], col0: int, order: list[int], prefix: list[int],
     return limit
 
 
-def _pair_table(cs: _Columns, rows: np.ndarray, ov: np.ndarray, first: int,
-                e: int) -> tuple[tuple[int, int], int] | None:
-    """The first pair a < b of the columns from ``first`` on that leaves at
-    most e of ``rows`` (a mask of column j0's rows) uncovered, with that
-    count; None when no pair does.  ``ov`` holds those rows' overlap with
-    each column from ``first`` on, and -1 at j0, as in ``cs.overlap``.
+def _pair_table(miss: np.ndarray, rows: np.ndarray, ov: np.ndarray, e: int,
+                t: int) -> tuple[tuple[int, int], int] | None:
+    """The first pair a < b of the columns that leaves at most e of
+    ``rows`` (indices of column j0's rows) uncovered, with that count; None
+    when no pair does.  ``miss`` holds each column's misses (see
+    ``_Columns.miss``) on rows that include ``rows``.  ``ov`` holds those
+    rows' overlap with each column, and -1 at j0 and at any column that may
+    not be in the pair; ``t`` is the pair threshold
+    max(|rows| - e - max(ov), 0).
 
     Cell (a, b) of ``Z @ Z.T``, with Z the columns' misses on ``rows``,
     counts the rows neither a nor b covers.  A pair that leaves at most e
-    has ov[a] + ov[b] >= |rows| - e, so both of its columns have
-    ov >= |rows| - e - max(ov), and the table is built over those alone.
-    That bound is clamped at 0 to keep j0 out: its -1 passes the bound
-    itself when e >= 1."""
-    keep = (ov >= max(np.count_nonzero(rows) - e - ov.max(), 0)).nonzero()[0]
+    has ov[a] + ov[b] >= |rows| - e, so both of its columns have ov >= t,
+    and the table is built over those alone.  The clamp at 0 keeps the -1
+    columns out: they pass the unclamped bound when e >= 1.  Diagonal cell
+    (a, a) counts the |rows| - ov[a] rows a alone leaves; when t > 0 every
+    one exceeds e, so the table has a pair exactly when its least cell is
+    at most e.  When t = 0 some column alone leaves at most e rows, and the
+    diagonal is masked."""
+    keep = (ov >= t).nonzero()[0]
     if len(keep) < 2:
         return None
-    keep += first
-    Z = cs.miss[keep][:, rows]
-    # counts are at most m, exact in float32 below 2**24
+    # two takes gather faster than one fancy index; counts are at most m,
+    # exact in float32 below 2**24
+    Z = miss.take(keep, 0).take(rows, 1)
     left = Z @ Z.T
-    ok = left <= e
-    ok.ravel()[::len(ok) + 1] = False
+    if not t:
+        np.fill_diagonal(left, e + 1)
+    if left.min() > e:
+        return None
     # the table is symmetric, so its first cell of at most e, in row-major
     # order, lies above the diagonal: the lexicographically first pair
-    a, b = divmod(int(ok.argmax()), len(ok))
-    if not ok[a, b]:
-        return None
+    a, b = divmod(int((left <= e).argmax()), len(left))
     return (int(keep[a]), int(keep[b])), int(left[a, b])
 
 
@@ -469,15 +487,14 @@ def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, 
         chosen.append(c)
         cov = ncov
     if chosen:
-        first = chosen[-1] + 1
-        rows = cs.At[j0] & ~cs.At[chosen].any(axis=0)
-        # -1 at j0, as in cs.overlap
-        rest = cs.At[first:, rows].sum(axis=1)
-        if j0 >= first:
-            rest[j0 - first] = -1
+        rows = (cs.At[j0] & ~cs.At[chosen].any(axis=0)).nonzero()[0]
+        rest = cs.At[:, rows].sum(axis=1)
+        # the pair comes after the last slot: -1 up to it and at j0
+        rest[:chosen[-1] + 1] = rest[j0] = -1
     else:
-        first, rows, rest = 0, cs.At[j0], cs.overlap[j0]
-    found = _pair_table(cs, rows, rest, first, e)
+        rows, rest = cs.At[j0].nonzero()[0], cs.overlap[j0]
+    found = _pair_table(cs.miss, rows, rest, e,
+                        max(len(rows) - e - int(rest.max()), 0))
     if found is None:
         raise RuntimeError("witness extraction failed after positive decision")
     pair, priv = found
@@ -515,7 +532,11 @@ def _certify(M: MeasurementMatrix, d: int, e: int, budget: float, exclude_column
     ``_pair_table`` rather than the search, and adds no nodes.  A d = 2
     search visits at most 1 + (nc-1) + C(nc-1, 2) nodes per column, so at
     such a cap it could not overflow either: the certificate is the
-    search's but for ``nodes``."""
+    search's but for ``nodes``.  The tables take the pair threshold
+    ``_root_slack`` gives with the slack, and gather from one block of
+    misses over the longest prefix's rows, built once per call.  A
+    threshold of 0 means another column alone leaves at most e of the
+    column's rows, and as nc >= 3 a third column makes the pair."""
     d, e = _as_count("d", d, 1), _as_count("e", e, 0)
     cap = _node_cap(budget)
     cols = _columns_for(M, exclude_columns)
@@ -535,11 +556,13 @@ def _certify(M: MeasurementMatrix, d: int, e: int, budget: float, exclude_column
         return 0, cert(disjunct=True, witness=None, nodes=0)
     tables = tables and d_eff == 2 and total + nc * nc <= cap
     At = M.dense().T[cols]
+    if tables:
+        miss = (~At[:, :grid[-1]]).astype(np.float32)
     start = 0
     for i, m in enumerate(grid):
         cs = _Columns(At[:, :m])
         counter = _Budget(cap)
-        for j0, slack in enumerate(_root_slack(cs, d_eff, start), start):
+        for j0, (slack, t) in enumerate(_root_slack(cs, d_eff, e, start), start):
             counter.columns_done = j0
             if slack > e:
                 # settled at the root: _search would count its root node, fail
@@ -549,7 +572,8 @@ def _certify(M: MeasurementMatrix, d: int, e: int, budget: float, exclude_column
                     raise counter.exceeded()
                 continue
             if tables:
-                found = _pair_table(cs, cs.At[j0], cs.overlap[j0], 0, e)
+                found = _pair_table(miss, cs.At[j0].nonzero()[0], cs.overlap[j0],
+                                    e, t)
             elif cs.w[j0] <= e or _search(cs.bits, cs.bits[j0], *cs.by_overlap(j0),
                                           d_eff, 0, e + 1, e, counter) <= e:
                 found = _lex_witness(cs, j0, d_eff, e)

@@ -233,6 +233,40 @@ def test_tier1_select_runs_only_the_chosen_acceptance_checks(tmp_path, monkeypat
         bench.main(argv[:-3] + ["-k", "complete_graph_m95"])
 
 
+def test_tier1_timeout_keeps_finished_pairs_and_exits_one(tmp_path, monkeypatch,
+                                                          capsys):
+    spec = (ROOT / "BENCHMARK.json").read_text()
+    sides = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(spec)
+        sides.append((tmp_path / side).resolve())
+    runs = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        if "pytest" in cmd:
+            runs.append(Path(cwd).name)
+            if len(runs) == 4:
+                raise subprocess.TimeoutExpired(cmd, kwargs["timeout"],
+                                                stderr=b"still running")
+        out = ("[acceptance] complete-graph-rows: PASS (m95=16; 2.5s of 600s "
+               "budget)\n1 passed in 3.0s")
+        return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    code = bench.main(["--parent", str(sides[0]), "--change", str(sides[1]),
+                       "--label", "t", "--pairs", "3", "--tier1"])
+    assert code == 1
+    # pair 1 runs the change first, so its parent run is the fourth
+    assert runs == ["parent", "change", "change", "parent"]
+    tier1 = json.loads((sides[1] / "BENCH_t.json").read_text())["tier1"]
+    assert len(tier1["runs"]) == 1 and tier1["runs"][0]["first"] == "parent"
+    assert tier1["checks"]["complete-graph-rows"]["change"]["median"] == 2.5
+    assert tier1["failed_run"] == {"side": "parent", "pair": 1, "returncode": None,
+                                   "stderr": "still running"}
+    assert "pair 1 timed out" in capsys.readouterr().err
+
+
 def test_traced_pairs_print_certifier_rate(tmp_path, monkeypatch, capsys):
     spec = (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
     sides = []

@@ -330,8 +330,8 @@ def root_oracle(M, d, e, frac):
     d_eff = min(d, len(cols) - 1)
     total = len(cols) * math.comb(len(cols) - 1, d_eff)
     slack = list(grouptest._root_slack(
-        grouptest._Columns(M.dense().T[cols]), d_eff)) if d_eff else []
-    settles = [s > e for s in slack]
+        grouptest._Columns(M.dense().T[cols]), d_eff, e)) if d_eff else []
+    settles = [s > e for s, _ in slack]
     nodes = is_disjunct(M, d, e, budget=math.inf).nodes
     late = 0
     for budget in (math.inf, nodes - 1,
@@ -340,8 +340,8 @@ def root_oracle(M, d, e, frac):
             continue
         got = certify(M, d, e, budget)
         with mock.patch.object(grouptest, "_root_slack",
-                               lambda cs, r, start: itertools.repeat(
-                                   -math.inf, cs.nc - start)):
+                               lambda cs, r, e, start: itertools.repeat(
+                                   (-math.inf, 0), cs.nc - start)):
             assert got == certify(M, d, e, budget)
         if isinstance(got, tuple) and "search" in got[0]:
             late += any(settles[:got[1]["columns_done"]])
@@ -505,8 +505,8 @@ def test_fast_path_keeps_overflow_node():
 @settings(max_examples=60, deadline=None)
 def test_fast_path_matches_reference_on_wide_matrices(case):
     M, d, e, frac, weak = case
-    slack = grouptest._root_slack(grouptest._Columns(M.dense().T), d)
-    assert [j for j, s in enumerate(slack) if s <= e] == weak
+    slack = grouptest._root_slack(grouptest._Columns(M.dense().T), d, e)
+    assert [j for j, (s, _) in enumerate(slack) if s <= e] == weak
     against_reference(M, d, e, frac)
 
 
@@ -740,11 +740,19 @@ def test_chained_witness_matches_slot_search(case):
 
 @st.composite
 def table_cases(draw):
-    """A matrix of 3 to 29 items, one to four nested prefix lengths, e and
+    """A matrix of 3 to 29 items (a fifth of them 3 to 5, so that three
+    columns are often left), one to four nested prefix lengths, e and
     excluded columns.  Some light columns sit in few rows, so that their
-    weight is often at most e."""
+    weight is often at most e.
+
+    In about a third of the matrices the first three columns a, b and c
+    lead rows of four kinds: abc, ab, ac, and rows of a alone, more than e
+    of them.  There are as many abc rows as a-alone rows plus the random
+    rows a is in, so a's root slack is at most e and its table keeps b
+    and c, but no pair leaves it e or fewer rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_items = int(rng.integers(3, 30))
+    e = draw(st.integers(0, 3))
+    n_items = int(rng.integers(3, 30) if rng.random() < 0.8 else rng.integers(3, 6))
     p = rng.uniform(0.05, 0.5)
     strip = tuple(np.flatnonzero(rng.random(n_items) < 0.1).tolist())
     if len(strip) >= n_items - 2:
@@ -753,12 +761,18 @@ def table_cases(draw):
     rows = [tuple(x for x in np.flatnonzero(rng.random(n_items) < p)
                   if x not in strip and (x not in light or rng.random() < 0.1))
             for _ in range(int(rng.integers(0, 81)))]
+    if rng.random() < 0.35:
+        a, b, c = [x for x in range(n_items) if x not in strip][:3]
+        alone = e + 1 + int(rng.integers(0, 2))
+        both = alone + sum(a in r for r in rows) + int(rng.integers(0, 2))
+        rows = ([(a, b, c)] * both + [(a, b)] * int(rng.integers(0, 3))
+                + [(a, c)] * int(rng.integers(0, 3)) + [(a,)] * alone + rows)
     M = mk(n_items, rows, strip)
     exclude = [c for c in M.columns[1:] if rng.random() < 0.15]
     grid = [int(rng.integers(len(rows) // 3, len(rows) + 1))]
     for _ in range(int(rng.integers(0, 4))):
         grid.insert(0, max(grid[0] - int(rng.integers(0, 16)), 0))
-    return M, grid, draw(st.integers(0, 3)), exclude
+    return M, grid, e, exclude
 
 
 def tabled_nodes(M, e, start, cert):
@@ -767,8 +781,22 @@ def tabled_nodes(M, e, start, cert):
     cols = list(cert.columns)
     cs = grouptest._Columns(M.dense().T[cols])
     stop = cols.index(cert.witness.s0) if cert.witness else len(cols)
-    slack = list(grouptest._root_slack(cs, 2))
-    return sum(s > e for s in slack[start:stop])
+    slack = list(grouptest._root_slack(cs, 2, e))
+    return sum(s > e for s, _ in slack[start:stop])
+
+
+def spy_pair_tables(calls):
+    """Patch ``_pair_table`` to record, per call, its threshold before the
+    clamp, how many columns its table keeps and its result."""
+    real = grouptest._pair_table
+
+    def spy(miss, rows, ov, e, t):
+        found = real(miss, rows, ov, e, t)
+        calls.append((len(rows) - e - int(ov.max()),
+                      int(np.count_nonzero(ov >= t)), found))
+        return found
+
+    return mock.patch.object(grouptest, "_pair_table", spy)
 
 
 def test_tabled_scan_matches_search_and_brute_force():
@@ -781,9 +809,11 @@ def test_tabled_scan_matches_search_and_brute_force():
         kw = dict(exclude_columns=exclude)
         searches = [is_disjunct(M.prefix(m), 2, e, budget=math.inf, **kw)
                     for m in grid]
+        tables = []
         for m, search in zip(grid, searches):
             P = M.prefix(m)
-            alone = scan(P, 2, e, tables=True, **kw)[1]
+            with spy_pair_tables(tables):
+                alone = scan(P, 2, e, tables=True, **kw)[1]
             assert replace(alone, nodes=0) == replace(search, nodes=0)
             ok, wit = brute_disjunct(P, 2, e, exclude)
             assert alone.disjunct == ok
@@ -804,9 +834,16 @@ def test_tabled_scan_matches_search_and_brute_force():
             assert cert.nodes == tabled_nodes(longer, e, start, cert)
         light = [c for c in cert.columns if longer.dense()[:, c].sum() <= e]
         ok = cert.disjunct
+        # tabled columns whose threshold clamps at 0 (another column alone
+        # leaves at most e of their rows), among them those where j0's -1
+        # would pass the unclamped bound; tables with no pair at e >= 1
         seen.append((e, cert.d_effective == 2, bool(longer.stripped),
                      bool(exclude), not ok, start > 0, bool(light) and not ok,
-                     not ok and e > 0))
+                     not ok and e > 0, any(b <= 0 for b, *_ in tables),
+                     any(b < 0 for b, *_ in tables),
+                     e > 0 and any(kept > 1 and found is None
+                                   for _, kept, found in tables),
+                     len(cert.columns) == 3 and bool(tables)))
 
     check()
     for v in range(4):
