@@ -288,9 +288,8 @@ def _node_cap(budget: float) -> float:
 
 class _Columns:
     """Columns as the rows of a boolean block, with weights and pairwise
-    overlap counts (-1 on the diagonal); their bitsets and misses are built
-    on first use (a tabled scan builds neither: it keeps one block of
-    misses over all its prefixes' rows)."""
+    overlap counts (-1 on the diagonal); their bitsets are built on first
+    use."""
 
     def __init__(self, At: np.ndarray):
         # At holds one column per row (callers pass dense().T[cols], a
@@ -317,12 +316,6 @@ class _Columns:
         (a tabled scan reads none)."""
         packed = np.packbits(self.At, axis=1, bitorder="little")
         return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    @cached_property
-    def miss(self) -> np.ndarray:
-        """1.0 where a column misses a row, 0.0 where it covers it, for the
-        witness's pair table (see ``_pair_table``)."""
-        return (~self.At).astype(np.float32)
 
 
 # Overlap cells in the first block of root bounds (see _root_slack)
@@ -415,8 +408,8 @@ def _pair_table(miss: np.ndarray, rows: np.ndarray, ov: np.ndarray, e: int,
                 t: int) -> tuple[tuple[int, int], int] | None:
     """The first pair a < b of the columns that leaves at most e of
     ``rows`` (indices of column j0's rows) uncovered, with that count; None
-    when no pair does.  ``miss`` holds each column's misses (see
-    ``_Columns.miss``) on rows that include ``rows``.  ``ov`` holds those
+    when no pair does.  ``miss`` is 1.0 where a column misses a row and 0.0
+    where it covers it, on rows that include ``rows``.  ``ov`` holds those
     rows' overlap with each column, and -1 at j0 and at any column that may
     not be in the pair; ``t`` is the pair threshold
     max(|rows| - e - max(ov), 0).
@@ -493,7 +486,7 @@ def _lex_witness(cs: _Columns, j0: int, d_eff: int, e: int) -> tuple[tuple[int, 
         rest[:chosen[-1] + 1] = rest[j0] = -1
     else:
         rows, rest = cs.At[j0].nonzero()[0], cs.overlap[j0]
-    found = _pair_table(cs.miss, rows, rest, e,
+    found = _pair_table((~cs.At).astype(np.float32), rows, rest, e,
                         max(len(rows) - e - int(rest.max()), 0))
     if found is None:
         raise RuntimeError("witness extraction failed after positive decision")
